@@ -271,7 +271,7 @@ void BM_ObsSpanDisabled(benchmark::State& state) {
   obs::TraceSession* session = nullptr;
   SimTime t = 0;
   for (auto _ : state) {
-    obs::span(session, 0, "task", "task", t, t + 100, "id", 1);
+    obs::span(session, 0, obs::record::kTask, t, t + 100, 1);
     benchmark::DoNotOptimize(t += 100);
   }
 }
@@ -281,23 +281,24 @@ void BM_ObsSpanEnabled(benchmark::State& state) {
   obs::TraceSession session(1, 1 << 10);  // small ring: steady-state overwrite
   SimTime t = 0;
   for (auto _ : state) {
-    obs::span(&session, 0, "task", "task", t, t + 100, "id", 1);
+    obs::span(&session, 0, obs::record::kTask, t, t + 100, 1);
     benchmark::DoNotOptimize(t += 100);
   }
 }
 BENCHMARK(BM_ObsSpanEnabled);
 
-// Same discipline for the telemetry bus: every phase boundary publishes,
-// so with no bus attached the cost must be one test-and-branch (matching
-// BM_ObsSpanDisabled) — CI asserts the disabled case stays ~1 ns.
+// Same discipline for the phase records: every phase boundary goes
+// through Obs::phase, so with no trace and no bus attached the cost must
+// be one test-and-branch (matching BM_ObsSpanDisabled) — CI asserts the
+// disabled case stays ~1 ns.
 void BM_TelemetryPublishDisabled(benchmark::State& state) {
-  obs::TelemetryBus* bus = nullptr;
+  obs::Obs o;
   obs::PhaseSample sample{};
   sample.kind = obs::PhaseKind::kSystem;
   SimTime t = 0;
   for (auto _ : state) {
-    if (bus != nullptr) bus->publish(sample);  // the engines' publish site
-    benchmark::DoNotOptimize(bus);
+    o.phase(sample);  // the engines' publish site
+    benchmark::DoNotOptimize(o);
     benchmark::DoNotOptimize(t += 100);
   }
 }
@@ -309,10 +310,11 @@ void BM_TelemetryPublishEnabled(benchmark::State& state) {
   bus.subscribe(&recorder);
   obs::PhaseSample sample{};
   sample.kind = obs::PhaseKind::kSystem;
-  obs::TelemetryBus* attached = &bus;
+  obs::Obs o;
+  o.bus = &bus;
   SimTime t = 0;
   for (auto _ : state) {
-    if (attached != nullptr) attached->publish(sample);
+    o.phase(sample);
     benchmark::DoNotOptimize(t += 100);
   }
 }

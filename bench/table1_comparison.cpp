@@ -86,12 +86,12 @@ int main(int argc, char** argv) {
     for (size_t p = 0; p < run.phases.size(); ++p) {
       const auto& ph = run.phases[p];
       phases.row({cell(static_cast<long long>(p)),
-                  cell(static_cast<long long>(ph.tasks_scheduled)),
-                  cell(static_cast<long long>(ph.tasks_moved)),
+                  cell(static_cast<long long>(ph.tasks)),
+                  cell(static_cast<long long>(ph.moved)),
                   cell(static_cast<long long>(ph.comm_steps)),
-                  cell(1e-6 * static_cast<double>(ph.duration_ns), 2)});
-      moved += ph.tasks_moved;
-      migration_ms += 1e-6 * static_cast<double>(ph.duration_ns);
+                  cell(1e-6 * static_cast<double>(ph.t1 - ph.t0), 2)});
+      moved += ph.moved;
+      migration_ms += 1e-6 * static_cast<double>(ph.t1 - ph.t0);
     }
     phases.print();
     std::printf(

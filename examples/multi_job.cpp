@@ -4,7 +4,7 @@
 // kernel" and a bursty divide-and-conquer job — share one 32-node machine.
 // The merged trace runs under RIPS (which balances the combined load with
 // global information) and under randomized allocation; per-job completion
-// times come from the recorded timeline.
+// times come from the engines' per-job accounting (RunMetrics::jobs).
 //
 //   ./multi_job [--nodes=32]
 #include <cstdio>
@@ -16,7 +16,6 @@
 #include "balance/random_alloc.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
-#include "sim/timeline.hpp"
 #include "topo/topology.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
@@ -59,30 +58,30 @@ int main(int argc, char** argv) {
   table.header({"job", "tasks", "RIPS completion (s)",
                 "random completion (s)"});
 
-  sim::Timeline rips_timeline;
+  const std::vector<i32> job_of(merged.owner.begin(), merged.owner.end());
+  const auto num_jobs = static_cast<i32>(merged.jobs.size());
   sim::RunMetrics rips_metrics;
   {
     sched::Mwa mwa(mesh);
     core::RipsEngine engine(mwa, cost, core::RipsConfig{});
-    engine.set_timeline(&rips_timeline);
+    engine.set_job_map(&job_of, num_jobs);
     rips_metrics = engine.run(merged.trace);
   }
-  sim::Timeline random_timeline;
   sim::RunMetrics random_metrics;
   {
     balance::RandomAlloc random(31);
     balance::DynamicEngine engine(mesh, cost, random);
-    engine.set_timeline(&random_timeline);
+    engine.set_job_map(&job_of, num_jobs);
     random_metrics = engine.run(merged.trace);
   }
 
-  const auto rips_done = apps::job_completion_times(merged, rips_timeline);
-  const auto random_done = apps::job_completion_times(merged, random_timeline);
   for (size_t j = 0; j < merged.jobs.size(); ++j) {
+    const SimTime rips_done = rips_metrics.jobs[j].completion_ns;
+    const SimTime random_done = random_metrics.jobs[j].completion_ns;
     table.row({merged.jobs[j].name,
                cell(static_cast<long long>(merged.jobs[j].num_tasks)),
-               cell(1e-9 * static_cast<double>(rips_done[j]), 3),
-               cell(1e-9 * static_cast<double>(random_done[j]), 3)});
+               cell(1e-9 * static_cast<double>(rips_done), 3),
+               cell(1e-9 * static_cast<double>(random_done), 3)});
   }
   table.print();
   std::printf(

@@ -14,6 +14,7 @@
 //   ./rips_cli --app=queens --fault-seed=7 --crash-mtbf-ms=20
 //       --trace-out=faulty.trace.json          (crash/recovery spans)
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -38,7 +39,6 @@
 #include "rips/rips_engine.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/fault.hpp"
-#include "sim/timeline.hpp"
 #include "topo/topology.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -260,16 +260,20 @@ int run_cli(const Args& args) {
     return run_compare(args, trace, cost, nodes, strategy);
   }
 
-  sim::Timeline timeline;
   const bool want_timeline = args.get_bool("timeline", false);
+  const bool want_trace = args.has("trace-out");
   sim::RunMetrics metrics;
 
   // Observability sinks (docs/OBSERVABILITY.md). All optional; attaching
-  // them never changes the metrics.
-  obs::TraceSession trace_session(nodes);
+  // them never changes the metrics. The --timeline chart is drawn from the
+  // trace, so a charted run keeps every event instead of a bounded ring.
+  obs::TraceSession trace_session =
+      want_timeline
+          ? obs::TraceSession(nodes, std::numeric_limits<size_t>::max())
+          : obs::TraceSession(nodes);
   obs::InvariantMonitor monitor;
   obs::Obs o;
-  if (args.has("trace-out")) o.trace = &trace_session;
+  if (want_trace || want_timeline) o.trace = &trace_session;
   if (args.get_bool("monitors", false)) o.monitor = &monitor;
 
   // Live telemetry (docs/OBSERVABILITY.md, "Live telemetry"): the bus is
@@ -297,7 +301,7 @@ int run_cli(const Args& args) {
     std::string dump_path = args.get("blackbox", "rips-blackbox.json");
     if (dump_path.empty()) dump_path = "rips-blackbox.json";
     recorder.set_dump_path(dump_path);
-    recorder.attach_trace(o.trace);
+    recorder.attach_trace(want_trace ? &trace_session : nullptr);
     recorder.arm_process_hooks();
     bus.subscribe(&recorder);
   }
@@ -306,7 +310,6 @@ int run_cli(const Args& args) {
   if (strategy == "rips") {
     auto sched = sched::make_scheduler(args.get("sched", "mwa"), nodes);
     core::RipsEngine engine(*sched, cost, parse_policy(args));
-    if (want_timeline) engine.set_timeline(&timeline);
     engine.set_obs(o);
 
     // Deterministic fault injection: expand the seed + knobs into a plan.
@@ -352,7 +355,6 @@ int run_cli(const Args& args) {
                      "--strategy must be rips|random|gradient|rid|sid");
     }
     balance::DynamicEngine engine(*topo, cost, *impl);
-    if (want_timeline) engine.set_timeline(&timeline);
     engine.set_obs(o);
     metrics = engine.run(trace);
     std::printf("%s on %s\n", impl->name().c_str(), topo->name().c_str());
@@ -372,9 +374,9 @@ int run_cli(const Args& args) {
               100.0 * trace.optimal_efficiency(nodes));
   if (want_timeline) {
     const i32 width = static_cast<i32>(args.get_int("timeline-width", 100));
-    std::fputs(timeline.render(nodes, width).c_str(), stdout);
+    std::fputs(obs::utilization_chart(trace_session, width).c_str(), stdout);
   }
-  if (o.trace != nullptr) {
+  if (want_trace) {
     const std::string path = args.get("trace-out", "run.trace.json");
     RIPS_CHECK_MSG(trace_session.write_json(path),
                    "failed to write the trace JSON");

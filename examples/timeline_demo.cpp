@@ -1,10 +1,11 @@
 // Timeline visualization: watch RIPS alternate user and system phases.
 //
 // Renders ASCII utilization charts (one row per node, darker = busier) for
-// RIPS and for randomized allocation on the same N-Queens run. The RIPS
-// chart shows the signature of incremental scheduling: solid busy bands
-// separated by short synchronized system phases, with the early phases
-// spreading the work outward from node 0.
+// RIPS and for randomized allocation on the same N-Queens run, drawn from
+// each run's trace (obs::utilization_chart). The RIPS chart shows the
+// signature of incremental scheduling: solid busy bands separated by short
+// synchronized system phases, with the early phases spreading the work
+// outward from node 0.
 //
 // With --trace-out the same RIPS run is also exported as a Perfetto trace
 // (docs/OBSERVABILITY.md) — the ASCII chart and ui.perfetto.dev show the
@@ -13,6 +14,7 @@
 //   ./timeline_demo [--queens=12] [--nodes=8] [--width=100]
 //                   [--trace-out=timeline.trace.json]
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "apps/nqueens.hpp"
@@ -22,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
-#include "sim/timeline.hpp"
 #include "topo/topology.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -42,22 +43,20 @@ int main(int argc, char** argv) {
 
   std::printf("%d-queens on %s (%zu tasks)\n\n", queens, mesh.name().c_str(),
               trace.size());
+  // The charts need every event of a run: sessions that never overwrite.
+  constexpr size_t kWholeRun = std::numeric_limits<size_t>::max();
 
   {
     sched::Mwa mwa(mesh);
     core::RipsEngine engine(mwa, cost, core::RipsConfig{});
-    sim::Timeline timeline;
-    engine.set_timeline(&timeline);
-    obs::TraceSession trace_session(nodes);
-    if (args.has("trace-out")) {
-      engine.set_obs(obs::Obs{&trace_session, nullptr});
-    }
+    obs::TraceSession trace_session(nodes, kWholeRun);
+    engine.set_obs(obs::Obs{&trace_session, nullptr});
     const auto m = engine.run(trace);
     std::printf("RIPS (ANY-Lazy + MWA): T=%.3fs, efficiency %.0f%%, %llu "
                 "system phases\n",
                 m.exec_s(), 100.0 * m.efficiency(),
                 static_cast<unsigned long long>(m.system_phases));
-    std::fputs(timeline.render(nodes, width).c_str(), stdout);
+    std::fputs(obs::utilization_chart(trace_session, width).c_str(), stdout);
     if (args.has("trace-out")) {
       const std::string path = args.get("trace-out", "timeline.trace.json");
       RIPS_CHECK_MSG(trace_session.write_json(path),
@@ -70,12 +69,12 @@ int main(int argc, char** argv) {
   {
     balance::RandomAlloc random(7);
     balance::DynamicEngine engine(mesh, cost, random);
-    sim::Timeline timeline;
-    engine.set_timeline(&timeline);
+    obs::TraceSession trace_session(nodes, kWholeRun);
+    engine.set_obs(obs::Obs{&trace_session, nullptr});
     const auto m = engine.run(trace);
     std::printf("randomized allocation: T=%.3fs, efficiency %.0f%%\n",
                 m.exec_s(), 100.0 * m.efficiency());
-    std::fputs(timeline.render(nodes, width).c_str(), stdout);
+    std::fputs(obs::utilization_chart(trace_session, width).c_str(), stdout);
   }
   return 0;
 }

@@ -93,13 +93,6 @@ class CellList {
   std::vector<i32> ids_;    // atom ids grouped by cell, ascending per cell
 };
 
-double dist2(const Vec3& a, const Vec3& b) {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  const double dz = a.z - b.z;
-  return dx * dx + dy * dy + dz * dz;
-}
-
 }  // namespace
 
 Molecule::Molecule(const GromosConfig& config) {
@@ -163,8 +156,8 @@ std::vector<u64> Molecule::pair_counts(double cutoff) const {
   RIPS_CHECK(cutoff > 0.0);
   // Cells of cutoff/2 instead of cutoff: the swept neighborhood shrinks
   // from (3c)^3 to (2.5c)^3 around the cutoff sphere, ~1.7x fewer distance
-  // tests. Membership is still decided by the exact dist2 <= cutoff2 test,
-  // so the counted pair set is unchanged.
+  // tests. Membership is still decided by the exact squared distance
+  // against cutoff2, so the counted pair set is unchanged.
   const CellList cells(atoms_, cutoff * 0.5);
   const i32 kR = 2;  // ceil(cutoff / cell size): max cell-index gap of a pair
   const double cutoff2 = cutoff * cutoff;

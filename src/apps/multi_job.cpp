@@ -1,7 +1,5 @@
 #include "apps/multi_job.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace rips::apps {
@@ -46,7 +44,7 @@ MergedJobs merge_jobs(
     }
   }
   for (u32 j = 0; j < jobs.size(); ++j) {
-    out.jobs.push_back({jobs[j].first, 0, 0});
+    out.jobs.push_back({jobs[j].first, 0});
   }
 
   // Copy children breadth-first; each parent's children stay consecutive.
@@ -65,23 +63,9 @@ MergedJobs merge_jobs(
   RIPS_CHECK(out.trace.size() == total);
   RIPS_CHECK(out.owner.size() == total);
   for (size_t i = 0; i < out.owner.size(); ++i) {
-    JobSpan& span = out.jobs[out.owner[i]];
-    if (span.num_tasks == 0) span.first_task = static_cast<TaskId>(i);
-    span.num_tasks += 1;
+    out.jobs[out.owner[i]].num_tasks += 1;
   }
   return out;
-}
-
-std::vector<SimTime> job_completion_times(const MergedJobs& merged,
-                                          const sim::Timeline& timeline) {
-  std::vector<SimTime> completion(merged.jobs.size(), 0);
-  for (const auto& event : timeline.events()) {
-    if (event.kind != sim::TimelineEvent::Kind::kTask) continue;
-    RIPS_CHECK(event.task < merged.owner.size());
-    const u32 job = merged.owner[event.task];
-    completion[job] = std::max(completion[job], event.end_ns);
-  }
-  return completion;
 }
 
 }  // namespace rips::apps

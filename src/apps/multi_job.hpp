@@ -2,23 +2,20 @@
 // used for a single job on a dedicated machine or a multiprogramming
 // environment" but only develops the single-job case. This extension
 // merges several single-segment job traces into one trace so the engines
-// schedule them together, and maps executed tasks back to jobs for
-// per-job completion metrics (see examples/multi_job.cpp).
+// schedule them together, with a per-task owner map for their per-job
+// accounting (set_job_map, RunMetrics::jobs; see examples/multi_job.cpp).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "apps/task_trace.hpp"
-#include "sim/timeline.hpp"
 
 namespace rips::apps {
 
 struct JobSpan {
   std::string name;
-  TaskId first_task = 0;  ///< id of the job's first task in the merged trace
-  u32 num_tasks = 0;      ///< total tasks contributed (ids are NOT contiguous
-                          ///< beyond the root block; use owner lookup)
+  u32 num_tasks = 0;  ///< tasks contributed (their ids: MergedJobs::owner)
 };
 
 struct MergedJobs {
@@ -32,10 +29,5 @@ struct MergedJobs {
 /// and work are preserved exactly. All inputs must have one segment.
 MergedJobs merge_jobs(const std::vector<std::pair<std::string,
                                                   const TaskTrace*>>& jobs);
-
-/// Per-job completion time (simulated ns of the job's last task end)
-/// extracted from a timeline recorded during the merged run.
-std::vector<SimTime> job_completion_times(const MergedJobs& merged,
-                                          const sim::Timeline& timeline);
 
 }  // namespace rips::apps

@@ -88,8 +88,8 @@ void DynamicEngine::send_message(NodeId from, NodeId to, i32 kind, i64 a,
                  "runaway strategy: message budget exceeded");
   const SimTime latency = cost_.network_time(topo_.distance(from, to));
   h_msg_latency_ns_->observe(latency);
-  obs::instant(obs_.trace, from, "msg", "send", sender.free_at, "tasks",
-               static_cast<i64>(msg.tasks.size()), "corr", msg.corr);
+  obs::instant(obs_.trace, from, obs::record::kSend, sender.free_at,
+               static_cast<i64>(msg.tasks.size()), msg.corr);
   const SimTime arrival = sender.free_at + latency;
   Pending p;
   p.kind = Pending::kDeliver;
@@ -112,9 +112,8 @@ void DynamicEngine::send_spawned_task(NodeId from, NodeId to, TaskId task) {
   c_tasks_migrated_->add(1);
   const SimTime latency = cost_.network_time(topo_.distance(from, to));
   h_msg_latency_ns_->observe(latency);
-  obs::instant(obs_.trace, from, "msg", "send",
-               nodes_[static_cast<size_t>(from)].free_at, "tasks", 1, "corr",
-               msg.corr);
+  obs::instant(obs_.trace, from, obs::record::kSend,
+               nodes_[static_cast<size_t>(from)].free_at, 1, msg.corr);
   const SimTime arrival = nodes_[static_cast<size_t>(from)].free_at + latency;
   Pending p;
   p.kind = Pending::kDeliver;
@@ -144,11 +143,7 @@ void DynamicEngine::maybe_start(NodeId node) {
 void DynamicEngine::finish_task(NodeId node, TaskId task) {
   NodeRt& n = nodes_[static_cast<size_t>(node)];
   n.executing = false;
-  if (timeline_ != nullptr) {
-    timeline_->record({sim::TimelineEvent::Kind::kTask, node, n.task_start_ns,
-                       n.free_at, task});
-  }
-  obs::span(obs_.trace, node, "task", "task", n.task_start_ns, n.free_at, "id",
+  obs::span(obs_.trace, node, obs::record::kTask, n.task_start_ns, n.free_at,
             static_cast<i64>(task));
   exec_node_[static_cast<size_t>(task)] = node;
   c_tasks_executed_->add();
@@ -185,8 +180,8 @@ void DynamicEngine::finish_task(NodeId node, TaskId task) {
 
 void DynamicEngine::deliver(NodeId node, Message msg, SimTime arrival) {
   (void)arrival;  // now_ == arrival when this runs
-  obs::instant(obs_.trace, node, "msg", "recv", now_, "tasks",
-               static_cast<i64>(msg.tasks.size()), "corr", msg.corr);
+  obs::instant(obs_.trace, node, obs::record::kRecv, now_,
+               static_cast<i64>(msg.tasks.size()), msg.corr);
   charge_overhead(node, cost_.recv_time(static_cast<i64>(msg.tasks.size())));
   for (TaskId t : msg.tasks) {
     nodes_[static_cast<size_t>(node)].queue.push_back(t);
@@ -214,19 +209,13 @@ void DynamicEngine::release_segment(u32 segment, SimTime at) {
   SimTime latest = at;
   for (const NodeRt& n : nodes_) latest = std::max(latest, n.free_at);
   const SimTime release_t = latest + barrier_ns;
-  if (timeline_ != nullptr) {
-    timeline_->record({sim::TimelineEvent::Kind::kBarrier, kInvalidNode,
-                       latest, release_t, kInvalidTask});
-  }
-  obs::span(obs_.trace, kInvalidNode, "phase", "segment_barrier", latest,
-            release_t, "segment", static_cast<i64>(segment));
-  if (obs_.bus != nullptr) {
-    obs::PhaseSample sample;
-    sample.kind = obs::PhaseKind::kSegment;
-    sample.phase = segment;
-    sample.t0 = latest;
-    sample.t1 = release_t;
-    sample.tasks = completed_prev;
+  obs::PhaseSample sample;
+  sample.kind = obs::PhaseKind::kSegment;
+  sample.phase = segment;
+  sample.t0 = latest;
+  sample.t1 = release_t;
+  sample.tasks = completed_prev;
+  if (obs_.bus != nullptr) {  // only subscribers read the load spread
     i64 min_load = load_of(0);
     i64 max_load = min_load;
     for (NodeId v = 1; v < static_cast<NodeId>(nodes_.size()); ++v) {
@@ -234,10 +223,10 @@ void DynamicEngine::release_segment(u32 segment, SimTime at) {
       max_load = std::max(max_load, load_of(v));
     }
     sample.imbalance = max_load - min_load;
-    sample.live_nodes = static_cast<i32>(nodes_.size());
-    sample.executed_total = c_tasks_executed_->value();
-    obs_.bus->publish(sample);
   }
+  sample.live_nodes = static_cast<i32>(nodes_.size());
+  sample.executed_total = c_tasks_executed_->value();
+  obs_.phase(sample);
   for (auto& n : nodes_) {
     n.ovh_ns += cost_.send_overhead_ns + cost_.recv_overhead_ns;
     n.free_at = std::max(n.free_at, release_t);
@@ -277,10 +266,8 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
   metrics_ = sim::RunMetrics{};
   metrics_.num_nodes = n;
   registry_.reset();
-  if (obs_.trace != nullptr) obs_.trace->clear();
   events_.clear();
   events_.reserve(static_cast<size_t>(n) * 8);
-  if (timeline_ != nullptr) timeline_->clear();
   now_ = 0;
   current_segment_ = 0;
   completed_in_segment_ = 0;
@@ -301,13 +288,7 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
         cost_.work_time(trace.task(static_cast<TaskId>(i)).work);
   }
 
-  if (obs_.bus != nullptr) {
-    obs::RunStart rs;
-    rs.engine = "dynamic";
-    rs.num_nodes = n;
-    rs.num_tasks = trace.size();
-    obs_.bus->publish_run_begin(rs);
-  }
+  obs_.run_begin({"dynamic", n, trace.size()});
 
   strategy_.reset(*this);
 
@@ -366,30 +347,24 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
   SimTime makespan = 0;
   for (const NodeRt& node : nodes_) makespan = std::max(makespan, node.free_at);
   metrics_.makespan_ns = makespan;
-  // Trailing overhead (message handling after the last task span) would
-  // otherwise be invisible to trace analysis: mark the true run extent.
-  obs::instant(obs_.trace, kInvalidNode, "phase", "run_end", makespan, "makespan",
-               makespan);
   for (const NodeRt& node : nodes_) {
     metrics_.total_busy_ns += node.busy_ns;
     metrics_.total_overhead_ns += node.ovh_ns;
     metrics_.total_idle_ns += makespan - node.busy_ns - node.ovh_ns;
   }
   metrics_.load_counters(registry_);
-  if (obs_.bus != nullptr) {
-    // The final segment never hits a barrier — publish its execution tally
-    // so subscribers see every task, then close the run.
-    obs::PhaseSample sample;
-    sample.kind = obs::PhaseKind::kSegment;
-    sample.phase = current_segment_ + 1;
-    sample.t0 = makespan;
-    sample.t1 = makespan;
-    sample.tasks = completed_in_segment_;
-    sample.live_nodes = n;
-    sample.executed_total = c_tasks_executed_->value();
-    obs_.bus->publish(sample);
-    obs_.bus->publish_run_end(makespan);
-  }
+  // The final segment never hits a barrier: its tally closes the run, so
+  // subscribers see every task and trace analysis sees the trailing
+  // overhead (message handling after the last task span).
+  obs::PhaseSample last;
+  last.kind = obs::PhaseKind::kSegment;
+  last.phase = current_segment_ + 1;
+  last.t0 = makespan;
+  last.t1 = makespan;
+  last.tasks = completed_in_segment_;
+  last.live_nodes = n;
+  last.executed_total = c_tasks_executed_->value();
+  obs_.run_end(makespan, &last);
   running_ = false;
   return metrics_;
 }

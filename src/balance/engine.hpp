@@ -27,7 +27,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/task_queue.hpp"
-#include "sim/timeline.hpp"
 #include "topo/topology.hpp"
 #include "util/types.hpp"
 
@@ -41,15 +40,12 @@ class DynamicEngine {
   /// Executes the whole trace; returns the Table-I style metrics.
   sim::RunMetrics run(const apps::TaskTrace& trace);
 
-  /// Optional instrumentation: when set, every task execution and segment
-  /// barrier of subsequent runs is recorded (cleared at run start).
-  void set_timeline(sim::Timeline* timeline) { timeline_ = timeline; }
-
   /// Structured observability (docs/OBSERVABILITY.md): optional Perfetto
-  /// trace sink (task spans, segment barriers, message-send instants).
-  /// Passive — metrics are bit-identical with or without it. The monitor
-  /// half of obs::Obs is ignored: the paper's theorems are about the RIPS
-  /// system phase, which this engine does not have.
+  /// trace sink (task spans, segment barriers, message send/recv
+  /// instants) and telemetry bus (segment samples). Passive — metrics are
+  /// bit-identical with or without them. An attached monitor is only
+  /// reset at run start: the paper's theorems are about the RIPS system
+  /// phase, which this engine does not have.
   void set_obs(const obs::Obs& o) { obs_ = o; }
 
   /// Counters / histograms of the last run (tasks.executed, msg.sent,
@@ -123,7 +119,7 @@ class DynamicEngine {
     SimTime free_at = 0;
     SimTime busy_ns = 0;
     SimTime ovh_ns = 0;
-    SimTime task_start_ns = 0;  // start of the executing task (timeline)
+    SimTime task_start_ns = 0;  // start of the executing task (task span)
     bool executing = false;
   };
 
@@ -132,7 +128,6 @@ class DynamicEngine {
   void finish_task(NodeId node, TaskId task);
   void deliver(NodeId node, Message msg, SimTime arrival);
   void release_segment(u32 segment, SimTime at);
-  void after_queue_change(NodeId node);
 
   /// Message payload buffers cycle through a free list: acquired when a
   /// message is built, released (capacity kept) after delivery. In steady
@@ -161,7 +156,6 @@ class DynamicEngine {
   u32 current_segment_ = 0;
   std::vector<u64> segment_sizes_;
   sim::RunMetrics metrics_;
-  sim::Timeline* timeline_ = nullptr;
   SimTime now_ = 0;
   bool running_ = false;
   i64 msg_corr_ = 0;  // next send/recv correlation id (reset per run)

@@ -35,7 +35,7 @@ namespace rips::sweep {
 struct StrategyRun {
   std::string strategy;
   sim::RunMetrics metrics;
-  std::vector<core::RipsEngine::PhaseStats> phases;  // RIPS only
+  std::vector<obs::PhaseSample> phases;  // RIPS system phases only
   /// Copy of the engine's metrics registry (counters / histograms /
   /// per-phase snapshots) — what `harness --json` serializes.
   obs::MetricsRegistry registry;

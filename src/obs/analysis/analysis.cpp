@@ -33,8 +33,8 @@ SimTime ns_from_us(double us) {
 }
 
 i64 ev_corr(const AnalysisEvent& e) {
-  if (e.arg2_name == "corr") return e.arg2;
-  if (e.arg_name == "corr") return e.arg;
+  if (e.arg2_name == record::kSend.arg2) return e.arg2;
+  if (e.arg_name == record::kSend.arg2) return e.arg;
   return -1;
 }
 
@@ -264,15 +264,17 @@ CriticalPath phased_critical_path(const AnalysisTrace& trace) {
   for (const AnalysisEvent& e : trace.events) {
     if (!e.is_span) continue;
     if (e.node == kInvalidNode) {
-      if (e.name == "system_phase" || e.name == "user_phase") {
+      if (e.name == record::kSystemPhase.name ||
+          e.name == record::kUserPhase.name) {
         phases.push_back(&e);
-      } else if (e.name == "recovery" || e.name == "schedule" ||
-                 e.name == "migrate") {
+      } else if (e.name == record::kRecovery.name ||
+                 e.name == record::kSchedule.name ||
+                 e.name == record::kMigrate.name) {
         children.push_back(&e);
-      } else if (e.category == "coll") {
+      } else if (e.category == record::kCollectiveRetry.category) {
         coll.push_back(&e);
       }
-    } else if (e.category == "task" && e.node >= 0 &&
+    } else if (e.category == record::kTask.category && e.node >= 0 &&
                e.node < trace.num_nodes) {
       tasks[static_cast<size_t>(e.node)].push_back(&e);
     }
@@ -288,15 +290,16 @@ CriticalPath phased_critical_path(const AnalysisTrace& trace) {
     // Phases tile the run exactly; any gap here means the trace lost
     // events (ring overwrite) — attribute it as idle rather than lie.
     push_step(cp.steps, Category::kIdle, gcursor, t0, kInvalidNode, "gap");
-    if (p->name == "system_phase") {
+    if (p->name == record::kSystemPhase.name) {
       SimTime c = t0;
       for (const AnalysisEvent* ch : children) {
         if (ch->start_ns < t0 || ch->end_ns() > t1) continue;
         push_step(cp.steps, Category::kIdle, c, ch->start_ns, kInvalidNode,
                   "gap");
-        const Category cat = ch->name == "recovery" ? Category::kRecovery
-                             : ch->name == "migrate" ? Category::kMigration
-                                                     : Category::kSchedule;
+        const Category cat =
+            ch->name == record::kRecovery.name  ? Category::kRecovery
+            : ch->name == record::kMigrate.name ? Category::kMigration
+                                                : Category::kSchedule;
         push_step(cp.steps, cat, std::max(c, ch->start_ns), ch->end_ns(),
                   kInvalidNode, ch->name.c_str());
         c = std::max(c, ch->end_ns());
@@ -372,14 +375,14 @@ CriticalPath graph_critical_path(const AnalysisTrace& trace) {
     }
     if (e.node < 0 || e.node >= trace.num_nodes) continue;
     const auto nd = static_cast<size_t>(e.node);
-    if (e.is_span && e.category == "task") {
+    if (e.is_span && e.category == record::kTask.category) {
       tasks[nd].push_back(&e);
-    } else if (!e.is_span && e.category == "msg") {
+    } else if (!e.is_span && e.category == record::kSend.category) {
       const i64 corr = ev_corr(e);
       if (corr < 0) continue;
-      if (e.name == "recv") {
+      if (e.name == record::kRecv.name) {
         recvs[nd].push_back({&e, false});
-      } else if (e.name == "send") {
+      } else if (e.name == record::kSend.name) {
         send_by_corr.emplace(corr, &e);
       }
     }
@@ -472,7 +475,8 @@ CriticalPath graph_critical_path(const AnalysisTrace& trace) {
 CriticalPath critical_path(const AnalysisTrace& trace) {
   bool phased = false;
   for (const AnalysisEvent& e : trace.events) {
-    if (e.is_span && e.node == kInvalidNode && e.name == "system_phase") {
+    if (e.is_span && e.node == kInvalidNode &&
+        e.name == record::kSystemPhase.name) {
       phased = true;
       break;
     }
@@ -543,39 +547,40 @@ PhaseProfile phase_profile(const AnalysisTrace& trace) {
   for (const AnalysisEvent& e : trace.events) {
     if (e.node == kInvalidNode) {
       if (!e.is_span) continue;
-      if (e.name == "system_phase") {
+      if (e.name == record::kSystemPhase.name) {
         PhaseRow row;
         row.index = p.system_phases.size();
         row.start_ns = e.start_ns;
         row.duration_ns = e.dur_ns;
-        row.scheduled = e.arg_value("scheduled");
+        row.scheduled = e.arg_value(record::kSystemPhase.arg);
         p.system_phases.push_back(row);
         p.system_total_ns += e.dur_ns;
-      } else if (e.name == "user_phase") {
+      } else if (e.name == record::kUserPhase.name) {
         UserRow row;
         row.index = p.user_phases.size();
         row.start_ns = e.start_ns;
         row.duration_ns = e.dur_ns;
-        row.executed = e.arg_value("executed");
+        row.executed = e.arg_value(record::kUserPhase.arg);
         p.user_phases.push_back(row);
         p.user_total_ns += e.dur_ns;
-      } else if (e.name == "schedule" || e.name == "migrate" ||
-                 e.name == "recovery") {
+      } else if (e.name == record::kSchedule.name ||
+                 e.name == record::kMigrate.name ||
+                 e.name == record::kRecovery.name) {
         children.push_back(&e);
-      } else if (e.category == "coll") {
+      } else if (e.category == record::kCollectiveRetry.category) {
         p.collective_total_ns += e.dur_ns;
       }
       continue;
     }
     if (e.node < 0 || e.node >= trace.num_nodes) continue;
     NodeRow& nr = p.nodes[static_cast<size_t>(e.node)];
-    if (e.is_span && e.category == "task") {
+    if (e.is_span && e.category == record::kTask.category) {
       nr.tasks += 1;
       nr.busy_ns += e.dur_ns;
-    } else if (!e.is_span && e.category == "msg") {
-      if (e.name == "send") nr.sends += 1;
-      if (e.name == "recv") nr.recvs += 1;
-    } else if (!e.is_span && e.name == "crash") {
+    } else if (!e.is_span && e.category == record::kSend.category) {
+      if (e.name == record::kSend.name) nr.sends += 1;
+      if (e.name == record::kRecv.name) nr.recvs += 1;
+    } else if (!e.is_span && e.name == record::kCrash.name) {
       nr.crashed = true;
     }
   }
@@ -587,15 +592,15 @@ PhaseProfile phase_profile(const AnalysisTrace& trace) {
           ch->end_ns() > row.start_ns + row.duration_ns) {
         continue;
       }
-      if (ch->name == "schedule") {
+      if (ch->name == record::kSchedule.name) {
         row.schedule_ns += ch->dur_ns;
-        row.comm_steps += ch->arg_value("comm_steps");
-      } else if (ch->name == "migrate") {
+        row.comm_steps += ch->arg_value(record::kSchedule.arg);
+      } else if (ch->name == record::kMigrate.name) {
         row.migrate_ns += ch->dur_ns;
-        row.moved += ch->arg_value("moved");
+        row.moved += ch->arg_value(record::kMigrate.arg);
       } else {
         row.recovery_ns += ch->dur_ns;
-        row.reinjected += ch->arg_value("reinjected");
+        row.reinjected += ch->arg_value(record::kRecovery.arg);
       }
       break;
     }

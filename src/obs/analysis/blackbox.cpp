@@ -147,7 +147,6 @@ std::vector<Attribution> attribute_events(const BlackBoxDoc& doc) {
     // system phase sharing the endpoint.
     for (size_t i = 0; i < doc.samples.size(); ++i) {
       const PhaseSample& s = doc.samples[i];
-      if (s.job >= 0) continue;  // per-job duplicates shadow the phase row
       if (e.t >= s.t0 && e.t <= s.t1) a.sample_index = i;
     }
     out.push_back(a);
@@ -193,8 +192,8 @@ std::string blackbox_report(const BlackBoxDoc& doc) {
                     static_cast<unsigned long long>(s.phase),
                     static_cast<long long>(s.t0),
                     static_cast<long long>(s.t1),
-                    static_cast<unsigned long long>(s.tasks), s.imbalance,
-                    s.live_nodes);
+                    static_cast<unsigned long long>(s.tasks),
+                    static_cast<long long>(s.imbalance), s.live_nodes);
       out += buf;
     } else {
       out += "    -> phase window not retained (ring overwrote it)\n";
@@ -212,8 +211,8 @@ std::string blackbox_report(const BlackBoxDoc& doc) {
                   phase_kind_name(s.kind),
                   static_cast<unsigned long long>(s.phase),
                   static_cast<long long>(s.t0), static_cast<long long>(s.t1),
-                  static_cast<unsigned long long>(s.tasks), s.imbalance,
-                  s.live_nodes);
+                  static_cast<unsigned long long>(s.tasks),
+                  static_cast<long long>(s.imbalance), s.live_nodes);
     out += buf;
   }
   return out;

@@ -65,7 +65,6 @@ class FlightRecorder final : public TelemetrySubscriber {
   /// Retained events, oldest first.
   std::vector<TelemetryEvent> events() const;
   u64 samples_seen() const { return samples_seen_; }
-  u64 events_seen() const { return events_seen_; }
   void clear();
 
   // Dumping ---------------------------------------------------------------
@@ -98,7 +97,6 @@ class FlightRecorder final : public TelemetrySubscriber {
     std::vector<T> buf;
     size_t cap;
     size_t next = 0;
-    bool full = false;
 
     explicit Ring(size_t capacity) : cap(capacity == 0 ? 1 : capacity) {
       buf.reserve(cap);
@@ -109,7 +107,6 @@ class FlightRecorder final : public TelemetrySubscriber {
       } else {
         buf[next] = value;
         next = (next + 1) % buf.size();
-        full = true;
       }
     }
     std::vector<T> in_order() const {
@@ -123,7 +120,6 @@ class FlightRecorder final : public TelemetrySubscriber {
     void clear() {
       buf.clear();
       next = 0;
-      full = false;
     }
   };
 

@@ -10,7 +10,6 @@ LiveStatusPrinter::LiveStatusPrinter(Options options)
 
 void LiveStatusPrinter::on_run_begin(const RunStart& run) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++runs_started_;
   tasks_total_ += run.num_tasks;
 }
 

@@ -43,7 +43,6 @@ class LiveStatusPrinter final : public TelemetrySubscriber {
   void finish();
 
   u64 phases_seen() const { return phases_seen_; }
-  u64 runs_done() const { return runs_done_; }
 
  private:
   void print_locked(bool force);
@@ -56,7 +55,6 @@ class LiveStatusPrinter final : public TelemetrySubscriber {
   Clock::time_point last_print_;
   bool printed_anything_ = false;
   u64 phases_seen_ = 0;
-  u64 runs_started_ = 0;
   u64 runs_done_ = 0;
   u64 tasks_total_ = 0;     ///< sum of trace sizes over started runs
   u64 tasks_executed_ = 0;  ///< executed, accumulated from user phases

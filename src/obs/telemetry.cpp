@@ -25,8 +25,12 @@ void TelemetryBus::publish_run_begin(const RunStart& run) const {
   for (TelemetrySubscriber* s : subscribers_) s->on_run_begin(run);
 }
 
-void TelemetryBus::publish(const PhaseSample& sample) const {
-  for (TelemetrySubscriber* s : subscribers_) s->on_phase(sample);
+void TelemetryBus::publish(const PhaseSample& sample,
+                           std::span<const u64> job_executed) const {
+  for (TelemetrySubscriber* s : subscribers_) {
+    s->on_phase(sample);
+    if (!job_executed.empty()) s->on_job_phase(sample, job_executed);
+  }
 }
 
 void TelemetryBus::publish(const TelemetryEvent& event) const {

@@ -2,11 +2,13 @@
 //
 // Engines publish one PhaseSample per phase boundary and one
 // TelemetryEvent per notable incident (crash, recovery, invariant trip,
-// collective suspicion). Subscribers (TimeSeriesSampler, FlightRecorder,
-// LiveStatusPrinter, future job-server streams) observe but never feed
-// back: publishing alters no simulation state, so a run with a loaded bus
-// is bit-identical to a run with none — the same passive-sink contract
-// TraceSession keeps, and tests/test_telemetry.cpp locks it down.
+// collective suspicion), through Obs::phase / Obs::incident (obs.hpp),
+// the calls that also write each record's trace form. Subscribers
+// (TimeSeriesSampler, FlightRecorder, LiveStatusPrinter, future
+// job-server streams) observe but never feed back: publishing alters no
+// simulation state, so a run with a loaded bus is bit-identical to a run
+// with none — the same passive-sink contract TraceSession keeps, and
+// tests/test_telemetry.cpp locks it down.
 //
 // Cost discipline matches the rest of src/obs: engines hold a nullable
 // `TelemetryBus*` in obs::Obs and every publish site is guarded, so the
@@ -16,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/types.hpp"
@@ -55,7 +58,7 @@ struct PhaseSample {
   i32 live_nodes = 0; ///< surviving nodes when the sample was taken
   i64 drain_ns = 0;   ///< drain estimate: predicted - actual drain slack
   u64 executed_total = 0;  ///< cumulative tasks executed so far
-  i32 job = -1;       ///< multi-job label (index into the job table), -1 = n/a
+  i32 job = -1;       ///< job index of a TimeSeriesSampler per-job row, else -1
 };
 
 /// A notable incident, published out-of-band of the phase cadence. The
@@ -72,6 +75,7 @@ struct TelemetryEvent {
 
   Kind kind = Kind::kCrash;
   SimTime t = 0;           ///< sim time (0 when the layer has no clock)
+  SimTime dur_ns = 0;      ///< extent of a recovery line; 0 otherwise
   NodeId node = kInvalidNode;  ///< subject node; kInvalidNode = machine-wide
   u64 phase = 0;           ///< system-phase index when the event fired
   i64 arg = 0;             ///< kind-specific magnitude (lost execs, ...)
@@ -106,6 +110,14 @@ class TelemetrySubscriber {
 
   virtual void on_run_begin(const RunStart& run) { (void)run; }
   virtual void on_phase(const PhaseSample& sample) { (void)sample; }
+  /// The per-job breakdown of a user phase of a run with a job map,
+  /// delivered once right after on_phase(sample): `executed[j]` is job j's
+  /// tasks executed in the phase.
+  virtual void on_job_phase(const PhaseSample& sample,
+                            std::span<const u64> executed) {
+    (void)sample;
+    (void)executed;
+  }
   virtual void on_event(const TelemetryEvent& event) { (void)event; }
   virtual void on_run_end(SimTime makespan_ns) { (void)makespan_ns; }
 };
@@ -123,18 +135,14 @@ class TelemetryBus {
   std::size_t subscriber_count() const { return subscribers_.size(); }
 
   void publish_run_begin(const RunStart& run) const;
-  void publish(const PhaseSample& sample) const;
+  /// on_phase, then on_job_phase when `job_executed` is non-empty.
+  void publish(const PhaseSample& sample,
+               std::span<const u64> job_executed = {}) const;
   void publish(const TelemetryEvent& event) const;
   void publish_run_end(SimTime makespan_ns) const;
 
  private:
   std::vector<TelemetrySubscriber*> subscribers_;
 };
-
-/// Null-safe event publish for layers that hold a bare bus pointer (the
-/// collectives). Engines guard whole sample-assembly blocks instead.
-inline void publish(const TelemetryBus* bus, const TelemetryEvent& event) {
-  if (bus != nullptr) bus->publish(event);
-}
 
 }  // namespace rips::obs

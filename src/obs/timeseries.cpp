@@ -82,6 +82,17 @@ void TimeSeriesSampler::on_phase(const PhaseSample& sample) {
   samples_.push_back(sample);
 }
 
+void TimeSeriesSampler::on_job_phase(const PhaseSample& sample,
+                                     std::span<const u64> executed) {
+  PhaseSample row = sample;
+  row.retries = 0;
+  for (size_t j = 0; j < executed.size(); ++j) {
+    row.job = static_cast<i32>(j);
+    row.tasks = executed[j];
+    on_phase(row);
+  }
+}
+
 void TimeSeriesSampler::on_event(const TelemetryEvent& event) {
   if (events_.size() < options_.max_events) events_.push_back(event);
 }

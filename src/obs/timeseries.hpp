@@ -50,6 +50,10 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
   // TelemetrySubscriber ---------------------------------------------------
   void on_run_begin(const RunStart& run) override;
   void on_phase(const PhaseSample& sample) override;
+  /// Records one row per job (PhaseSample::job = j, tasks = executed[j]),
+  /// each counted like a phase sample.
+  void on_job_phase(const PhaseSample& sample,
+                    std::span<const u64> executed) override;
   void on_event(const TelemetryEvent& event) override;
   void on_run_end(SimTime makespan_ns) override;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "obs/json.hpp"
@@ -41,37 +42,16 @@ void TraceSession::push(Ring& ring, const TraceEvent& event) {
   dropped_ += 1;
 }
 
-void TraceSession::span(NodeId node, const char* category, const char* name,
-                        SimTime t0, SimTime t1, const char* arg_name, i64 arg,
-                        const char* arg2_name, i64 arg2) {
-  TraceEvent e;
-  e.name = name;
-  e.category = category;
-  e.type = TraceEvent::Type::kSpan;
-  e.node = node;
-  e.start_ns = t0;
-  e.dur_ns = t1 > t0 ? t1 - t0 : 0;
-  e.arg_name = arg_name;
-  e.arg = arg;
-  e.arg2_name = arg2_name;
-  e.arg2 = arg2;
-  push(track(node), e);
+void TraceSession::span(NodeId node, const record::Form& form, SimTime t0,
+                        SimTime t1, i64 arg, i64 arg2) {
+  push(track(node), {form.name, form.category, TraceEvent::Type::kSpan, node,
+                     t0, t1 > t0 ? t1 - t0 : 0, form.arg, arg, form.arg2, arg2});
 }
 
-void TraceSession::instant(NodeId node, const char* category, const char* name,
-                           SimTime t, const char* arg_name, i64 arg,
-                           const char* arg2_name, i64 arg2) {
-  TraceEvent e;
-  e.name = name;
-  e.category = category;
-  e.type = TraceEvent::Type::kInstant;
-  e.node = node;
-  e.start_ns = t;
-  e.arg_name = arg_name;
-  e.arg = arg;
-  e.arg2_name = arg2_name;
-  e.arg2 = arg2;
-  push(track(node), e);
+void TraceSession::instant(NodeId node, const record::Form& form, SimTime t,
+                           i64 arg, i64 arg2) {
+  push(track(node), {form.name, form.category, TraceEvent::Type::kInstant,
+                     node, t, 0, form.arg, arg, form.arg2, arg2});
 }
 
 size_t TraceSession::size() const {
@@ -157,6 +137,72 @@ bool TraceSession::write_json(const std::string& path) const {
   out << to_json();
   out.flush();
   return static_cast<bool>(out);
+}
+
+std::string utilization_chart(const TraceSession& trace, i32 width) {
+  RIPS_CHECK(width > 0);
+  const auto named = [](const TraceEvent& e, const record::Form& form) {
+    return std::strcmp(e.name, form.name) == 0;
+  };
+  // The charted records: task spans (busy time), crash instants ('X') and
+  // the machine-wide system-phase, barrier and recovery spans ('|').
+  // Sorted order keeps each node's task spans in execution order, so the
+  // busy sums below always add up in the same order.
+  std::vector<TraceEvent> events = trace.sorted_events();
+  std::erase_if(events, [&](const TraceEvent& e) {
+    if (e.type == TraceEvent::Type::kInstant) return !named(e, record::kCrash);
+    if (e.node != kInvalidNode) {
+      return std::strcmp(e.category, record::kTask.category) != 0;
+    }
+    return !named(e, record::kSystemPhase) &&
+           !named(e, record::kSegmentBarrier) && !named(e, record::kRecovery);
+  });
+  SimTime horizon = 1;
+  for (const TraceEvent& e : events) {
+    horizon = std::max(horizon, e.start_ns + e.dur_ns);
+  }
+  const double bucket = static_cast<double>(horizon) / width;
+  const auto bucket_of = [&](SimTime t) {
+    return static_cast<i32>(static_cast<double>(t) / bucket);
+  };
+
+  const auto w = static_cast<size_t>(width);
+  std::vector<double> busy(static_cast<size_t>(trace.num_nodes()) * w, 0.0);
+  std::string footer(w, ' ');
+  for (const TraceEvent& e : events) {
+    const SimTime end = e.start_ns + e.dur_ns;
+    const i32 last = std::min(width - 1, bucket_of(end));
+    if (e.type == TraceEvent::Type::kInstant || e.node == kInvalidNode) {
+      const char mark = e.type == TraceEvent::Type::kInstant ? 'X' : '|';
+      for (i32 b = bucket_of(e.start_ns); b <= last; ++b) {
+        char& slot = footer[static_cast<size_t>(b)];
+        if (slot != 'X') slot = mark;  // a crash outranks a phase mark
+      }
+      continue;
+    }
+    for (i32 b = std::max(0, bucket_of(e.start_ns)); b <= last; ++b) {
+      const double lo = std::max(static_cast<double>(e.start_ns), b * bucket);
+      const double hi = std::min(static_cast<double>(end), (b + 1) * bucket);
+      if (hi > lo) busy[static_cast<size_t>(e.node) * w + b] += hi - lo;
+    }
+  }
+
+  static constexpr char kGlyphs[] = " .:-=#%@";
+  constexpr i32 kLevels = 7;
+  std::string out;
+  for (i32 node = 0; node < trace.num_nodes(); ++node) {
+    char label[16];
+    std::snprintf(label, sizeof label, "%3d ", node);
+    out += label;
+    for (size_t b = 0; b < w; ++b) {
+      const double fraction = busy[static_cast<size_t>(node) * w + b] / bucket;
+      out += kGlyphs[std::clamp<i32>(static_cast<i32>(fraction * kLevels + 0.5),
+                                     0, kLevels)];
+    }
+    out += '\n';
+  }
+  out += "    " + footer + "  (| = system phase / barrier, X = node failure)\n";
+  return out;
 }
 
 }  // namespace rips::obs

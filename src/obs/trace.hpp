@@ -41,6 +41,36 @@ struct TraceEvent {
   i64 arg2 = 0;
 };
 
+/// The trace form of each record kind: category, name and the names of its
+/// payloads — the only way events are written. Defined once here and shared
+/// by the writers (Obs::phase / Obs::incident and the engines' task,
+/// scheduling, message and collective detail), analysis::phase_profile /
+/// critical_path and utilization_chart; docs/OBSERVABILITY.md's trace
+/// catalog lists them.
+namespace record {
+struct Form {
+  const char* category;
+  const char* name;
+  const char* arg = nullptr;   ///< payload, if any
+  const char* arg2 = nullptr;  ///< second payload, if any
+};
+inline constexpr Form kSystemPhase{"phase", "system_phase", "scheduled"};
+inline constexpr Form kUserPhase{"phase", "user_phase", "executed"};
+inline constexpr Form kSegmentBarrier{"phase", "segment_barrier", "segment"};
+inline constexpr Form kRunEnd{"phase", "run_end", "makespan"};
+inline constexpr Form kSchedule{"phase", "schedule", "comm_steps"};
+inline constexpr Form kMigrate{"phase", "migrate", "moved"};
+inline constexpr Form kCrash{"fault", "crash", "lost_execs"};
+inline constexpr Form kRecovery{"fault", "recovery", "reinjected"};
+inline constexpr Form kTask{"task", "task", "id"};
+/// A message's two ends share the engine-assigned correlation id.
+inline constexpr Form kSend{"msg", "send", "tasks", "corr"};
+inline constexpr Form kRecv{"msg", "recv", "tasks", "corr"};
+inline constexpr Form kCollectiveRetry{"coll", "collective_retry", "timeouts"};
+inline constexpr Form kCollRetry{"coll", "coll_retry", "attempts"};
+inline constexpr Form kCollSuspect{"coll", "coll_suspect", "attempts"};
+}  // namespace record
+
 class TraceSession {
  public:
   /// One ring per node plus one machine-wide ring, each holding up to
@@ -53,18 +83,16 @@ class TraceSession {
   void clear();
 
   /// Records a completed interval on `node`'s track (kInvalidNode = the
-  /// machine-wide track). `name` / `category` / `arg_name` must outlive the
-  /// session — pass string literals. The optional second payload slot
-  /// carries message-correlation ids ("corr") so trace analysis can
-  /// reconstruct send→recv edges (src/obs/analysis).
-  void span(NodeId node, const char* category, const char* name, SimTime t0,
-            SimTime t1, const char* arg_name = nullptr, i64 arg = 0,
-            const char* arg2_name = nullptr, i64 arg2 = 0);
+  /// machine-wide track) in `form`, whose strings must outlive the session
+  /// (pass string literals). A payload the form does not name is dropped.
+  /// The second payload carries message-correlation ids ("corr") so trace
+  /// analysis can reconstruct send→recv edges (src/obs/analysis).
+  void span(NodeId node, const record::Form& form, SimTime t0, SimTime t1,
+            i64 arg = 0, i64 arg2 = 0);
 
   /// Records a point event.
-  void instant(NodeId node, const char* category, const char* name, SimTime t,
-               const char* arg_name = nullptr, i64 arg = 0,
-               const char* arg2_name = nullptr, i64 arg2 = 0);
+  void instant(NodeId node, const record::Form& form, SimTime t, i64 arg = 0,
+               i64 arg2 = 0);
 
   /// Events currently retained (across all tracks).
   size_t size() const;
@@ -99,5 +127,13 @@ class TraceSession {
   std::vector<Ring> tracks_;  // [0, num_nodes) per node, last = machine-wide
   u64 dropped_ = 0;
 };
+
+/// ASCII utilization chart of a recorded run: one row per node over
+/// `width` time buckets, glyphs " .:-=#%@" by the share of the bucket its
+/// task spans cover, and a footer marking system phases, segment barriers
+/// and recovery lines ('|') and crashes ('X'). Time runs from 0 to the
+/// latest end among those records. A session that dropped events draws a
+/// partial chart, so size it to hold the whole run.
+std::string utilization_chart(const TraceSession& trace, i32 width = 72);
 
 }  // namespace rips::obs

@@ -180,21 +180,14 @@ SimTime RipsEngine::recover(SimTime t) {
   c_recovery_phases_->add();
   c_recovery_time_ns_->add(static_cast<u64>(extra));
   g_live_nodes_->set(static_cast<i64>(live_.size()));
-  if (timeline_ != nullptr) {
-    timeline_->record({sim::TimelineEvent::Kind::kRecovery, kInvalidNode, t,
-                       t + extra, kInvalidTask});
-  }
-  obs::span(obs_.trace, kInvalidNode, "fault", "recovery", t, t + extra,
-            "reinjected", static_cast<i64>(reinjected));
-  if (obs_.bus != nullptr) {
-    obs::TelemetryEvent ev;
-    ev.kind = obs::TelemetryEvent::Kind::kRecovery;
-    ev.t = t;
-    ev.phase = static_cast<u64>(phases_.size());
-    ev.arg = static_cast<i64>(reinjected);
-    ev.detail = "recovery line rebuilt";
-    obs_.bus->publish(ev);
-  }
+  obs::TelemetryEvent ev;
+  ev.kind = obs::TelemetryEvent::Kind::kRecovery;
+  ev.t = t;
+  ev.dur_ns = extra;
+  ev.phase = static_cast<u64>(phases_.size());
+  ev.arg = static_cast<i64>(reinjected);
+  ev.detail = "recovery line rebuilt";
+  obs_.incident(ev);
   return extra;
 }
 
@@ -399,48 +392,39 @@ SimTime RipsEngine::system_phase(SimTime t) {
     }
   }
 
-  phases_.push_back({total, moved, plan.comm_steps, duration});
   c_phase_system_->add();
   g_rts_total_->set(static_cast<i64>(total));
-  const i64 imbalance = sched::load_imbalance(load_);
-  h_phase_imbalance_->observe(imbalance);
+  obs::PhaseSample sample;
+  sample.kind = obs::PhaseKind::kSystem;
+  sample.phase = phase_idx;
+  sample.t0 = t;
+  sample.t1 = t + duration;
+  sample.tasks = total;
+  sample.moved = moved;
+  sample.imbalance = sched::load_imbalance(load_);
+  sample.comm_steps = plan.comm_steps;
+  sample.rts_total = static_cast<i64>(total);
+  sample.live_nodes = n;
+  sample.executed_total = executed_total_;
+  h_phase_imbalance_->observe(sample.imbalance);
   h_phase_moved_->observe(static_cast<i64>(moved));
   h_phase_dur_us_->observe(duration / 1000);
-  if (obs_.bus != nullptr) {
-    obs::PhaseSample sample;
-    sample.kind = obs::PhaseKind::kSystem;
-    sample.phase = phase_idx;
-    sample.t0 = t;
-    sample.t1 = t + duration;
-    sample.tasks = total;
-    sample.moved = moved;
-    sample.imbalance = imbalance;
-    sample.comm_steps = plan.comm_steps;
-    sample.rts_total = static_cast<i64>(total);
-    sample.live_nodes = n;
-    sample.executed_total = executed_total_;
-    obs_.bus->publish(sample);
-  }
+  phases_.push_back(sample);
+  obs_.phase(sample);
   if (phase_snapshots_) {
     registry_.snapshot("phase=" + std::to_string(phase_idx));
   }
-  if (timeline_ != nullptr) {
-    timeline_->record({sim::TimelineEvent::Kind::kSystemPhase, kInvalidNode,
-                       t, t + duration, kInvalidTask});
-  }
   if (obs_.trace != nullptr) {
-    obs_.trace->span(kInvalidNode, "phase", "system_phase", t, t + duration,
-                     "scheduled", static_cast<i64>(total));
     // Children of the system-phase span: the recovery span (if any) was
     // emitted by recover() at [t, t+recovery_extra]; scheduling and
     // migration follow it.
     const SimTime sched_t0 = t + recovery_extra;
-    obs_.trace->span(kInvalidNode, "phase", "schedule", sched_t0,
-                     sched_t0 + step_time, "comm_steps", plan.comm_steps);
+    obs_.trace->span(kInvalidNode, obs::record::kSchedule, sched_t0,
+                     sched_t0 + step_time, plan.comm_steps);
     if (max_migration > 0) {
-      obs_.trace->span(kInvalidNode, "phase", "migrate",
+      obs_.trace->span(kInvalidNode, obs::record::kMigrate,
                        sched_t0 + step_time,
-                       sched_t0 + step_time + max_migration, "moved",
+                       sched_t0 + step_time + max_migration,
                        static_cast<i64>(moved));
     }
     // One send/recv instant pair per non-empty transfer, sharing a "corr"
@@ -450,17 +434,16 @@ SimTime RipsEngine::system_phase(SimTime t) {
     const SimTime mig_t0 = sched_t0 + step_time;
     for (const TracedTransfer& tt : traced_) {
       const i64 corr = mig_corr_++;
-      obs_.trace->instant(tt.from, "msg", "send", mig_t0, "tasks", tt.sent,
-                          "corr", corr);
-      obs_.trace->instant(tt.to, "msg", "recv", mig_t0 + max_migration,
-                          "tasks", tt.sent, "corr", corr);
+      obs_.trace->instant(tt.from, obs::record::kSend, mig_t0, tt.sent, corr);
+      obs_.trace->instant(tt.to, obs::record::kRecv, mig_t0 + max_migration,
+                          tt.sent, corr);
     }
   }
   if (monitoring) {
     const size_t violations_before = obs_.monitor->violations().size();
     check_phase_invariants(phase_idx, load_, plan, static_cast<i64>(total));
     const size_t violations_after = obs_.monitor->violations().size();
-    if (obs_.bus != nullptr && violations_after > violations_before) {
+    if (violations_after > violations_before) {
       const obs::InvariantMonitor::Violation& v =
           obs_.monitor->violations().back();
       obs::TelemetryEvent ev;
@@ -474,7 +457,7 @@ SimTime RipsEngine::system_phase(SimTime t) {
       ev.detail = v.monitor == "theorem1"   ? "theorem1"
                   : v.monitor == "theorem2" ? "theorem2"
                                             : "conservation";
-      obs_.bus->publish(ev);
+      obs_.incident(ev);
     }
   }
   if (phase_probe_ != nullptr) phase_probe_(probe_ctx_, phase_idx);
@@ -575,13 +558,9 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
         job_tasks_[j] += 1;
         job_work_ns_[j] += work;
         if (now > job_done_ns_[j]) job_done_ns_[j] = now;
-        if (job_counting_) job_exec_[j] += 1;
+        if (!job_exec_.empty()) job_exec_[j] += 1;
       }
-      if (timeline_ != nullptr) {
-        timeline_->record({sim::TimelineEvent::Kind::kTask, node, now - work,
-                           now, task});
-      }
-      obs::span(obs_.trace, node, "task", "task", now - work, now, "id",
+      obs::span(obs_.trace, node, obs::record::kTask, now - work, now,
                 static_cast<i64>(task));
     } else if (mode == PhaseMode::kDoomed) {
       // The node finishes this task but dies before the next recovery
@@ -614,9 +593,9 @@ SimTime RipsEngine::user_phase(SimTime t) {
   const u64 op_base = coll_op_counter_;
   coll_op_counter_ += 2;  // one id for notify delays, one for detection
   i64 phase_retries = 0;  // detection-collective retransmissions, for telemetry
-
-  job_counting_ = obs_.bus != nullptr && job_accounting_;
-  if (job_counting_) job_exec_.assign(static_cast<size_t>(num_jobs_), 0);
+  if (job_accounting_ && obs_.bus != nullptr) {
+    job_exec_.assign(static_cast<size_t>(num_jobs_), 0);
+  }
 
   // Measuring pass: when would each node drain its RTE, undisturbed? With
   // no fault injector the simulated instruction stream is position-free, so
@@ -742,22 +721,14 @@ SimTime RipsEngine::user_phase(SimTime t) {
     simulate_user_phase(phys, t, death, PhaseMode::kDoomed, &lost, &lost_work);
     dead_pending_.push_back({phys, death, lost, lost_work});
     max_death = std::max(max_death, death);
-    if (timeline_ != nullptr) {
-      timeline_->record({sim::TimelineEvent::Kind::kFailure, phys, death,
-                         death, kInvalidTask});
-    }
-    obs::instant(obs_.trace, phys, "fault", "crash", death, "lost_execs",
-                 static_cast<i64>(lost));
-    if (obs_.bus != nullptr) {
-      obs::TelemetryEvent ev;
-      ev.kind = obs::TelemetryEvent::Kind::kCrash;
-      ev.t = death;
-      ev.node = phys;
-      ev.phase = static_cast<u64>(phases_.size());
-      ev.arg = static_cast<i64>(lost);
-      ev.detail = "fail-stop crash committed";
-      obs_.bus->publish(ev);
-    }
+    obs::TelemetryEvent ev;
+    ev.kind = obs::TelemetryEvent::Kind::kCrash;
+    ev.t = death;
+    ev.node = phys;
+    ev.phase = static_cast<u64>(phases_.size());
+    ev.arg = static_cast<i64>(lost);
+    ev.detail = "fail-stop crash committed";
+    obs_.incident(ev);
   };
   if (config_.global == GlobalPolicy::kAny) {
     for (NodeId phys : live_) {
@@ -844,14 +815,15 @@ SimTime RipsEngine::user_phase(SimTime t) {
       // The detection collective's retransmission burst: one span covering
       // the critical-path stretch, one instant per retried tree edge
       // (physical node ids — the retry log speaks in live ranks).
-      obs_.trace->span(kInvalidNode, "coll", "collective_retry", phase_end,
-                       phase_end + extra, "timeouts", stats.timeouts);
+      obs_.trace->span(kInvalidNode, obs::record::kCollectiveRetry, phase_end,
+                       phase_end + extra, stats.timeouts);
       for (const coll::RetryEvent& re : stats.retry_log) {
         const NodeId pf = live_view_ != nullptr ? live_view_->physical(re.from)
                                                 : re.from;
-        obs_.trace->instant(pf, "coll",
-                            re.delivered ? "coll_retry" : "coll_suspect",
-                            phase_end, "attempts", re.attempts);
+        obs_.trace->instant(pf,
+                            re.delivered ? obs::record::kCollRetry
+                                         : obs::record::kCollSuspect,
+                            phase_end, re.attempts);
       }
     }
     phase_end += extra;
@@ -863,36 +835,21 @@ SimTime RipsEngine::user_phase(SimTime t) {
   }
 
   const u64 executed = executed_total_ - executed_before;
-  user_phases_.push_back({user_start, t_cond, phase_end, executed});
+  obs::PhaseSample sample;
+  sample.kind = obs::PhaseKind::kUser;
+  sample.phase = c_phase_user_->value();
+  sample.t0 = user_start;
+  sample.t1 = phase_end;
+  sample.tasks = executed;
+  sample.retries = phase_retries;
+  sample.live_nodes = n - doomed_count;
+  // Drain estimate: how long the measuring pass predicted this phase's
+  // computation would run before the global condition fired.
+  sample.drain_ns = t_cond - user_start;
+  sample.executed_total = executed_total_;
   c_phase_user_->add();
   h_uphase_tasks_->observe(static_cast<i64>(executed));
-  obs::span(obs_.trace, kInvalidNode, "phase", "user_phase", user_start,
-            phase_end, "executed", static_cast<i64>(executed));
-  if (obs_.bus != nullptr) {
-    obs::PhaseSample sample;
-    sample.kind = obs::PhaseKind::kUser;
-    sample.phase = static_cast<u64>(user_phases_.size() - 1);
-    sample.t0 = user_start;
-    sample.t1 = phase_end;
-    sample.tasks = executed;
-    sample.retries = phase_retries;
-    sample.live_nodes = n - doomed_count;
-    // Drain estimate: how long the measuring pass predicted this phase's
-    // computation would run before the global condition fired.
-    sample.drain_ns = t_cond - user_start;
-    sample.executed_total = executed_total_;
-    obs_.bus->publish(sample);
-    if (job_counting_) {
-      // One extra sample per job: the per-tenant slice of this phase.
-      for (i32 j = 0; j < num_jobs_; ++j) {
-        obs::PhaseSample js = sample;
-        js.job = j;
-        js.tasks = job_exec_[static_cast<size_t>(j)];
-        js.retries = 0;
-        obs_.bus->publish(js);
-      }
-    }
-  }
+  obs_.phase(sample, job_exec_);
   return phase_end;
 }
 
@@ -905,15 +862,11 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   executed_total_ = 0;
   released_segments_ = 0;
   phases_.clear();
-  user_phases_.clear();
   if (phases_.capacity() < 1024) phases_.reserve(1024);
-  if (user_phases_.capacity() < 1024) user_phases_.reserve(1024);
   metrics_ = sim::RunMetrics{};
   metrics_.num_nodes = n;
   registry_.reset();
   g_live_nodes_->set(n);
-  if (obs_.trace != nullptr) obs_.trace->clear();
-  if (obs_.monitor != nullptr) obs_.monitor->clear();
   work_ns_.clear();
   task_weight_.clear();
   start_rank_.clear();
@@ -964,7 +917,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   }
 
   metrics_.used_fast_measure = fast_measure_;
-  job_counting_ = false;
+  job_exec_.clear();
   job_accounting_ = job_of_ != nullptr && num_jobs_ > 0;
   if (job_accounting_) {
     RIPS_CHECK_MSG(job_of_->size() == trace.size(),
@@ -983,15 +936,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
     job_done_ns_.clear();
     job_migrated_.clear();
   }
-  if (obs_.bus != nullptr) {
-    obs::RunStart rs;
-    rs.engine = "rips";
-    rs.num_nodes = n;
-    rs.num_tasks = trace.size();
-    obs_.bus->publish_run_begin(rs);
-  }
-
-  if (timeline_ != nullptr) timeline_->clear();
+  obs_.run_begin({"rips", n, trace.size()});
 }
 
 void RipsEngine::extend_drain_cost(size_t from) {
@@ -1198,7 +1143,7 @@ sim::RunMetrics RipsEngine::finalize_run(SimTime t) {
   // The registry is the source of truth for every counter column; the
   // Table-I view is derived from it once, here.
   metrics_.load_counters(registry_);
-  if (obs_.bus != nullptr) obs_.bus->publish_run_end(metrics_.makespan_ns);
+  obs_.run_end(metrics_.makespan_ns);
   return metrics_;
 }
 

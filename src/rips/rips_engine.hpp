@@ -51,7 +51,6 @@
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
 #include "sim/task_queue.hpp"
-#include "sim/timeline.hpp"
 #include "topo/live_view.hpp"
 #include "util/types.hpp"
 
@@ -80,11 +79,6 @@ class RipsEngine {
   /// run(). Fault plans are not supported in online mode, and the source's
   /// job map (if any) replaces a set_job_map() binding for the run.
   sim::RunMetrics run_online(exec::TaskSource& source);
-
-  /// Optional instrumentation: when set, every task execution and system
-  /// phase of subsequent runs is recorded (the timeline is cleared at the
-  /// start of each run). Pass nullptr to detach.
-  void set_timeline(sim::Timeline* timeline) { timeline_ = timeline; }
 
   /// Structured observability (docs/OBSERVABILITY.md): an optional
   /// TraceSession (Perfetto span export — system phases, user phases, task
@@ -136,12 +130,12 @@ class RipsEngine {
   /// migrations and non-local executions PER JOB (RunMetrics::jobs plus
   /// "job.<i>.*" registry counters) — the per-tenant view the perf lab's
   /// fairness index is computed from. When a telemetry bus is also
-  /// attached, every user phase additionally publishes one PhaseSample per
-  /// job carrying that job's executed-task count (PhaseSample::job = job
-  /// index). Purely observational either way: the run's own results and
-  /// every pre-existing metric are bit-identical with or without a map.
-  /// Pass nullptr to detach. `job_of` must outlive subsequent runs and
-  /// have one entry per trace task.
+  /// attached, every user phase also hands its per-job executed counts to
+  /// the subscribers (TelemetrySubscriber::on_job_phase). Purely
+  /// observational either way: the run's own results and every
+  /// pre-existing metric are bit-identical with or without a map. Pass
+  /// nullptr to detach. `job_of` must outlive subsequent runs and have one
+  /// entry per trace task.
   void set_job_map(const std::vector<i32>* job_of, i32 num_jobs) {
     job_of_ = job_of;
     num_jobs_ = job_of == nullptr ? 0 : num_jobs;
@@ -172,27 +166,10 @@ class RipsEngine {
   /// Physical ids of the nodes still alive after the last run.
   const std::vector<NodeId>& live_nodes() const { return live_; }
 
-  /// Per-system-phase breakdown of the last run (Section 4's 15-Queens
-  /// narrative: phases, non-local tasks per phase, migration time).
-  struct PhaseStats {
-    u64 tasks_scheduled = 0;  ///< tasks visible to the scheduler
-    u64 tasks_moved = 0;      ///< tasks that changed node in this phase
-    i64 comm_steps = 0;       ///< scheduler lock-step rounds
-    SimTime duration_ns = 0;  ///< wall time of the system phase
-  };
-  const std::vector<PhaseStats>& phases() const { return phases_; }
-
-  /// Per-user-phase timing of the last run (for diagnosis and the policy
-  /// ablation bench).
-  struct UserPhaseStats {
-    SimTime start_ns = 0;     ///< user phase begin
-    SimTime cond_ns = 0;      ///< when the global condition was met
-    SimTime end_ns = 0;       ///< when the next system phase began
-    u64 tasks_executed = 0;
-  };
-  const std::vector<UserPhaseStats>& user_phases() const {
-    return user_phases_;
-  }
+  /// The system-phase samples of the last run, as the bus receives them
+  /// (Section 4's 15-Queens narrative: tasks scheduled and moved, comm
+  /// steps, duration t1 - t0 per phase).
+  const std::vector<obs::PhaseSample>& phases() const { return phases_; }
 
  private:
   struct NodeRt {
@@ -271,21 +248,17 @@ class RipsEngine {
   std::vector<NodeId> exec_node_;
   u64 executed_total_ = 0;
   u32 released_segments_ = 0;
-  std::vector<PhaseStats> phases_;
-  std::vector<UserPhaseStats> user_phases_;
-  sim::Timeline* timeline_ = nullptr;
+  std::vector<obs::PhaseSample> phases_;  // system phases of this run
   sim::RunMetrics metrics_;
 
   // Multi-job accounting (set_job_map). job_accounting_ is on for the
   // whole run whenever a map is attached — independent of any bus, so
   // RunMetrics::jobs and the "job.<i>.*" counters are identical with and
-  // without telemetry. job_counting_ additionally gates the per-phase
-  // PhaseSample fan-out (bus-only cost); job_exec_ is its per-phase
-  // scratch.
+  // without telemetry. job_exec_ is the current user phase's per-job
+  // breakdown for the bus (empty without a map or a bus).
   const std::vector<i32>* job_of_ = nullptr;
   i32 num_jobs_ = 0;
   std::vector<u64> job_exec_;
-  bool job_counting_ = false;
   bool job_accounting_ = false;
   std::vector<u64> job_tasks_;        // cumulative executions per job
   std::vector<SimTime> job_work_ns_;  // cumulative executed work per job

@@ -90,7 +90,7 @@ sim::RunMetrics SharedMemoryEngine::run(const apps::TaskTrace& trace) {
     const SimTime work = cost_.work_time(trace.task(task).work);
     busy[static_cast<size_t>(worker)] += work;
     now += work;
-    obs::span(obs_.trace, worker, "task", "task", now - work, now, "id",
+    obs::span(obs_.trace, worker, obs::record::kTask, now - work, now,
               static_cast<i64>(task));
     c_tasks_executed_->add();
     metrics.num_tasks += 1;

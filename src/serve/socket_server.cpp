@@ -20,9 +20,11 @@ namespace {
 
 /// Writes the whole buffer, retrying on EINTR / short writes. Returns
 /// false when the peer is gone (the connection is then dropped).
+/// MSG_NOSIGNAL: a client that closed before reading its replies must
+/// cost its connection (EPIPE), not kill the daemon with SIGPIPE.
 bool write_all(int fd, const char* data, size_t len) {
   while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;

@@ -7,7 +7,9 @@
 //   * RipsEngine: with monitors detached and phase snapshots disabled, a
 //     mid-run system phase (and the user phase leading into it) performs
 //     ZERO heap allocations on a repeat run — every vector the phase loop
-//     touches is a reused member arena.
+//     touches is a reused member arena. That holds with a telemetry bus
+//     and a job map attached too: publishing phase records and the
+//     per-job breakdown allocates nothing.
 //   * DynamicEngine: the per-steal message path recycles task buffers, so
 //     a steady-state window of a repeat run is likewise allocation-free.
 //
@@ -26,6 +28,7 @@
 #include "balance/random_alloc.hpp"
 #include "obs/monitors.hpp"
 #include "obs/obs.hpp"
+#include "obs/telemetry.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
 #include "topo/topology.hpp"
@@ -136,12 +139,16 @@ struct PhaseMarks {
   }
 };
 
+/// Subscribes to everything and does nothing: every publish walks the bus.
+class NullSubscriber final : public obs::TelemetrySubscriber {};
+
 // The acceptance test of the scaling PR: with monitors detached and phase
 // snapshots off, a warm RipsEngine performs ZERO heap allocations across
 // every steady-state window (user phase + following system phase) of a
 // repeat run. The first and last windows are excluded: the first includes
 // segment-root release, the last includes end-of-run accounting.
-TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
+// `with_bus_and_jobs` attaches a no-op subscriber's bus and a 3-job map.
+void expect_steady_state_allocates_nothing(bool with_bus_and_jobs) {
   // Many nodes relative to the trace: frequent drains mean frequent
   // system phases, which is what gives the test its windows (~19 with
   // this trace/mesh pairing).
@@ -150,6 +157,20 @@ TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
   sched::Mwa mwa(mesh);
   RipsEngine engine(mwa, test_cost(), RipsConfig{});
   engine.set_phase_snapshots(false);
+
+  NullSubscriber subscriber;
+  obs::TelemetryBus bus;
+  bus.subscribe(&subscriber);
+  std::vector<i32> job_of(trace.size());
+  for (size_t i = 0; i < job_of.size(); ++i) {
+    job_of[i] = static_cast<i32>(i % 3);
+  }
+  if (with_bus_and_jobs) {
+    obs::Obs o;
+    o.bus = &bus;
+    engine.set_obs(o);
+    engine.set_job_map(&job_of, 3);
+  }
 
   PhaseMarks probe;
   probe.marks.reserve(1 << 16);
@@ -171,6 +192,14 @@ TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
     EXPECT_EQ(probe.marks[i] - probe.marks[i - 1], 0u)
         << "heap allocation in steady-state window ending at phase " << i;
   }
+}
+
+TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
+  expect_steady_state_allocates_nothing(/*with_bus_and_jobs=*/false);
+}
+
+TEST(AllocFree, BusAndJobMapKeepSteadyStatePhasesAllocationFree) {
+  expect_steady_state_allocates_nothing(/*with_bus_and_jobs=*/true);
 }
 
 // Monitor `before` snapshots are the one per-phase structure the engine

@@ -190,7 +190,7 @@ TEST(PhaseProfile, MatchesEngineViewOfTheRun) {
   EXPECT_EQ(p.makespan, m.makespan_ns);
   EXPECT_EQ(p.num_nodes, 16);
   EXPECT_EQ(p.system_phases.size(), engine.phases().size());
-  EXPECT_EQ(p.user_phases.size(), engine.user_phases().size());
+  EXPECT_EQ(p.user_phases.size(), engine.phases().size() - 1);
   // Phases tile the run: system + user time is the whole makespan.
   EXPECT_EQ(p.system_total_ns + p.user_total_ns, m.makespan_ns);
   // Per-node task spans reproduce the busy total.
@@ -199,10 +199,12 @@ TEST(PhaseProfile, MatchesEngineViewOfTheRun) {
   for (const NodeRow& nr : p.nodes) tasks += nr.tasks;
   EXPECT_EQ(tasks, m.num_tasks);
   for (size_t i = 0; i < p.system_phases.size(); ++i) {
-    EXPECT_EQ(p.system_phases[i].duration_ns,
-              engine.phases()[i].duration_ns);
-    EXPECT_EQ(p.system_phases[i].moved,
-              static_cast<i64>(engine.phases()[i].tasks_moved));
+    const PhaseSample& s = engine.phases()[i];
+    EXPECT_EQ(p.system_phases[i].start_ns, s.t0);
+    EXPECT_EQ(p.system_phases[i].duration_ns, s.t1 - s.t0);
+    EXPECT_EQ(p.system_phases[i].scheduled, static_cast<i64>(s.tasks));
+    EXPECT_EQ(p.system_phases[i].comm_steps, s.comm_steps);
+    EXPECT_EQ(p.system_phases[i].moved, static_cast<i64>(s.moved));
   }
 
   const std::string text = p.to_text();

@@ -7,15 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "apps/paper_workloads.hpp"
 #include "apps/synthetic.hpp"
 #include "coll/collectives.hpp"
+#include "obs/obs.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/fault.hpp"
-#include "sim/timeline.hpp"
 #include "topo/live_view.hpp"
 #include "topo/topology.hpp"
 
@@ -324,8 +325,8 @@ TEST(RipsFaults, SingleCrashRecoversAndCountsReexecution) {
   plan.seed = 2;
   plan.crashes.push_back({5, base.makespan_ns / 2});
   engine.set_fault_plan(&plan);
-  sim::Timeline timeline;
-  engine.set_timeline(&timeline);
+  obs::TraceSession trace_session(16);
+  engine.set_obs(obs::Obs{&trace_session, nullptr});
   const auto m = engine.run(trace);
 
   EXPECT_EQ(m.crashes, 1u);
@@ -337,19 +338,19 @@ TEST(RipsFaults, SingleCrashRecoversAndCountsReexecution) {
   EXPECT_TRUE(std::find(engine.live_nodes().begin(),
                         engine.live_nodes().end(), 5) ==
               engine.live_nodes().end());
-  // The failure and the recovery line are on the timeline.
+  // The failure and the recovery line are in the trace.
   bool saw_failure = false;
   bool saw_recovery = false;
-  for (const auto& ev : timeline.events()) {
-    saw_failure |= ev.kind == sim::TimelineEvent::Kind::kFailure &&
-                   ev.node == 5;
-    saw_recovery |= ev.kind == sim::TimelineEvent::Kind::kRecovery;
+  for (const obs::TraceEvent& ev : trace_session.sorted_events()) {
+    const std::string name = ev.name;
+    saw_failure |= name == obs::record::kCrash.name && ev.node == 5;
+    saw_recovery |= name == obs::record::kRecovery.name;
   }
   EXPECT_TRUE(saw_failure);
   EXPECT_TRUE(saw_recovery);
 
   // Same plan => bit-identical metrics.
-  engine.set_timeline(nullptr);
+  engine.set_obs(obs::Obs{});
   const auto m2 = engine.run(trace);
   EXPECT_TRUE(m == m2);
 }

@@ -1,6 +1,9 @@
-// Multi-job merging: structure preservation, ownership mapping and
-// per-job completion extraction.
+// Multi-job merging: structure preservation, ownership mapping and the
+// engines' per-job completion accounting over a merged trace.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "apps/multi_job.hpp"
 #include "apps/nqueens.hpp"
@@ -64,6 +67,11 @@ TEST(MergeJobs, SpawnStructureSurvives) {
             20u);
 }
 
+/// The merged trace's owner map in the engines' set_job_map form.
+std::vector<i32> job_map(const MergedJobs& merged) {
+  return {merged.owner.begin(), merged.owner.end()};
+}
+
 TEST(MergeJobs, MergedTraceRunsOnBothEngines) {
   const TaskTrace a = build_nqueens_trace(9, 3);
   SyntheticConfig config;
@@ -75,20 +83,21 @@ TEST(MergeJobs, MergedTraceRunsOnBothEngines) {
   sim::CostModel cost;
   sched::Mwa mwa(mesh);
   core::RipsEngine rips_engine(mwa, cost, core::RipsConfig{});
-  sim::Timeline timeline;
-  rips_engine.set_timeline(&timeline);
+  const std::vector<i32> job_of = job_map(merged);
+  rips_engine.set_job_map(&job_of, 2);
   const auto metrics = rips_engine.run(merged.trace);
   EXPECT_EQ(metrics.num_tasks, merged.trace.size());
 
-  const auto completion = job_completion_times(merged, timeline);
-  ASSERT_EQ(completion.size(), 2u);
-  EXPECT_GT(completion[0], 0);
-  EXPECT_GT(completion[1], 0);
-  EXPECT_LE(completion[0], metrics.makespan_ns);
-  EXPECT_LE(completion[1], metrics.makespan_ns);
+  ASSERT_EQ(metrics.jobs.size(), 2u);
+  const SimTime done0 = metrics.jobs[0].completion_ns;
+  const SimTime done1 = metrics.jobs[1].completion_ns;
+  EXPECT_GT(done0, 0);
+  EXPECT_GT(done1, 0);
+  EXPECT_EQ(metrics.jobs[0].tasks, a.size());
+  EXPECT_EQ(metrics.jobs[1].tasks, b.size());
   // The machine-level makespan is the slowest job's completion plus the
   // trailing termination-detection phase.
-  EXPECT_GE(metrics.makespan_ns, std::max(completion[0], completion[1]));
+  EXPECT_GE(metrics.makespan_ns, std::max(done0, done1));
 }
 
 TEST(MergeJobs, FairerThanSerialExecution) {
@@ -107,12 +116,12 @@ TEST(MergeJobs, FairerThanSerialExecution) {
   sim::CostModel cost;
   balance::RandomAlloc random(3);
   balance::DynamicEngine engine(mesh, cost, random);
-  sim::Timeline timeline;
-  engine.set_timeline(&timeline);
+  const std::vector<i32> job_of = job_map(merged);
+  engine.set_job_map(&job_of, 2);
   const auto metrics = engine.run(merged.trace);
-  const auto completion = job_completion_times(merged, timeline);
-  const double ratio = static_cast<double>(completion[0]) /
-                       static_cast<double>(completion[1]);
+  ASSERT_EQ(metrics.jobs.size(), 2u);
+  const double ratio = static_cast<double>(metrics.jobs[0].completion_ns) /
+                       static_cast<double>(metrics.jobs[1].completion_ns);
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
   EXPECT_EQ(metrics.num_tasks, merged.trace.size());

@@ -1,16 +1,25 @@
 // Observability layer tests: trace sessions (ordering, ring overflow,
-// Perfetto JSON), the metrics registry (histogram bucket edges, snapshots,
-// JSON round-trip through the obs::json parser), invariant monitors
-// (violations and churn accounting) and the engine integration contract —
-// attaching observers never changes the metrics.
+// Perfetto JSON), the utilization chart drawn from a trace, the metrics
+// registry (histogram bucket edges, snapshots, JSON round-trip through the
+// obs::json parser), invariant monitors (violations and churn accounting),
+// the engine integration contract — attaching observers never changes the
+// metrics — and docs/OBSERVABILITY.md's trace catalog, checked against
+// what the engines emit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/nqueens.hpp"
+#include "apps/synthetic.hpp"
+#include "balance/engine.hpp"
+#include "balance/random_alloc.hpp"
+#include "balance/rid.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitors.hpp"
@@ -30,9 +39,9 @@ TEST(TraceSession, SortedEventsNestEnclosingSpansFirst) {
   TraceSession trace(2);
   // Child recorded before parent: sorted_events must still put the
   // enclosing (longer) span first so Perfetto nests them correctly.
-  trace.span(0, "phase", "child", 100, 150);
-  trace.span(0, "phase", "parent", 100, 400);
-  trace.span(0, "phase", "later", 200, 250);
+  trace.span(0, {"phase", "child"}, 100, 150);
+  trace.span(0, {"phase", "parent"}, 100, 400);
+  trace.span(0, {"phase", "later"}, 200, 250);
   const auto events = trace.sorted_events();
   ASSERT_EQ(events.size(), 3u);
   EXPECT_STREQ(events[0].name, "parent");
@@ -43,7 +52,7 @@ TEST(TraceSession, SortedEventsNestEnclosingSpansFirst) {
 TEST(TraceSession, RingOverflowKeepsNewestAndCountsDropped) {
   TraceSession trace(1, /*capacity_per_track=*/4);
   for (i64 i = 0; i < 10; ++i) {
-    trace.instant(0, "t", "e", i, "i", i);
+    trace.instant(0, {"t", "e", "i"}, i, i);
   }
   EXPECT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace.dropped(), 6u);
@@ -60,18 +69,18 @@ TEST(TraceSession, RingOverflowKeepsNewestAndCountsDropped) {
 
 TEST(TraceSession, MachineTrackIsSeparateFromNodeTracks) {
   TraceSession trace(2, 4);
-  trace.span(kInvalidNode, "phase", "system", 0, 10);
-  trace.span(0, "task", "task", 0, 5);
-  trace.span(1, "task", "task", 0, 5);
+  trace.span(kInvalidNode, {"phase", "system"}, 0, 10);
+  trace.span(0, {"task", "task"}, 0, 5);
+  trace.span(1, {"task", "task"}, 0, 5);
   EXPECT_EQ(trace.size(), 3u);
   EXPECT_EQ(trace.dropped(), 0u);
 }
 
 TEST(TraceSession, JsonIsParseableAndCarriesEveryEvent) {
   TraceSession trace(2);
-  trace.span(0, "task", "task", 1'000, 3'500, "id", 42);
-  trace.instant(1, "fault", "crash", 2'000);
-  trace.span(kInvalidNode, "phase", "system_phase", 0, 5'000);
+  trace.span(0, record::kTask, 1'000, 3'500, 42);
+  trace.instant(1, {"fault", "crash"}, 2'000);
+  trace.span(kInvalidNode, {"phase", "system_phase"}, 0, 5'000);
 
   std::string error;
   const auto doc = json::parse(trace.to_json(), &error);
@@ -106,6 +115,217 @@ TEST(TraceSession, JsonIsParseableAndCarriesEveryEvent) {
     }
   }
   EXPECT_TRUE(found_arg);
+}
+
+// ---------------------------------------------------- utilization chart
+
+TEST(UtilizationChart, HasOneRowPerNodePlusFooter) {
+  TraceSession trace(3);
+  trace.span(0, record::kTask, 0, 100, 1);
+  trace.span(kInvalidNode, record::kSystemPhase, 100, 120, 0);
+  const std::string chart = utilization_chart(trace, 40);
+  EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 4);
+  EXPECT_NE(chart.find('|'), std::string::npos);
+}
+
+TEST(UtilizationChart, EmptySessionStillDrawsEveryRow) {
+  TraceSession trace(2);
+  const std::string chart = utilization_chart(trace, 20);
+  EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 3);
+}
+
+TEST(UtilizationChart, OnlyChartRecordsSetTheTimeAxis) {
+  // Node 0 is busy for the whole charted extent; a later message instant
+  // and user-phase span must not stretch the axis and thin the row out.
+  TraceSession trace(2);
+  trace.span(0, record::kTask, 0, 100, 1);
+  trace.instant(1, {"msg", "recv", "tasks"}, 1'000, 1);
+  trace.span(kInvalidNode, record::kUserPhase, 0, 2'000, 1);
+  trace.instant(1, record::kCrash, 50, 0);
+  const std::string chart = utilization_chart(trace, 10);
+  EXPECT_EQ(chart.substr(0, 15), "  0 @@@@@@@@@@\n");
+  EXPECT_EQ(chart.substr(15, 15), "  1           \n");
+  // The crash at half time lands in the middle footer bucket.
+  EXPECT_EQ(chart.substr(30, 14), "         X    ");
+}
+
+// ------------------------------------------------ engine trace records
+
+TEST(EngineTrace, RipsRecordsEveryTaskExactlyOnce) {
+  const auto trace = apps::build_nqueens_trace(9, 3);
+  topo::Mesh mesh(2, 2);
+  sched::Mwa mwa(mesh);
+  core::RipsEngine engine(mwa, sim::CostModel{}, core::RipsConfig{});
+  TraceSession session(4, std::numeric_limits<size_t>::max());
+  engine.set_obs(Obs{&session, nullptr});
+  const auto m = engine.run(trace);
+
+  u64 task_spans = 0;
+  u64 system_phases = 0;
+  SimTime busy_total = 0;
+  std::vector<bool> seen(trace.size(), false);
+  for (const TraceEvent& e : session.sorted_events()) {
+    const std::string name = e.name;
+    if (name == record::kTask.name) {
+      ++task_spans;
+      EXPECT_GT(e.dur_ns, 0);
+      EXPECT_LE(e.start_ns + e.dur_ns, m.makespan_ns);
+      ASSERT_LT(static_cast<u64>(e.arg), trace.size());
+      EXPECT_FALSE(seen[static_cast<size_t>(e.arg)]);
+      seen[static_cast<size_t>(e.arg)] = true;
+      busy_total += e.dur_ns;
+    } else if (name == record::kSystemPhase.name) {
+      ++system_phases;
+    }
+  }
+  EXPECT_EQ(task_spans, trace.size());
+  EXPECT_EQ(system_phases, m.system_phases);
+  EXPECT_EQ(busy_total, m.total_busy_ns);
+
+  // The session is cleared at run start: a second run records as much.
+  const size_t first = session.size();
+  engine.run(trace);
+  EXPECT_EQ(session.size(), first);
+}
+
+TEST(EngineTrace, DynamicTaskSpansNeverOverlapPerNode) {
+  const auto trace = apps::build_nqueens_trace(10, 3);
+  topo::Mesh mesh(2, 2);
+  balance::RandomAlloc random(5);
+  balance::DynamicEngine engine(mesh, sim::CostModel{}, random);
+  TraceSession session(4, std::numeric_limits<size_t>::max());
+  engine.set_obs(Obs{&session, nullptr});
+  engine.run(trace);
+
+  std::vector<std::vector<std::pair<SimTime, SimTime>>> per_node(4);
+  for (const TraceEvent& e : session.sorted_events()) {
+    if (std::string(e.category) != record::kTask.category) continue;
+    per_node[static_cast<size_t>(e.node)].push_back(
+        {e.start_ns, e.start_ns + e.dur_ns});
+  }
+  for (auto& intervals : per_node) {
+    std::sort(intervals.begin(), intervals.end());
+    for (size_t i = 1; i < intervals.size(); ++i) {
+      EXPECT_LE(intervals[i - 1].second, intervals[i].first);
+    }
+  }
+}
+
+// ------------------------------------------------------- trace catalog
+
+/// One row of a docs/OBSERVABILITY.md trace-catalog table.
+struct CatalogRow {
+  std::vector<std::string> names;
+  std::string kind;      ///< "span" | "instant"
+  std::string category;
+  std::string track;     ///< "machine" or a per-node track
+  std::vector<std::string> args;
+};
+
+std::vector<std::string> backticked(const std::string& cell) {
+  std::vector<std::string> out;
+  for (size_t open = cell.find('`'); open != std::string::npos;) {
+    const size_t close = cell.find('`', open + 1);
+    if (close == std::string::npos) break;
+    out.push_back(cell.substr(open + 1, close - open - 1));
+    open = cell.find('`', close + 1);
+  }
+  return out;
+}
+
+/// The catalog table under the "### <heading>" section of the docs.
+std::vector<CatalogRow> catalog(const std::string& heading) {
+  std::ifstream in(std::string(RIPS_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  EXPECT_TRUE(in.good()) << "docs/OBSERVABILITY.md not found";
+  std::vector<CatalogRow> rows;
+  bool in_section = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("### ", 0) == 0) {
+      if (in_section) break;
+      in_section = line.rfind("### " + heading, 0) == 0;
+      continue;
+    }
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    for (size_t at = 1, bar; (bar = line.find('|', at)) != std::string::npos;
+         at = bar + 1) {
+      cells.push_back(line.substr(at, bar - at));
+    }
+    if (cells.size() < 5) continue;
+    CatalogRow row;
+    row.names = backticked(cells[0]);
+    row.kind = cells[1].substr(1, cells[1].find(' ', 1) - 1);
+    const std::vector<std::string> category = backticked(cells[2]);
+    row.category = category.empty() ? "" : category.front();
+    row.track = cells[3].substr(1, cells[3].find(' ', 1) - 1);
+    row.args = backticked(cells[4]);
+    rows.push_back(std::move(row));
+  }
+  EXPECT_FALSE(rows.empty()) << "no catalog table under " << heading;
+  return rows;
+}
+
+/// Every catalogued name occurs in the session, and every occurrence has
+/// the documented kind, category, track and payload names.
+void expect_matches_catalog(const TraceSession& session,
+                            const std::vector<CatalogRow>& rows) {
+  const std::vector<TraceEvent> events = session.sorted_events();
+  for (const CatalogRow& row : rows) {
+    for (const std::string& name : row.names) {
+      u64 seen = 0;
+      for (const TraceEvent& e : events) {
+        if (name != e.name) continue;
+        ++seen;
+        const bool span = e.type == TraceEvent::Type::kSpan;
+        EXPECT_EQ(span ? "span" : "instant", row.kind) << name;
+        EXPECT_EQ(e.category, row.category) << name;
+        EXPECT_EQ(e.node == kInvalidNode, row.track == "machine") << name;
+        std::vector<std::string> args;
+        if (e.arg_name != nullptr) args.push_back(e.arg_name);
+        if (e.arg2_name != nullptr) args.push_back(e.arg2_name);
+        EXPECT_EQ(args, row.args) << name;
+        if (args != row.args) break;  // one report per name is enough
+      }
+      EXPECT_GT(seen, 0u) << name << " is catalogued but never emitted";
+    }
+  }
+}
+
+TEST(TraceCatalog, RipsFaultRunEmitsEveryCataloguedRecordAsDocumented) {
+  // rips_cli --app=queens --n=11 --nodes=16 --fault-seed=7
+  //   --crash-mtbf-ms=20 --drop-prob=0.02: crashes, recovery lines,
+  // dropped detection messages, retries and suspicions all occur.
+  const apps::TaskTrace trace = apps::build_nqueens_trace(11, 4);
+  topo::Mesh mesh(4, 4);
+  sched::Mwa mwa(mesh);
+  sim::CostModel cost;
+  cost.ns_per_work = 2000.0;
+  core::RipsEngine engine(mwa, cost, core::RipsConfig{});
+  sim::FaultSpec spec;
+  spec.horizon_ns = 1'000'000'000;
+  spec.crash_mtbf_ns = 20e6;
+  spec.drop_prob = 0.02;
+  const sim::FaultPlan plan = sim::FaultPlan::generate(7, 16, spec);
+  engine.set_fault_plan(&plan);
+  TraceSession session(16, std::numeric_limits<size_t>::max());
+  engine.set_obs(Obs{&session, nullptr});
+  ASSERT_GT(engine.run(trace).crashes, 0u);
+  expect_matches_catalog(session, catalog("RIPS engine"));
+}
+
+TEST(TraceCatalog, DynamicRunEmitsEveryCataloguedRecordAsDocumented) {
+  // Several segments, so segment barriers occur.
+  apps::SyntheticConfig config;
+  config.num_roots = 64;
+  config.num_segments = 3;
+  const apps::TaskTrace trace = apps::build_synthetic_trace(config, 5);
+  topo::Mesh mesh(4, 4);
+  balance::Rid rid;
+  balance::DynamicEngine engine(mesh, sim::CostModel{}, rid);
+  TraceSession session(16, std::numeric_limits<size_t>::max());
+  engine.set_obs(Obs{&session, nullptr});
+  engine.run(trace);
+  expect_matches_catalog(session, catalog("Dynamic engine"));
 }
 
 // ----------------------------------------------------- MetricsRegistry

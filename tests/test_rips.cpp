@@ -84,7 +84,7 @@ TEST(RipsEngine, ReusableForMultipleRuns) {
   EXPECT_EQ(m1.makespan_ns, m2.makespan_ns);
 }
 
-TEST(RipsEngine, PhaseStatsAreConsistent) {
+TEST(RipsEngine, PhaseSamplesAreConsistent) {
   const auto trace = queens_trace();
   topo::Mesh mesh(4, 2);
   sched::Mwa mwa(mesh);
@@ -92,15 +92,26 @@ TEST(RipsEngine, PhaseStatsAreConsistent) {
   const auto metrics = engine.run(trace);
   EXPECT_EQ(engine.phases().size(), metrics.system_phases);
   u64 moved = 0;
-  for (const auto& phase : engine.phases()) {
-    EXPECT_GE(phase.duration_ns, 0);
+  SimTime end = 0;
+  for (size_t i = 0; i < engine.phases().size(); ++i) {
+    const obs::PhaseSample& phase = engine.phases()[i];
+    EXPECT_EQ(phase.kind, obs::PhaseKind::kSystem);
+    EXPECT_EQ(phase.phase, i);
+    EXPECT_GE(phase.t0, end);  // a user phase may sit in between
+    EXPECT_GE(phase.t1, phase.t0);
     EXPECT_GT(phase.comm_steps, 0);
-    moved += phase.tasks_moved;
+    moved += phase.moved;
+    end = phase.t1;
   }
   EXPECT_EQ(moved, metrics.tasks_migrated);
-  // The final phase always detects termination on an empty system.
-  EXPECT_EQ(engine.phases().back().tasks_scheduled, 0u);
-  EXPECT_EQ(engine.user_phases().size() + 1, engine.phases().size());
+  // The final phase always detects termination on an empty system, and
+  // ends the run.
+  EXPECT_EQ(engine.phases().back().tasks, 0u);
+  EXPECT_EQ(engine.phases().back().t1, metrics.makespan_ns);
+  // Every system phase but the last opens one user phase.
+  const obs::Counter* user = engine.metrics_registry().find_counter("phase.user");
+  ASSERT_NE(user, nullptr);
+  EXPECT_EQ(user->value() + 1, engine.phases().size());
 }
 
 TEST(RipsEngine, LazySchedulesOnlyAFractionOfTasks) {
@@ -114,7 +125,7 @@ TEST(RipsEngine, LazySchedulesOnlyAFractionOfTasks) {
   RipsEngine engine(mwa, test_cost(), lazy);
   engine.run(trace);
   u64 scheduled = 0;
-  for (const auto& phase : engine.phases()) scheduled += phase.tasks_scheduled;
+  for (const auto& phase : engine.phases()) scheduled += phase.tasks;
   EXPECT_LT(scheduled, trace.size());
 }
 
@@ -129,7 +140,7 @@ TEST(RipsEngine, EagerSchedulesEveryTask) {
   RipsEngine engine(mwa, test_cost(), eager);
   engine.run(trace);
   u64 scheduled = 0;
-  for (const auto& phase : engine.phases()) scheduled += phase.tasks_scheduled;
+  for (const auto& phase : engine.phases()) scheduled += phase.tasks;
   EXPECT_GE(scheduled, trace.size());
 }
 

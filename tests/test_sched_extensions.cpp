@@ -38,9 +38,9 @@ TEST(Torus, WraparoundDistances) {
 }
 
 TEST(Torus, NeighborsAreSymmetricAndDeduped) {
-  for (const auto [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
-                                  std::pair{1, 4}, std::pair{4, 4},
-                                  std::pair{2, 8}}) {
+  for (const auto& [rows, cols] : {std::pair{1, 1}, std::pair{2, 2},
+                                   std::pair{1, 4}, std::pair{4, 4},
+                                   std::pair{2, 8}}) {
     topo::Torus torus(rows, cols);
     for (NodeId u = 0; u < torus.size(); ++u) {
       const auto nbrs = torus.neighbors(u);

@@ -497,6 +497,12 @@ class Client {
   }
   bool connected() const { return connected_; }
 
+  /// Sends raw bytes without waiting for any reply.
+  void send(const std::string& bytes) {
+    EXPECT_EQ(::write(fd_, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
   std::string roundtrip(const std::string& request) {
     const std::string line = request + "\n";
     EXPECT_EQ(::write(fd_, line.data(), line.size()),
@@ -555,6 +561,38 @@ TEST(SocketServer, EndToEndSessionOverTheWire) {
   loop.join();
   EXPECT_TRUE(server.monitors_ok());
   EXPECT_EQ(server.jobs_done(), 2u);
+}
+
+// A client that floods requests and closes without reading the replies
+// costs its own connection only: writing to the closed socket must not
+// raise SIGPIPE (which kills the process), and the next client is served.
+TEST(SocketServer, ClientClosingBeforeReadingRepliesLeavesServerUp) {
+  const std::string path =
+      testing::TempDir() + "rips-serve-sigpipe-" +
+      std::to_string(::getpid()) + ".sock";
+  serve::ServeOptions options;
+  options.nodes = 16;
+  serve::JobServer server(options);
+  serve::SocketServer socket(server, path);
+  server.start();
+  std::thread loop([&socket] { socket.serve_forever(); });
+
+  {
+    Client rude(path);
+    ASSERT_TRUE(rude.connected());
+    std::string burst;
+    for (int i = 0; i < 2000; ++i) burst += "{\"op\":\"ping\"}\n";
+    rude.send(burst);
+  }  // closed with every reply unread
+  {
+    Client next(path);
+    ASSERT_TRUE(next.connected());
+    EXPECT_NE(next.roundtrip("{\"op\":\"ping\"}").find("\"ok\":true"),
+              std::string::npos);
+    EXPECT_NE(next.roundtrip("{\"op\":\"shutdown\"}").find("\"ok\":true"),
+              std::string::npos);
+  }
+  loop.join();
 }
 
 }  // namespace

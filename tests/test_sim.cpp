@@ -1,24 +1,15 @@
-// Simulator-layer tests: cost model arithmetic, event-queue determinism,
-// derived run metrics and the timeline recorder.
+// Simulator-layer tests: cost model arithmetic, event-queue determinism
+// and derived run metrics.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <fstream>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "apps/nqueens.hpp"
-#include "balance/engine.hpp"
-#include "balance/random_alloc.hpp"
-#include "rips/rips_engine.hpp"
-#include "sched/mwa.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
 #include "sim/task_queue.hpp"
-#include "sim/timeline.hpp"
-#include "topo/topology.hpp"
 
 namespace rips::sim {
 namespace {
@@ -201,155 +192,6 @@ TEST(RunMetrics, ZeroSafe) {
   EXPECT_DOUBLE_EQ(m.speedup(), 0.0);
   EXPECT_DOUBLE_EQ(m.overhead_s(), 0.0);
   EXPECT_FALSE(m.summary().empty());
-}
-
-// ----------------------------------------------------------- Timeline
-
-TEST(Timeline, UtilizationOfKnownIntervals) {
-  Timeline tl;
-  tl.record({TimelineEvent::Kind::kTask, 0, 0, 50, 1});
-  tl.record({TimelineEvent::Kind::kTask, 0, 75, 100, 2});
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 0, 100), 0.75);
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 0, 50), 1.0);
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 50, 75), 0.0);
-  EXPECT_DOUBLE_EQ(tl.utilization(1, 0, 100), 0.0);
-}
-
-TEST(Timeline, RenderHasOneRowPerNodePlusFooter) {
-  Timeline tl;
-  tl.record({TimelineEvent::Kind::kTask, 0, 0, 100, 1});
-  tl.record({TimelineEvent::Kind::kSystemPhase, kInvalidNode, 100, 120,
-             kInvalidTask});
-  const std::string chart = tl.render(3, 40);
-  EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 4);
-  EXPECT_NE(chart.find('|'), std::string::npos);
-}
-
-TEST(Timeline, EmptyTimelineRendersAndHasZeroUtilization) {
-  Timeline tl;
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 0, 100), 0.0);
-  const std::string chart = tl.render(2, 20);
-  EXPECT_FALSE(chart.empty());
-  EXPECT_EQ(std::count(chart.begin(), chart.end(), '\n'), 3);
-}
-
-TEST(Timeline, ZeroWidthWindowHasNoBusyTime) {
-  Timeline tl;
-  tl.record({TimelineEvent::Kind::kTask, 0, 0, 100, 1});
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 50, 50), 0.0);
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 80, 20), 0.0);  // inverted window
-}
-
-TEST(Timeline, EventsStraddlingTheWindowAreClipped) {
-  Timeline tl;
-  // Starts before the window and ends inside: only the overlap counts.
-  tl.record({TimelineEvent::Kind::kTask, 0, 0, 60, 1});
-  // Starts inside and ends after: clipped at the right edge.
-  tl.record({TimelineEvent::Kind::kTask, 0, 80, 200, 2});
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 50, 100), (10.0 + 20.0) / 50.0);
-  // A window fully inside one event is fully busy.
-  EXPECT_DOUBLE_EQ(tl.utilization(0, 10, 40), 1.0);
-}
-
-TEST(Timeline, WriteCsvEmptyTimelineWritesHeaderOnly) {
-  Timeline tl;
-  const std::string path = ::testing::TempDir() + "rips_empty_timeline.csv";
-  ASSERT_TRUE(tl.write_csv(path));
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "kind,node,start_ns,end_ns,task");
-  EXPECT_FALSE(std::getline(in, line));  // header row and nothing else
-}
-
-TEST(Timeline, WriteCsvReportsUnopenablePath) {
-  Timeline tl;
-  tl.record({TimelineEvent::Kind::kTask, 0, 0, 100, 1});
-  EXPECT_FALSE(tl.write_csv("/nonexistent-dir/timeline.csv"));
-}
-
-TEST(Timeline, RipsEngineRecordsEveryTaskExactlyOnce) {
-  const auto trace = apps::build_nqueens_trace(9, 3);
-  topo::Mesh mesh(2, 2);
-  sched::Mwa mwa(mesh);
-  sim::CostModel cost;
-  core::RipsEngine engine(mwa, cost, core::RipsConfig{});
-  Timeline tl;
-  engine.set_timeline(&tl);
-  const auto m = engine.run(trace);
-
-  u64 task_events = 0;
-  u64 phase_events = 0;
-  SimTime busy_total = 0;
-  std::vector<bool> seen(trace.size(), false);
-  for (const TimelineEvent& e : tl.events()) {
-    if (e.kind == TimelineEvent::Kind::kTask) {
-      ++task_events;
-      EXPECT_LT(e.start_ns, e.end_ns);
-      EXPECT_LE(e.end_ns, m.makespan_ns);
-      ASSERT_LT(e.task, trace.size());
-      EXPECT_FALSE(seen[e.task]);
-      seen[e.task] = true;
-      busy_total += e.end_ns - e.start_ns;
-    } else {
-      ++phase_events;
-    }
-  }
-  EXPECT_EQ(task_events, trace.size());
-  EXPECT_EQ(phase_events, m.system_phases);
-  EXPECT_EQ(busy_total, m.total_busy_ns);
-}
-
-TEST(Timeline, TaskIntervalsNeverOverlapPerNode) {
-  const auto trace = apps::build_nqueens_trace(10, 3);
-  topo::Mesh mesh(2, 2);
-  balance::RandomAlloc random(5);
-  balance::DynamicEngine engine(mesh, sim::CostModel{}, random);
-  Timeline tl;
-  engine.set_timeline(&tl);
-  engine.run(trace);
-
-  std::vector<std::vector<std::pair<SimTime, SimTime>>> per_node(4);
-  for (const TimelineEvent& e : tl.events()) {
-    if (e.kind != TimelineEvent::Kind::kTask) continue;
-    per_node[static_cast<size_t>(e.node)].push_back({e.start_ns, e.end_ns});
-  }
-  for (auto& intervals : per_node) {
-    std::sort(intervals.begin(), intervals.end());
-    for (size_t i = 1; i < intervals.size(); ++i) {
-      EXPECT_LE(intervals[i - 1].second, intervals[i].first);
-    }
-  }
-}
-
-TEST(Timeline, CsvExportRoundTripsTextually) {
-  Timeline tl;
-  tl.record({TimelineEvent::Kind::kTask, 2, 100, 200, 7});
-  tl.record({TimelineEvent::Kind::kSystemPhase, kInvalidNode, 200, 230,
-             kInvalidTask});
-  const std::string path = std::string(::testing::TempDir()) + "/tl.csv";
-  ASSERT_TRUE(tl.write_csv(path));
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "kind,node,start_ns,end_ns,task");
-  std::getline(in, line);
-  EXPECT_EQ(line, "task,2,100,200,7");
-  std::getline(in, line);
-  EXPECT_EQ(line, "system_phase,-1,200,230,-1");
-}
-
-TEST(Timeline, ClearedBetweenRuns) {
-  const auto trace = apps::build_nqueens_trace(8, 2);
-  topo::Mesh mesh(2, 2);
-  sched::Mwa mwa(mesh);
-  core::RipsEngine engine(mwa, sim::CostModel{}, core::RipsConfig{});
-  Timeline tl;
-  engine.set_timeline(&tl);
-  engine.run(trace);
-  const size_t first = tl.events().size();
-  engine.run(trace);
-  EXPECT_EQ(tl.events().size(), first);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // metrics), the TimeSeriesSampler (stride, caps, steady-state bands, JSON
 // and CSV export round-tripped through the ts_diff loader), the
 // FlightRecorder black box (bounded rings, auto-dump on faults, dump
-// loading + phase attribution, signal-safe path), per-job sample labels,
-// and the histogram percentile derivation the snapshots carry.
+// loading + phase attribution, signal-safe path), the per-job breakdown
+// (one callback per user phase, never extra phase samples), and the
+// histogram percentile derivation the snapshots carry.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -21,6 +22,7 @@
 #include "obs/analysis/ts_diff.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
+#include "obs/live_status.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitors.hpp"
 #include "obs/obs.hpp"
@@ -93,15 +95,6 @@ TEST(TelemetryBus, FansOutToEverySubscriberAndUnsubscribes) {
   bus.publish(sample_at(10, 20));
   EXPECT_EQ(a.phases, 1);
   EXPECT_EQ(b.phases, 2);
-}
-
-TEST(TelemetryBus, NullSafeFreePublishIsANoOp) {
-  publish(nullptr, crash_at(0, 0));  // must not crash
-  TelemetryBus bus;
-  CountingSubscriber sub;
-  bus.subscribe(&sub);
-  publish(&bus, crash_at(0, 0));
-  EXPECT_EQ(sub.events, 1);
 }
 
 // ------------------------------------------------------ TimeSeriesSampler
@@ -422,13 +415,18 @@ TEST(TelemetryIntegration, DynamicEnginePublishesSegmentSamples) {
   EXPECT_EQ(sampler.makespan_ns(), m.makespan_ns);
 }
 
+/// Round-robin ownership of `tasks` tasks by `num_jobs` jobs.
+std::vector<i32> round_robin_jobs(size_t tasks, i32 num_jobs) {
+  std::vector<i32> job_of(tasks);
+  for (size_t i = 0; i < tasks; ++i) {
+    job_of[i] = static_cast<i32>(i % static_cast<size_t>(num_jobs));
+  }
+  return job_of;
+}
+
 TEST(TelemetryIntegration, JobMapAddsPerJobSamplesWithoutChangingMetrics) {
   EngineFixture f;
-  // Split tasks round-robin into 3 synthetic jobs.
-  std::vector<i32> job_of(f.trace.size());
-  for (size_t i = 0; i < job_of.size(); ++i) {
-    job_of[i] = static_cast<i32>(i % 3);
-  }
+  const std::vector<i32> job_of = round_robin_jobs(f.trace.size(), 3);
 
   core::RipsEngine bare(f.mwa, f.cost, core::RipsConfig{});
   const sim::RunMetrics without = bare.run(f.trace);
@@ -449,8 +447,8 @@ TEST(TelemetryIntegration, JobMapAddsPerJobSamplesWithoutChangingMetrics) {
   scrubbed.jobs.clear();
   EXPECT_EQ(without, scrubbed);
 
-  // Per-job samples: every user phase fans out one sample per job, and
-  // the per-job executed counts sum to the phase total.
+  // The sampler's per-job rows: one per job per user phase, and the
+  // per-job executed counts sum to the phase total.
   u64 job_samples = 0;
   u64 job_tasks = 0;
   u64 user_tasks = 0;
@@ -467,6 +465,98 @@ TEST(TelemetryIntegration, JobMapAddsPerJobSamplesWithoutChangingMetrics) {
   EXPECT_EQ(job_samples, 3 * (with.system_phases - 1));
   EXPECT_EQ(job_tasks, user_tasks);
   EXPECT_EQ(user_tasks, with.num_tasks);
+}
+
+// A run with more jobs than the black box's ring holds: the per-job
+// breakdown goes to on_job_phase, so the ring still keeps the run's system
+// and user phases and a crash attributes to the phase that covered it.
+TEST(TelemetryIntegration, ManyJobsLeaveTheBlackBoxRingToPhases) {
+  const apps::TaskTrace trace = apps::build_nqueens_trace(10, 4);
+  topo::Mesh mesh(4, 4);
+  sched::Mwa mwa(mesh);
+  sim::CostModel cost;
+  cost.ns_per_work = 2000.0;
+  core::RipsEngine engine(mwa, cost, core::RipsConfig{});
+  sim::FaultSpec spec;
+  spec.horizon_ns = 50'000'000;
+  spec.crash_mtbf_ns = 10e6;
+  const sim::FaultPlan plan = sim::FaultPlan::generate(7, 16, spec);
+  engine.set_fault_plan(&plan);
+
+  FlightRecorder::Options ropts;
+  ropts.dump_on_event = false;
+  FlightRecorder recorder(ropts);
+  const auto jobs = static_cast<i32>(ropts.sample_capacity + 44);
+  const std::vector<i32> job_of = round_robin_jobs(trace.size(), jobs);
+  engine.set_job_map(&job_of, jobs);
+  TelemetryBus bus;
+  bus.subscribe(&recorder);
+  Obs o;
+  o.bus = &bus;
+  engine.set_obs(o);
+  const sim::RunMetrics m = engine.run(trace);
+  ASSERT_GT(m.crashes, 0u);
+  ASSERT_LT(2 * m.system_phases, ropts.sample_capacity);
+
+  u64 system = 0;
+  u64 user = 0;
+  u64 job_rows = 0;
+  for (const PhaseSample& s : recorder.samples()) {
+    system += s.kind == PhaseKind::kSystem;
+    user += s.kind == PhaseKind::kUser;
+    job_rows += s.job >= 0;
+  }
+  EXPECT_EQ(job_rows, 0u);
+  EXPECT_EQ(system, m.system_phases);
+  EXPECT_EQ(user, m.system_phases - 1);
+
+  std::string error;
+  const auto doc =
+      analysis::load_blackbox_doc(recorder.to_json("test"), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  u64 crashes = 0;
+  for (const analysis::Attribution& a : analysis::attribute_events(*doc)) {
+    if (a.event->kind != TelemetryEvent::Kind::kCrash) continue;
+    ++crashes;
+    ASSERT_NE(a.sample_index, analysis::Attribution::kNoPhase);
+    const PhaseSample& s = doc->samples[a.sample_index];
+    EXPECT_LE(s.t0, a.event->t);
+    EXPECT_GE(s.t1, a.event->t);
+  }
+  EXPECT_EQ(crashes, m.crashes);
+}
+
+// The live status line counts phases, not per-job slices: on a multi-job
+// run it sees each system and user phase once and ends at 100% of tasks.
+TEST(TelemetryIntegration, LiveStatusCountsEachPhaseOnceOnMultiJobRuns) {
+  EngineFixture f;
+  const i32 jobs = 300;
+  const std::vector<i32> job_of = round_robin_jobs(f.trace.size(), jobs);
+  core::RipsEngine engine(f.mwa, f.cost, core::RipsConfig{});
+  engine.set_job_map(&job_of, jobs);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  LiveStatusPrinter::Options lopts;
+  lopts.out = out;
+  LiveStatusPrinter live(lopts);
+  TelemetryBus bus;
+  bus.subscribe(&live);
+  Obs o;
+  o.bus = &bus;
+  engine.set_obs(o);
+  const sim::RunMetrics m = engine.run(f.trace);
+  live.finish();
+
+  const Counter* user = engine.metrics_registry().find_counter("phase.user");
+  ASSERT_NE(user, nullptr);
+  EXPECT_EQ(live.phases_seen(), m.system_phases + user->value());
+  std::rewind(out);
+  std::string text;
+  for (int c; (c = std::fgetc(out)) != EOF;) text.push_back(static_cast<char>(c));
+  std::fclose(out);
+  const size_t last = text.rfind('\r');
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_NE(text.find("tasks=100.0%", last), std::string::npos) << text;
 }
 
 TEST(TelemetryIntegration, UsedFastMeasureReflectsTheMeasuringPass) {
