@@ -28,10 +28,8 @@
 
 #include "apps/trace_io.hpp"
 #include "harness.hpp"
-#include "obs/analysis/analysis.hpp"
 #include "obs/json.hpp"
 #include "obs/live_status.hpp"
-#include "obs/perflab/runstore.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 
@@ -117,7 +115,7 @@ std::string to_json(const std::vector<RunRecord>& runs, const std::string& suite
     out += "\"measure_pass\":" +
            quoted(m.used_fast_measure ? "drain-sum" : "full") + ",";
     // Per-job (tenant) rows, multi-job workloads only: single-job runs
-    // keep the exact pre-perf-lab record shape.
+    // carry no "fairness" or "jobs" field.
     if (!m.jobs.empty()) {
       std::snprintf(buf, sizeof buf, "%.6f", m.job_fairness());
       out += "\"fairness\":" + std::string(buf) + ",";
@@ -157,7 +155,6 @@ int main(int argc, char** argv) {
         "  [--monitors=1] [--jobs=1] [--json[=BENCH_core.json]]\n"
         "  [--trace-out=path] [--trace-cache=DIR]\n"
         "  [--live-status] [--timeseries-out=harness.timeseries.json]\n"
-        "  [--runstore=DIR] [--run-id=ID]\n"
         "emits the rips-bench-v1 JSON document (see docs/OBSERVABILITY.md);\n"
         "validate with bench/check_bench_json. --jobs=N parallelizes the\n"
         "sweep (0 = all hardware threads); output is identical for any N.\n"
@@ -166,13 +163,12 @@ int main(int argc, char** argv) {
         "rips-timeseries-v1 document (both leave stdout and the bench JSON\n"
         "byte-identical). --trace-cache=DIR caches the expensive\n"
         "application traces under DIR across invocations (overrides the\n"
-        "RIPS_TRACE_CACHE env var). --runstore=DIR archives this\n"
-        "invocation's artifacts (bench, time series, last-run phase\n"
-        "profile + critical path, per-config wall/measure-pass meta) into\n"
-        "the perf-lab run store under DIR; --run-id=ID names the archived\n"
-        "run (default: harness-<epoch seconds>).\n");
+        "RIPS_TRACE_CACHE env var).\n");
     return 0;
   }
+  args.check_known({"help", "suite", "app", "nodes", "strategy", "policy",
+                    "quick", "rid-u", "monitors", "jobs", "json", "trace-out",
+                    "trace-cache", "live-status", "timeseries-out"});
 
   if (args.has("trace-cache")) {
     apps::set_trace_cache_dir(args.get("trace-cache", ""));
@@ -222,7 +218,6 @@ int main(int argc, char** argv) {
       bench::build_workloads(selected, jobs);
 
   const bool want_trace = args.has("trace-out");
-  const bool want_store = args.has("runstore");
 
   std::vector<bench::RunDescriptor> descriptors;
   for (const apps::Workload& w : workloads) {
@@ -243,10 +238,8 @@ int main(int argc, char** argv) {
     }
   }
   // Like the sequential harness, the exported trace holds the LAST run;
-  // per-run sessions are tens of MB, so only that run records one. The
-  // run store archives that run's derived reports, so it needs the
-  // session too.
-  if (want_trace || want_store) descriptors.back().collect_trace = true;
+  // per-run sessions are tens of MB, so only that run records one.
+  if (want_trace) descriptors.back().collect_trace = true;
 
   // Live telemetry: one locked printer shared by every per-run bus, and
   // per-run samplers when a time-series export was requested. Both are
@@ -307,7 +300,6 @@ int main(int argc, char** argv) {
     RIPS_CHECK_MSG(out.good(), "failed to write the bench JSON");
     std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
   }
-  std::string timeseries_json;
   if (want_timeseries) {
     std::string path = args.get("timeseries-out", "harness.timeseries.json");
     if (path.empty()) path = "harness.timeseries.json";
@@ -315,9 +307,8 @@ int main(int argc, char** argv) {
     for (const bench::RunResult& r : results) {
       samplers.push_back(r.timeseries.get());
     }
-    timeseries_json = obs::timeseries_doc_json(samplers);
     std::ofstream ts_out(path, std::ios::binary);
-    ts_out << timeseries_json;
+    ts_out << obs::timeseries_doc_json(samplers);
     ts_out.flush();
     RIPS_CHECK_MSG(ts_out.good(), "failed to write the time series");
     std::printf("wrote %s (%zu series)\n", path.c_str(), samplers.size());
@@ -329,55 +320,6 @@ int main(int argc, char** argv) {
     RIPS_CHECK_MSG(trace.write_json(path), "failed to write the trace");
     std::printf("wrote %s (%zu events, %llu dropped)\n", path.c_str(),
                 trace.size(), static_cast<unsigned long long>(trace.dropped()));
-  }
-
-  if (want_store) {
-    // Archive the invocation. Wall clock and run ids live here — never in
-    // the deterministic outputs above.
-    obs::perflab::RunStore store(args.get("runstore", ""));
-    std::string err;
-    if (!store.open(&err)) {
-      std::fprintf(stderr, "runstore: %s\n", err.c_str());
-      return 2;
-    }
-    obs::perflab::IngestRequest req;
-    req.run_id = args.get("run-id", "");
-    if (req.run_id.empty()) {
-      const auto epoch_s =
-          std::chrono::duration_cast<std::chrono::seconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count();
-      req.run_id = "harness-" + std::to_string(epoch_s);
-    }
-    req.suite = app_filter.empty() ? suite : "custom";
-    req.labels.emplace_back("tool", "harness");
-    req.labels.emplace_back("policy", policy_name);
-    req.bench_json = bench_json;
-    req.timeseries_json = timeseries_json;
-    if (results.back().trace != nullptr) {
-      const obs::analysis::AnalysisTrace at =
-          obs::analysis::AnalysisTrace::from_session(*results.back().trace);
-      req.profile_json = obs::analysis::phase_profile(at).to_json();
-      req.critical_path_json = obs::analysis::critical_path(at).to_json();
-    }
-    for (size_t i = 0; i < runs.size(); ++i) {
-      obs::perflab::RunMetaEntry entry;
-      const RunRecord& rec = runs[i];
-      entry.key = rec.workload + "|" + rec.group + "|" + rec.scheduler + "|" +
-                  rec.policy + "|n" + std::to_string(rec.nodes);
-      entry.wall_ms = static_cast<i64>(results[i].wall_ms);
-      entry.measure_pass =
-          rec.metrics.used_fast_measure ? "drain-sum" : "full";
-      req.meta.push_back(std::move(entry));
-    }
-    if (!store.ingest(req, &err)) {
-      std::fprintf(stderr, "runstore: %s\n", err.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "runstore: archived run %s (seq %llu) in %s\n",
-                 req.run_id.c_str(),
-                 static_cast<unsigned long long>(store.runs().back().seq),
-                 store.root().c_str());
   }
 
   // Stderr on purpose: stdout must stay byte-identical across job counts,

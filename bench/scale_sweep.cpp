@@ -35,7 +35,6 @@
 #include "harness.hpp"
 #include "obs/json.hpp"
 #include "obs/live_status.hpp"
-#include "obs/perflab/runstore.hpp"
 #include "sim/fault.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -118,7 +117,7 @@ int main(int argc, char** argv) {
         "  [--trace-cache=DIR]\n"
         "  [--live-status] [--timeseries-out=scale.timeseries.json]\n"
         "  [--fault-seed=N] [--crash-mtbf-ms=N] [--drop-prob=P]\n"
-        "  [--fault-horizon-ms=N] [--runstore=DIR] [--run-id=ID]\n"
+        "  [--fault-horizon-ms=N]\n"
         "strong + weak scaling of RIPS on the `scale` synthetic preset:\n"
         "strong rows at {128, 512, 2048, 4096, 8192, 16384, 65536} nodes\n"
         "(the 8K-64K frontier repeats in weighted mode), weak rows at\n"
@@ -130,16 +129,13 @@ int main(int argc, char** argv) {
         "path (identical results); fault plans keep the fast path unless\n"
         "they carry slowdown windows (only those make work position-\n"
         "dependent), and every JSON row records the pass actually used in\n"
-        "its measure_pass flag. --runstore=DIR archives the sweep's\n"
-        "artifacts plus per-config wall time and measuring pass into the\n"
-        "perf-lab run store; --run-id=ID names the archived run\n"
-        "(default: scale-<epoch seconds>).\n");
+        "its measure_pass flag.\n");
     return 0;
   }
   args.check_known({"help", "quick", "jobs", "json", "full-measure",
                     "trace-cache", "live-status", "timeseries-out",
                     "fault-seed", "crash-mtbf-ms", "drop-prob",
-                    "fault-horizon-ms", "runstore", "run-id"});
+                    "fault-horizon-ms"});
   if (args.has("trace-cache")) {
     apps::set_trace_cache_dir(args.get("trace-cache", ""));
   }
@@ -329,7 +325,6 @@ int main(int argc, char** argv) {
     RIPS_CHECK_MSG(out.good(), "failed to write the scale JSON");
     std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
   }
-  std::string timeseries_json;
   if (want_timeseries) {
     std::string path = args.get("timeseries-out", "scale.timeseries.json");
     if (path.empty()) path = "scale.timeseries.json";
@@ -337,58 +332,12 @@ int main(int argc, char** argv) {
     for (const bench::RunResult& r : results) {
       samplers.push_back(r.timeseries.get());
     }
-    timeseries_json = obs::timeseries_doc_json(samplers);
     std::ofstream ts_out(path, std::ios::binary);
-    ts_out << timeseries_json;
+    ts_out << obs::timeseries_doc_json(samplers);
     ts_out.flush();
     RIPS_CHECK_MSG(ts_out.good(), "failed to write the time series");
     std::printf("wrote %s (%zu series)\n", path.c_str(), samplers.size());
   }
-  if (args.has("runstore")) {
-    // Per-config wall time + measuring pass go into meta.json — the one
-    // artifact where host wall clock is allowed — so trend reports can
-    // track throughput per scale point without touching the simulated
-    // metrics.
-    obs::perflab::RunStore store(args.get("runstore", ""));
-    std::string err;
-    if (!store.open(&err)) {
-      std::fprintf(stderr, "runstore: %s\n", err.c_str());
-      return 2;
-    }
-    obs::perflab::IngestRequest req;
-    req.run_id = args.get("run-id", "");
-    if (req.run_id.empty()) {
-      const auto epoch_s =
-          std::chrono::duration_cast<std::chrono::seconds>(
-              std::chrono::system_clock::now().time_since_epoch())
-              .count();
-      req.run_id = "scale-" + std::to_string(epoch_s);
-    }
-    req.suite = "scale";
-    req.labels.emplace_back("tool", "scale_sweep");
-    req.labels.emplace_back("measure", measure_label);
-    req.bench_json = bench_json;
-    req.timeseries_json = timeseries_json;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      obs::perflab::RunMetaEntry entry;
-      const RunRecord& rec = runs[i];
-      entry.key = rec.workload + "|" + rec.group + "|" + rec.scheduler + "|" +
-                  rec.policy + "|n" + std::to_string(rec.nodes);
-      entry.wall_ms = static_cast<i64>(results[i].wall_ms);
-      entry.measure_pass =
-          rec.metrics.used_fast_measure ? "drain-sum" : "full";
-      req.meta.push_back(std::move(entry));
-    }
-    if (!store.ingest(req, &err)) {
-      std::fprintf(stderr, "runstore: %s\n", err.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "runstore: archived run %s (seq %llu) in %s\n",
-                 req.run_id.c_str(),
-                 static_cast<unsigned long long>(store.runs().back().seq),
-                 store.root().c_str());
-  }
-
   // Host-side throughput — stderr on purpose: stdout and the JSON must
   // stay byte-identical across hosts and job counts; wall clock is the one
   // thing allowed to differ. "Simulated tasks per wall-second" counts every

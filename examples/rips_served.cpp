@@ -4,8 +4,8 @@
 // (serve/protocol.hpp), runs every admitted job on ONE shared simulated
 // machine (RipsEngine::run_online — jobs submitted mid-run spawn tasks
 // dynamically), and on shutdown writes the whole serving session as a
-// rips-bench-v1 document so bench_diff / check_bench_json / the perf-lab
-// runstore consume a serving run exactly like a batch run.
+// rips-bench-v1 document so bench_diff and check_bench_json consume a
+// serving run exactly like a batch run.
 //
 // Example session:
 //   ./rips_served --socket=/tmp/rips.sock --nodes=64

@@ -1,5 +1,6 @@
-// trace_tool — post-mortem analysis of exported traces and bench docs
-// (docs/OBSERVABILITY.md, "Analysis" and "Perf lab").
+// trace_tool — post-mortem analysis of one run's exported trace or
+// flight-recorder dump (docs/OBSERVABILITY.md, "Analysis"). Comparing two
+// runs is bench/bench_diff's job.
 //
 //   ./rips_cli --app=queens --trace-out=run.trace.json
 //   ./trace_tool analyze run.trace.json            phase profile (text)
@@ -7,16 +8,11 @@
 //   ./trace_tool critical-path run.trace.json      makespan attribution
 //   ./trace_tool critical-path run.trace.json --json=cp.json
 //   ./trace_tool top run.trace.json --limit=5      where the time went
-//   ./trace_tool diff BENCH_core.json BENCH_fresh.json   bench regression
 //   ./trace_tool blackbox rips-blackbox.json       flight-recorder dump
-//   ./trace_tool ts-diff base.ts.json cur.ts.json  steady-band regression
-//   ./trace_tool perf-lab ingest store --id=r1 --bench=BENCH_core.json
-//   ./trace_tool perf-lab trend store              cross-run trend table
-//   ./trace_tool perf-lab regress store            who ate the makespan
 //
 // `trace_tool <command> --help` prints that command's usage and exits 0.
-// Exit codes: 0 = ok, 1 = regression (diff/ts-diff/perf-lab regress only),
-// 2 = usage/parse error (including empty or truncated inputs).
+// Exit codes: 0 = ok, 2 = usage/parse error (including empty or truncated
+// inputs).
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -24,11 +20,7 @@
 #include <string>
 
 #include "obs/analysis/analysis.hpp"
-#include "obs/analysis/bench_diff.hpp"
 #include "obs/analysis/blackbox.hpp"
-#include "obs/analysis/ts_diff.hpp"
-#include "obs/perflab/attrib.hpp"
-#include "obs/perflab/runstore.hpp"
 #include "util/args.hpp"
 
 namespace {
@@ -78,45 +70,10 @@ const char* command_help(const std::string& cmd) {
            "Where-does-the-time-go aggregation of trace spans by\n"
            "(category, name), sorted by total time descending.\n";
   }
-  if (cmd == "diff") {
-    return "usage: trace_tool diff <baseline.json> <current.json>\n"
-           "  [--makespan-tol=0.10] [--overhead-factor=2.0]\n"
-           "  [--overhead-floor-s=1e-4] [--efficiency-tol=0.05]\n"
-           "  [--percentile-factor=4.0] [--fairness-tol=0.10]\n"
-           "Bench regression gate over two rips-bench-v1 documents.\n"
-           "Exit 1 on any regression or missing baseline run.\n";
-  }
   if (cmd == "blackbox") {
     return "usage: trace_tool blackbox <rips-blackbox.json>\n"
            "Flight-recorder post-mortem: the always-on ring buffer's\n"
            "events attributed to their phase windows.\n";
-  }
-  if (cmd == "ts-diff") {
-    return "usage: trace_tool ts-diff <baseline.json> <current.json>\n"
-           "  [--mean-factor=1.5] [--p95-factor=2.0] [--abs-floor=4.0]\n"
-           "Steady-state band gate over two rips-timeseries-v1 documents.\n"
-           "Exit 1 on any regression.\n";
-  }
-  if (cmd == "perf-lab") {
-    return "usage: trace_tool perf-lab <subcommand> ...\n"
-           "  ingest <store> --id=ID [--suite=S] [--bench=F]\n"
-           "      [--timeseries=F] [--profile=F] [--critical-path=F]\n"
-           "      [--blackbox=F]\n"
-           "      archive one run's artifacts into the run store at\n"
-           "      <store>. Every artifact is validated before anything is\n"
-           "      written; re-using an ID is an error (append-only).\n"
-           "  trend <store> [--last=8] [--key=SUBSTR]\n"
-           "      per-run-key trend table over the stored runs: makespan,\n"
-           "      efficiency, fairness, host wall time, measuring pass.\n"
-           "  regress <store> [--baseline=ID] [--current=ID]\n"
-           "  regress --baseline-bench=F --current-bench=F\n"
-           "      [--baseline-profile=F] [--current-profile=F]\n"
-           "      [--baseline-critical-path=F] [--current-critical-path=F]\n"
-           "      attribute a makespan delta to (phase kind, category,\n"
-           "      node range); writes rips-attrib-v1 with [--json=FILE].\n"
-           "      Store mode defaults to the last two archived runs.\n"
-           "      Shared: [--makespan-tol=0.10] [--min-share=0.01]\n"
-           "      [--max-rows=16]. Exit 1 when the makespan regressed.\n";
   }
   return nullptr;
 }
@@ -128,19 +85,8 @@ int usage(bool ok) {
       "  analyze <trace.json> [--json=FILE]        phase-profile report\n"
       "  critical-path <trace.json> [--json=FILE]  makespan attribution\n"
       "  top <trace.json> [--limit=10]             span time aggregation\n"
-      "  diff <baseline.json> <current.json>       bench regression gate\n"
-      "       [--makespan-tol=0.10] [--overhead-factor=2.0]\n"
-      "       [--overhead-floor-s=1e-4] [--efficiency-tol=0.05]\n"
-      "       [--percentile-factor=4.0] [--fairness-tol=0.10]\n"
       "  blackbox <rips-blackbox.json>             flight-recorder\n"
-      "       post-mortem: events attributed to their phase windows\n"
-      "  ts-diff <baseline.json> <current.json>    steady-state band gate\n"
-      "       over rips-timeseries-v1 docs [--mean-factor=1.5]\n"
-      "       [--p95-factor=2.0] [--abs-floor=4.0]\n"
-      "  perf-lab ingest <store> --id=ID ...       archive run artifacts\n"
-      "  perf-lab trend <store> [--last=8]         cross-run trend table\n"
-      "  perf-lab regress <store> | --*-bench=F    regression attribution\n"
-      "       (rips-attrib-v1: which phase/category ate the makespan)\n");
+      "       post-mortem: events attributed to their phase windows\n");
   return ok ? 0 : 2;
 }
 
@@ -183,292 +129,6 @@ int load_trace(const std::string& path, AnalysisTrace& trace) {
                  static_cast<unsigned long long>(trace.dropped));
   }
   return 0;
-}
-
-namespace perflab = rips::obs::perflab;
-
-/// Owning artifact set for one side of a perf-lab regression diff, plus
-/// the non-owning view attribute() consumes.
-struct LoadedRun {
-  std::optional<BenchDoc> bench;
-  std::optional<perflab::CriticalPathDoc> critical_path;
-  std::optional<perflab::PhaseProfileDoc> profile;
-
-  perflab::RunArtifacts view() const {
-    perflab::RunArtifacts a;
-    if (bench.has_value()) a.bench = &*bench;
-    if (critical_path.has_value()) a.critical_path = &*critical_path;
-    if (profile.has_value()) a.profile = &*profile;
-    return a;
-  }
-  bool empty() const {
-    return !bench.has_value() && !critical_path.has_value() &&
-           !profile.has_value();
-  }
-};
-
-bool parse_into(LoadedRun& out, const std::string& kind,
-                const std::string& text, std::string& error) {
-  std::string parse_err;
-  if (kind == "bench") {
-    out.bench = load_bench_doc(text, &parse_err);
-    if (!out.bench.has_value()) {
-      error = "bench: " + parse_err;
-      return false;
-    }
-  } else if (kind == "critical_path") {
-    out.critical_path = perflab::parse_critical_path(text, &parse_err);
-    if (!out.critical_path.has_value()) {
-      error = "critical path: " + parse_err;
-      return false;
-    }
-  } else if (kind == "profile") {
-    out.profile = perflab::parse_phase_profile(text, &parse_err);
-    if (!out.profile.has_value()) {
-      error = "profile: " + parse_err;
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Loads a stored run's diffable artifacts; missing artifacts are skipped,
-/// a missing or artifact-less run is an error.
-bool load_from_store(const perflab::RunStore& store, const std::string& id,
-                     LoadedRun& out, std::string& error) {
-  if (store.find(id) == nullptr) {
-    error = "run '" + id + "' is not in the store";
-    return false;
-  }
-  for (const char* kind : {"bench", "critical_path", "profile"}) {
-    std::string read_err;
-    const auto text = store.read_artifact(id, kind, &read_err);
-    if (!text.has_value()) continue;  // artifact absent — fine
-    if (!parse_into(out, kind, *text, error)) {
-      error = id + ": " + error;
-      return false;
-    }
-  }
-  if (out.empty()) {
-    error = "run '" + id + "' has no bench/profile/critical-path artifact";
-    return false;
-  }
-  return true;
-}
-
-int run_perf_lab_ingest(const Args& args) {
-  args.check_known({"help", "id", "suite", "bench", "timeseries", "profile",
-                    "critical-path", "blackbox"});
-  if (args.positional().size() != 3) return usage(false);
-  perflab::RunStore store(args.positional()[2]);
-  std::string error;
-  if (!store.open(&error)) {
-    std::fprintf(stderr, "trace_tool: perf-lab: %s\n", error.c_str());
-    return 2;
-  }
-  perflab::IngestRequest req;
-  req.run_id = args.get("id", "");
-  if (req.run_id.empty()) {
-    std::fprintf(stderr, "trace_tool: perf-lab ingest: --id is required\n");
-    return 2;
-  }
-  req.suite = args.get("suite", "");
-  req.labels.emplace_back("tool", "trace_tool");
-  const struct {
-    const char* flag;
-    std::string* dst;
-  } artifact_flags[] = {{"bench", &req.bench_json},
-                        {"timeseries", &req.timeseries_json},
-                        {"profile", &req.profile_json},
-                        {"critical-path", &req.critical_path_json},
-                        {"blackbox", &req.blackbox_json}};
-  for (const auto& a : artifact_flags) {
-    if (!args.has(a.flag)) continue;
-    if (!read_file(args.get(a.flag, ""), *a.dst, error)) {
-      std::fprintf(stderr, "trace_tool: perf-lab ingest: %s\n", error.c_str());
-      return 2;
-    }
-  }
-  if (!store.ingest(req, &error)) {
-    std::fprintf(stderr, "trace_tool: perf-lab ingest: %s\n", error.c_str());
-    return 2;
-  }
-  const perflab::RunRef& ref = store.runs().back();
-  std::printf("ingested run %s (seq %llu, %zu artifact(s)) into %s\n",
-              ref.id.c_str(), static_cast<unsigned long long>(ref.seq),
-              ref.artifacts.size(), store.root().c_str());
-  return 0;
-}
-
-int run_perf_lab_trend(const Args& args) {
-  args.check_known({"help", "last", "key"});
-  if (args.positional().size() != 3) return usage(false);
-  perflab::RunStore store(args.positional()[2]);
-  std::string error;
-  if (!store.open(&error)) {
-    std::fprintf(stderr, "trace_tool: perf-lab: %s\n", error.c_str());
-    return 2;
-  }
-  if (store.runs().empty()) {
-    std::printf("perf-lab trend: the store at %s holds no runs yet\n",
-                store.root().c_str());
-    return 0;
-  }
-  const auto last = static_cast<size_t>(args.get_int("last", 8));
-  const std::string key_filter = args.get("key", "");
-  const size_t first =
-      store.runs().size() > last ? store.runs().size() - last : 0;
-  std::string prev_fingerprint;
-  if (first > 0) prev_fingerprint = store.runs()[first - 1].fingerprint;
-  for (size_t i = first; i < store.runs().size(); ++i) {
-    const perflab::RunRef& ref = store.runs()[i];
-    std::printf("run %llu  %s  suite=%s  fp=%s%s\n",
-                static_cast<unsigned long long>(ref.seq), ref.id.c_str(),
-                ref.suite.empty() ? "-" : ref.suite.c_str(),
-                ref.fingerprint.c_str(),
-                !prev_fingerprint.empty() &&
-                        ref.fingerprint != prev_fingerprint
-                    ? "  [config changed]"
-                    : "");
-    prev_fingerprint = ref.fingerprint;
-    // Host-side wall/measuring-pass per configuration, from meta.json.
-    const std::vector<perflab::RunMetaEntry> meta = store.read_meta(ref.id);
-    std::string read_err;
-    const auto bench_text = store.read_artifact(ref.id, "bench", &read_err);
-    if (!bench_text.has_value()) continue;
-    const auto doc = load_bench_doc(*bench_text, &read_err);
-    if (!doc.has_value()) {
-      std::printf("    (bench artifact unreadable: %s)\n", read_err.c_str());
-      continue;
-    }
-    for (const BenchRun& r : doc->runs) {
-      const std::string key = r.key();
-      if (!key_filter.empty() && key.find(key_filter) == std::string::npos) {
-        continue;
-      }
-      std::string host = "";
-      for (const perflab::RunMetaEntry& m : meta) {
-        if (m.key != key) continue;
-        host = "  wall_ms=" + std::to_string(m.wall_ms);
-        if (!m.measure_pass.empty()) host += " pass=" + m.measure_pass;
-        break;
-      }
-      char line[256];
-      if (r.fairness >= 0.0) {
-        std::snprintf(line, sizeof line,
-                      "    %-52s makespan=%9.3fms eff=%.3f fair=%.3f%s\n",
-                      key.c_str(), r.makespan_ns / 1e6, r.efficiency,
-                      r.fairness, host.c_str());
-      } else {
-        std::snprintf(line, sizeof line,
-                      "    %-52s makespan=%9.3fms eff=%.3f%s\n", key.c_str(),
-                      r.makespan_ns / 1e6, r.efficiency, host.c_str());
-      }
-      std::fputs(line, stdout);
-    }
-  }
-  return 0;
-}
-
-int run_perf_lab_regress(const Args& args) {
-  args.check_known({"help", "baseline", "current", "baseline-bench",
-                    "current-bench", "baseline-profile", "current-profile",
-                    "baseline-critical-path", "current-critical-path",
-                    "makespan-tol", "min-share", "max-rows", "json"});
-  LoadedRun baseline;
-  LoadedRun current;
-  std::string error;
-
-  if (args.positional().size() == 3) {
-    // Store mode: diff two archived runs (default: the last two).
-    perflab::RunStore store(args.positional()[2]);
-    if (!store.open(&error)) {
-      std::fprintf(stderr, "trace_tool: perf-lab: %s\n", error.c_str());
-      return 2;
-    }
-    std::string base_id = args.get("baseline", "");
-    std::string cur_id = args.get("current", "");
-    if (base_id.empty() || cur_id.empty()) {
-      if (store.runs().size() < 2) {
-        std::fprintf(stderr,
-                     "trace_tool: perf-lab regress: the store holds %zu "
-                     "run(s); need two (or explicit --baseline/--current)\n",
-                     store.runs().size());
-        return 2;
-      }
-      if (base_id.empty()) {
-        base_id = store.runs()[store.runs().size() - 2].id;
-      }
-      if (cur_id.empty()) cur_id = store.runs().back().id;
-    }
-    if (!load_from_store(store, base_id, baseline, error) ||
-        !load_from_store(store, cur_id, current, error)) {
-      std::fprintf(stderr, "trace_tool: perf-lab regress: %s\n",
-                   error.c_str());
-      return 2;
-    }
-    std::printf("perf-lab regress: %s (baseline) vs %s (current)\n",
-                base_id.c_str(), cur_id.c_str());
-  } else if (args.positional().size() == 2) {
-    // File mode: CI hands over loose artifacts (bench-only is fine).
-    const struct {
-      const char* flag;
-      const char* kind;
-      LoadedRun* dst;
-    } file_flags[] = {
-        {"baseline-bench", "bench", &baseline},
-        {"current-bench", "bench", &current},
-        {"baseline-profile", "profile", &baseline},
-        {"current-profile", "profile", &current},
-        {"baseline-critical-path", "critical_path", &baseline},
-        {"current-critical-path", "critical_path", &current}};
-    for (const auto& f : file_flags) {
-      if (!args.has(f.flag)) continue;
-      std::string text;
-      if (!read_file(args.get(f.flag, ""), text, error) ||
-          !parse_into(*f.dst, f.kind, text, error)) {
-        std::fprintf(stderr, "trace_tool: perf-lab regress: --%s: %s\n",
-                     f.flag, error.c_str());
-        return 2;
-      }
-    }
-    if (baseline.empty() || current.empty()) {
-      std::fprintf(stderr,
-                   "trace_tool: perf-lab regress: need a store directory or "
-                   "at least --baseline-bench and --current-bench\n");
-      return 2;
-    }
-  } else {
-    return usage(false);
-  }
-
-  perflab::AttribOptions opts;
-  opts.makespan_rel_tol = args.get_double("makespan-tol", 0.10);
-  opts.min_share = args.get_double("min-share", 0.01);
-  opts.max_rows = static_cast<size_t>(args.get_int("max-rows", 16));
-  const perflab::AttribReport report =
-      perflab::attribute(baseline.view(), current.view(), opts);
-  std::fputs(report.to_text().c_str(), stdout);
-  if (args.has("json")) {
-    const std::string path = args.get("json", "");
-    if (!write_file(path, report.to_json())) {
-      std::fprintf(stderr, "trace_tool: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return report.regression ? 1 : 0;
-}
-
-int run_perf_lab(const Args& args) {
-  if (args.positional().size() < 2) return usage(false);
-  const std::string& sub = args.positional()[1];
-  if (sub == "ingest") return run_perf_lab_ingest(args);
-  if (sub == "trend") return run_perf_lab_trend(args);
-  if (sub == "regress") return run_perf_lab_regress(args);
-  std::fprintf(stderr, "trace_tool: unknown perf-lab subcommand '%s'\n",
-               sub.c_str());
-  return usage(false);
 }
 
 int run_tool(const Args& args) {
@@ -545,59 +205,6 @@ int run_tool(const Args& args) {
     std::fputs(blackbox_report(*doc).c_str(), stdout);
     return 0;
   }
-
-  if (cmd == "ts-diff") {
-    args.check_known({"help", "mean-factor", "p95-factor", "abs-floor"});
-    if (args.positional().size() != 3) return usage(false);
-    TsDiffOptions opts;
-    opts.mean_factor = args.get_double("mean-factor", 1.5);
-    opts.p95_factor = args.get_double("p95-factor", 2.0);
-    opts.abs_floor = args.get_double("abs-floor", 4.0);
-    std::string error;
-    const auto baseline = load_timeseries_file(args.positional()[1], &error);
-    if (!baseline.has_value()) {
-      std::fprintf(stderr, "trace_tool: baseline: %s\n", error.c_str());
-      return 2;
-    }
-    const auto current = load_timeseries_file(args.positional()[2], &error);
-    if (!current.has_value()) {
-      std::fprintf(stderr, "trace_tool: current: %s\n", error.c_str());
-      return 2;
-    }
-    const TsDiffResult result = ts_diff(*baseline, *current, opts);
-    std::fputs(ts_report(result).c_str(), stdout);
-    return result.ok() ? 0 : 1;
-  }
-
-  if (cmd == "diff") {
-    args.check_known({"help", "makespan-tol", "overhead-factor",
-                      "overhead-floor-s", "efficiency-tol",
-                      "percentile-factor", "fairness-tol"});
-    if (args.positional().size() != 3) return usage(false);
-    DiffOptions opts;
-    opts.makespan_rel_tol = args.get_double("makespan-tol", 0.10);
-    opts.overhead_factor = args.get_double("overhead-factor", 2.0);
-    opts.overhead_abs_floor_s = args.get_double("overhead-floor-s", 1e-4);
-    opts.efficiency_abs_tol = args.get_double("efficiency-tol", 0.05);
-    opts.percentile_factor = args.get_double("percentile-factor", 4.0);
-    opts.fairness_abs_tol = args.get_double("fairness-tol", 0.10);
-    std::string error;
-    const auto baseline = load_bench_file(args.positional()[1], &error);
-    if (!baseline.has_value()) {
-      std::fprintf(stderr, "trace_tool: baseline: %s\n", error.c_str());
-      return 2;
-    }
-    const auto current = load_bench_file(args.positional()[2], &error);
-    if (!current.has_value()) {
-      std::fprintf(stderr, "trace_tool: current: %s\n", error.c_str());
-      return 2;
-    }
-    const DiffResult result = diff(*baseline, *current, opts);
-    std::fputs(report(result).c_str(), stdout);
-    return result.ok() ? 0 : 1;
-  }
-
-  if (cmd == "perf-lab") return run_perf_lab(args);
 
   std::fprintf(stderr, "trace_tool: unknown command '%s'\n", cmd.c_str());
   return usage(false);

@@ -118,8 +118,7 @@ struct RunResult {
   std::shared_ptr<obs::TimeSeriesSampler> timeseries;
   /// Host wall-clock of this run slot, milliseconds. NEVER serialized into
   /// deterministic outputs (stdout tables, bench JSON) — it exists for
-  /// side channels only: stderr summaries and the perf-lab runstore's
-  /// meta.json, where cross-run wall-clock trends are the point.
+  /// side channels only: perfbench times each benchmark row with it.
   double wall_ms = 0.0;
 };
 

@@ -28,6 +28,18 @@ std::string str_field(const json::Value& obj, std::string_view key) {
   return v != nullptr && v->is_string() ? v->string : "";
 }
 
+std::optional<std::string> read_file(const std::string& path,
+                                     std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 }  // namespace
 
 std::optional<BenchDoc> load_bench_doc(std::string_view text,
@@ -104,14 +116,80 @@ std::optional<BenchDoc> load_bench_doc(std::string_view text,
 
 std::optional<BenchDoc> load_bench_file(const std::string& path,
                                         std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
+  const std::optional<std::string> text = read_file(path, error);
+  if (!text.has_value()) return std::nullopt;
+  return load_bench_doc(*text, error);
+}
+
+const SeriesBand* SeriesBands::find(std::string_view field) const {
+  for (const auto& [name, band] : bands) {
+    if (name == field) return &band;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return load_bench_doc(ss.str(), error);
+  return nullptr;
+}
+
+std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
+                                                 std::string* error) {
+  const auto fail = [&](const std::string& msg) -> std::optional<TimeSeriesDoc> {
+    if (error != nullptr) *error = msg;
+    return std::nullopt;
+  };
+  std::string parse_err;
+  const std::optional<json::Value> doc = json::parse(text, &parse_err);
+  if (!doc.has_value()) return fail("invalid JSON: " + parse_err);
+  if (!doc->is_object()) return fail("time-series document is not an object");
+  const json::Value* schema = doc->find("schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->string != "rips-timeseries-v1") {
+    return fail("schema is not rips-timeseries-v1");
+  }
+  const json::Value* series = doc->find("series");
+  if (series == nullptr || !series->is_array()) {
+    return fail("missing series array");
+  }
+  TimeSeriesDoc out;
+  for (const json::Value& sv : series->array) {
+    if (!sv.is_object()) return fail("series entry is not an object");
+    SeriesBands s;
+    s.label = str_field(sv, "label");
+    s.engine = str_field(sv, "engine");
+    s.nodes = static_cast<i64>(num_field(sv, "nodes"));
+    const json::Value* complete = sv.find("complete");
+    s.complete = complete != nullptr && complete->boolean;
+    const json::Value* bands = sv.find("bands");
+    if (bands != nullptr && bands->is_object()) {
+      for (const auto& [field, bv] : bands->object) {
+        if (!bv.is_object()) continue;
+        SeriesBand band;
+        band.count =
+            static_cast<u64>(static_cast<i64>(num_field(bv, "count")));
+        band.mean = num_field(bv, "mean");
+        band.min = static_cast<i64>(num_field(bv, "min"));
+        band.max = static_cast<i64>(num_field(bv, "max"));
+        band.p50 = static_cast<i64>(num_field(bv, "p50"));
+        band.p95 = static_cast<i64>(num_field(bv, "p95"));
+        s.bands.emplace_back(field, band);
+      }
+    }
+    out.series.push_back(std::move(s));
+  }
+  return out;
+}
+
+std::optional<TimeSeriesDoc> load_timeseries_file(const std::string& path,
+                                                  std::string* error) {
+  const std::optional<std::string> text = read_file(path, error);
+  if (!text.has_value()) return std::nullopt;
+  return load_timeseries_doc(*text, error);
+}
+
+std::string file_schema(const std::string& path) {
+  const std::optional<std::string> text = read_file(path, nullptr);
+  const std::optional<json::Value> doc =
+      text.has_value() ? json::parse(*text) : std::nullopt;
+  const json::Value* schema =
+      doc.has_value() && doc->is_object() ? doc->find("schema") : nullptr;
+  return schema != nullptr && schema->is_string() ? schema->string : "";
 }
 
 DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
@@ -221,6 +299,40 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
                                      static_cast<double>((*cp)[pi]), note});
         }
       }
+    }
+  }
+  return out;
+}
+
+DiffResult diff(const TimeSeriesDoc& baseline, const TimeSeriesDoc& current,
+                const DiffOptions& opts) {
+  DiffResult out;
+  const auto gate = [&](const std::string& label, const std::string& field,
+                        const char* stat, double b, double c, double factor) {
+    if (b >= opts.band_abs_floor && c > b * factor) {
+      char note[64];
+      std::snprintf(note, sizeof note, "%.2fx steady %s", c / b, stat);
+      out.regressions.push_back({label, field + "." + stat, b, c, note});
+    }
+  };
+  for (const SeriesBands& b : baseline.series) {
+    const SeriesBands* c = nullptr;
+    for (const SeriesBands& s : current.series) {
+      if (s.label == b.label) {
+        c = &s;
+        break;
+      }
+    }
+    if (c == nullptr) {
+      out.missing.push_back(b.label);
+      continue;
+    }
+    for (const auto& [field, bb] : b.bands) {
+      const SeriesBand* cb = c->find(field);
+      if (cb == nullptr || bb.count == 0 || cb->count == 0) continue;
+      gate(b.label, field, "mean", bb.mean, cb->mean, opts.band_mean_factor);
+      gate(b.label, field, "p95", static_cast<double>(bb.p95),
+           static_cast<double>(cb->p95), opts.band_p95_factor);
     }
   }
   return out;

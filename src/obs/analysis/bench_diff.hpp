@@ -1,10 +1,15 @@
-// Bench regression diffing (docs/OBSERVABILITY.md, "Analysis").
+// Regression diffing (docs/OBSERVABILITY.md, "Bench diff").
 //
-// Compares two `rips-bench-v1` documents (bench/harness --json output) run
-// by run. The simulator is bit-deterministic, so a committed baseline
-// (BENCH_core.json) diffs exactly against a fresh run on any machine:
-// tolerances exist to absorb intentional tuning, not noise. CI uses
-// bench/bench_diff as a gate — nonzero exit on any regression.
+// Compares two documents of one schema. `rips-bench-v1` documents
+// (bench/harness --json output) are compared run by run on their Table-I
+// columns; `rips-timeseries-v1` documents series by series on the
+// steady-state bands each series carries, so a change that keeps the
+// makespan but degrades phase-level behaviour (a growing imbalance tail,
+// longer drains) still fails. The simulator is bit-deterministic, so a
+// committed baseline (BENCH_core.json) diffs exactly against a fresh run
+// on any machine: tolerances exist to absorb intentional tuning, not
+// noise. CI uses bench/bench_diff as a gate — nonzero exit on any
+// regression.
 #pragma once
 
 #include <array>
@@ -14,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/timeseries.hpp"
 #include "util/types.hpp"
 
 namespace rips::obs::analysis {
@@ -40,8 +46,8 @@ struct BenchRun {
   std::string measure_pass;
   /// Jain fairness index over per-job progress rates — multi-job runs
   /// only. Negative when the run has no per-job rows (single-job runs and
-  /// pre-perf-lab documents), in which case diff() skips the fairness
-  /// gate.
+  /// documents written before the field existed), in which case diff()
+  /// skips the fairness gate.
   double fairness = -1.0;
   /// Histogram tails from the run's embedded metrics registry:
   /// name -> {p50, p95, p99}. Empty for pre-percentile baselines, in which
@@ -67,6 +73,34 @@ std::optional<BenchDoc> load_bench_doc(std::string_view text,
 std::optional<BenchDoc> load_bench_file(const std::string& path,
                                         std::string* error = nullptr);
 
+/// One series of a rips-timeseries-v1 document, bands only: samples are
+/// not re-derived — the writer's own bands are compared, so the gate sees
+/// exactly what the document claims.
+struct SeriesBands {
+  std::string label;
+  std::string engine;
+  i64 nodes = 0;
+  bool complete = false;
+  std::vector<std::pair<std::string, SeriesBand>> bands;
+
+  const SeriesBand* find(std::string_view field) const;
+};
+
+struct TimeSeriesDoc {
+  std::vector<SeriesBands> series;
+};
+
+/// Parses a rips-timeseries-v1 document; nullopt + `error` on schema
+/// mismatch.
+std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
+                                                 std::string* error = nullptr);
+std::optional<TimeSeriesDoc> load_timeseries_file(const std::string& path,
+                                                  std::string* error = nullptr);
+
+/// The `schema` string of the JSON document at `path`; empty when the file
+/// cannot be read or parsed or names no schema.
+std::string file_schema(const std::string& path);
+
 /// Regression thresholds, all relative to the baseline value. The overhead
 /// gate only fires above an absolute floor so microsecond-scale overheads
 /// cannot trip the factor test.
@@ -82,11 +116,19 @@ struct DiffOptions {
   /// Per-job fairness drop gate (absolute, index units). Only fires when
   /// both documents carry a fairness index for the run.
   double fairness_abs_tol = 0.10;
+  /// Time-series band gates, multiplicative against the baseline band. A
+  /// band summarizes tens of phases, not millions of tasks, so these are
+  /// looser than the run gates above.
+  double band_mean_factor = 1.5;  ///< >1.5x steady-state mean = regression
+  double band_p95_factor = 2.0;   ///< >2x steady-state p95 tail = regression
+  /// Bands whose baseline mean (p95) is below this skip the mean (p95)
+  /// gate: a 0 -> 2 jump in a counter that is essentially zero is noise.
+  double band_abs_floor = 4.0;
 };
 
 struct DiffEntry {
-  std::string key;     ///< run identity (BenchRun::key())
-  std::string metric;  ///< "makespan_ns", "overhead_s", ...
+  std::string key;     ///< run identity (BenchRun::key()) or series label
+  std::string metric;  ///< "makespan_ns", "overhead_s", "imbalance.p95", ...
   double baseline = 0;
   double current = 0;
   std::string note;
@@ -95,7 +137,7 @@ struct DiffEntry {
 struct DiffResult {
   std::vector<DiffEntry> regressions;
   std::vector<DiffEntry> improvements;
-  std::vector<std::string> missing;  ///< baseline runs absent from current
+  std::vector<std::string> missing;  ///< baseline keys absent from current
   std::vector<std::string> added;    ///< current runs absent from baseline
 
   /// The CI gate: no regressions and nothing missing.
@@ -103,6 +145,12 @@ struct DiffResult {
 };
 
 DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
+                const DiffOptions& opts = {});
+
+/// The band gates: every baseline series is matched to the current series
+/// of the same label, and each band's steady-state mean and p95 are
+/// gated. Regressions are reported as metric "<field>.<mean|p95>".
+DiffResult diff(const TimeSeriesDoc& baseline, const TimeSeriesDoc& current,
                 const DiffOptions& opts = {});
 
 /// Human-readable report, one line per finding plus a PASS/FAIL summary.

@@ -119,11 +119,18 @@ SeriesBand TimeSeriesSampler::steady_band(const std::string& field) const {
   SeriesBand band;
   if (!known_field(field)) return band;
 
-  // Prefer the system-phase cadence (the paper's unit of steady state);
-  // dynamic-engine series fall back to whatever kind they publish.
+  // Prefer the system-phase cadence (the paper's unit of steady state).
+  // Collective retries and the drain estimate belong to user phases, the
+  // only samples that carry them; per-job rows repeat their phase, so only
+  // the phase's own sample (job < 0) counts. Dynamic-engine series fall
+  // back to whatever kind they publish.
+  const bool user_field = field == "retries" || field == "drain_ns";
   std::vector<const PhaseSample*> window;
   for (const PhaseSample& s : samples_) {
-    if (s.kind == PhaseKind::kSystem) window.push_back(&s);
+    if (user_field ? s.kind == PhaseKind::kUser && s.job < 0
+                   : s.kind == PhaseKind::kSystem) {
+      window.push_back(&s);
+    }
   }
   if (window.empty()) {
     for (const PhaseSample& s : samples_) window.push_back(&s);

@@ -6,9 +6,9 @@
 // The steady-state view is the point: the paper's incremental-scheduling
 // argument is about behaviour *over many phases*, so the sampler also
 // derives per-metric bands (mean/min/max/p50/p95 over the steady-state
-// window — the second half of the system phases, where warm-up transients
-// have died out). analysis/ts_diff.cpp gates those bands the same way
-// bench_diff gates Table-I columns.
+// window — the second half of the run's phases, where warm-up transients
+// have died out). bench_diff gates those bands the same way it gates
+// Table-I columns (obs/analysis/bench_diff.hpp).
 #pragma once
 
 #include <string>
@@ -72,11 +72,14 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
   void clear();
 
   // Steady-state bands ----------------------------------------------------
-  /// Band of one sample field over the steady-state window: system-kind
-  /// samples in the second half of the recorded run (all of them when
-  /// fewer than 8 exist). `field` is a column name from to_csv():
-  /// "imbalance", "moved", "tasks", "rts_total", "retries", "drain_ns",
-  /// "duration_ns". Unknown fields return an empty band.
+  /// Band of one sample field over the steady-state window: the second
+  /// half of the field's samples (all of them when fewer than 8 exist).
+  /// "retries" and "drain_ns" are read from user-phase samples (not the
+  /// per-job rows), every other field from system-phase samples; a series
+  /// with no sample of that kind uses all of its samples. `field` is a
+  /// column name from to_csv(): "imbalance", "moved", "tasks",
+  /// "rts_total", "retries", "drain_ns", "duration_ns". Unknown fields
+  /// return an empty band.
   SeriesBand steady_band(const std::string& field) const;
 
   // Export ----------------------------------------------------------------

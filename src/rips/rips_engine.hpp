@@ -128,8 +128,8 @@ class RipsEngine {
   /// (apps::MergedJobs::owner, values in [0, num_jobs)). While attached,
   /// subsequent runs account tasks, executed work, completion time,
   /// migrations and non-local executions PER JOB (RunMetrics::jobs plus
-  /// "job.<i>.*" registry counters) — the per-tenant view the perf lab's
-  /// fairness index is computed from. When a telemetry bus is also
+  /// "job.<i>.*" registry counters) — the per-tenant view
+  /// RunMetrics::job_fairness() is computed from. When a telemetry bus is also
   /// attached, every user phase also hands its per-job executed counts to
   /// the subscribers (TelemetrySubscriber::on_job_phase). Purely
   /// observational either way: the run's own results and every

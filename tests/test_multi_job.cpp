@@ -1,5 +1,6 @@
 // Multi-job merging: structure preservation, ownership mapping and the
-// engines' per-job completion accounting over a merged trace.
+// engines' per-job accounting over a merged trace (conserved, fair rows
+// that never change the schedule).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 
 #include "apps/multi_job.hpp"
 #include "apps/nqueens.hpp"
+#include "apps/paper_workloads.hpp"
 #include "apps/synthetic.hpp"
 #include "balance/engine.hpp"
 #include "balance/random_alloc.hpp"
@@ -125,6 +127,76 @@ TEST(MergeJobs, FairerThanSerialExecution) {
   EXPECT_GT(ratio, 0.8);
   EXPECT_LT(ratio, 1.25);
   EXPECT_EQ(metrics.num_tasks, merged.trace.size());
+}
+
+// ------------------------------------------------- per-job accounting
+
+sim::CostModel test_cost() {
+  sim::CostModel cost;
+  cost.ns_per_work = 2000.0;
+  return cost;
+}
+
+TEST(JobAccounting, MultiJobRunEmitsConservedFairRows) {
+  const apps::Workload w = apps::build_multi_job_workload({8, 9, 10});
+  ASSERT_EQ(w.job_names.size(), 3u);
+  ASSERT_EQ(w.job_of.size(), w.trace.size());
+
+  topo::Mesh mesh(4, 4);
+  sched::Mwa mwa(mesh);
+  core::RipsEngine engine(mwa, test_cost(), core::RipsConfig{});
+  engine.set_job_map(&w.job_of, static_cast<i32>(w.job_names.size()));
+  const sim::RunMetrics m = engine.run(w.trace);
+
+  ASSERT_EQ(m.jobs.size(), 3u);
+  u64 tasks = 0, nonlocal = 0, migrated = 0;
+  SimTime work = 0;
+  for (const sim::JobMetrics& jm : m.jobs) {
+    EXPECT_GT(jm.tasks, 0u);
+    EXPECT_GT(jm.work_ns, 0);
+    EXPECT_GT(jm.completion_ns, 0);
+    EXPECT_LE(jm.completion_ns, m.makespan_ns);
+    EXPECT_LE(jm.nonlocal_tasks, jm.tasks);
+    tasks += jm.tasks;
+    nonlocal += jm.nonlocal_tasks;
+    migrated += jm.tasks_migrated;
+    work += jm.work_ns;
+  }
+  // Conservation: the per-job rows partition the machine-wide totals.
+  EXPECT_EQ(tasks, m.num_tasks);
+  EXPECT_EQ(nonlocal, m.nonlocal_tasks);
+  EXPECT_EQ(migrated, m.tasks_migrated);
+  EXPECT_EQ(work, m.total_busy_ns);
+  // The last job completion lands inside the final user phase — after it
+  // only the closing detection barrier separates it from the makespan.
+  SimTime last = 0;
+  for (const sim::JobMetrics& jm : m.jobs) last = std::max(last, jm.completion_ns);
+  EXPECT_GT(last, 0);
+  EXPECT_LE(last, m.makespan_ns);
+
+  const double fairness = m.job_fairness();
+  EXPECT_GT(fairness, 1.0 / 3.0 - 1e-9);  // Jain lower bound for 3 jobs
+  EXPECT_LE(fairness, 1.0);
+}
+
+TEST(JobAccounting, AttachingJobMapNeverChangesTheSchedule) {
+  const apps::Workload w = apps::build_multi_job_workload({8, 9, 10});
+  topo::Mesh mesh(4, 4);
+
+  sched::Mwa mwa_plain(mesh);
+  core::RipsEngine plain(mwa_plain, test_cost(), core::RipsConfig{});
+  sim::RunMetrics without = plain.run(w.trace);
+
+  sched::Mwa mwa_mapped(mesh);
+  core::RipsEngine mapped(mwa_mapped, test_cost(), core::RipsConfig{});
+  mapped.set_job_map(&w.job_of, static_cast<i32>(w.job_names.size()));
+  sim::RunMetrics with = mapped.run(w.trace);
+
+  // Accounting is observation, not policy: every machine-wide metric is
+  // bit-identical with the job map on or off.
+  ASSERT_FALSE(with.jobs.empty());
+  with.jobs.clear();
+  EXPECT_EQ(without, with);
 }
 
 }  // namespace

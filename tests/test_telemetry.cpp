@@ -1,11 +1,12 @@
 // Live telemetry layer tests (docs/OBSERVABILITY.md, "Live telemetry"):
 // the TelemetryBus null-sink contract (attaching a bus never changes the
 // metrics), the TimeSeriesSampler (stride, caps, steady-state bands, JSON
-// and CSV export round-tripped through the ts_diff loader), the
-// FlightRecorder black box (bounded rings, auto-dump on faults, dump
-// loading + phase attribution, signal-safe path), the per-job breakdown
-// (one callback per user phase, never extra phase samples), and the
-// histogram percentile derivation the snapshots carry.
+// and CSV export round-tripped through bench_diff's time-series loader,
+// and its band gate), the FlightRecorder black box (bounded rings,
+// auto-dump on faults, dump loading + phase attribution, signal-safe
+// path), the per-job breakdown (one callback per user phase, never extra
+// phase samples), and the histogram percentile derivation the snapshots
+// carry.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -18,8 +19,8 @@
 #include "apps/nqueens.hpp"
 #include "balance/engine.hpp"
 #include "balance/rid.hpp"
+#include "obs/analysis/bench_diff.hpp"
 #include "obs/analysis/blackbox.hpp"
-#include "obs/analysis/ts_diff.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/live_status.hpp"
@@ -136,6 +137,59 @@ TEST(TimeSeriesSampler, SteadyBandUsesSecondHalfOfSystemPhases) {
   EXPECT_EQ(sampler.steady_band("no-such-field").count, 0u);
 }
 
+// Collective retries and the drain estimate exist only on user-phase
+// samples, so their bands are read from user phases; the per-job rows
+// (retries = 0) repeat their phase and are left out.
+TEST(TimeSeriesSampler, RetriesAndDrainBandsUseUserPhases) {
+  TimeSeriesSampler sampler;
+  const u64 executed[] = {3, 4};
+  for (int i = 0; i < 8; ++i) {
+    sampler.on_phase(sample_at(i * 20, i * 20 + 10, static_cast<u64>(i)));
+    PhaseSample u = sample_at(i * 20 + 10, i * 20 + 20, static_cast<u64>(i),
+                              PhaseKind::kUser);
+    u.retries = i < 4 ? 1 : 6;
+    u.drain_ns = i < 4 ? 100 : 700;
+    u.imbalance = 9999;
+    sampler.on_phase(u);
+    sampler.on_job_phase(u, executed);
+  }
+  const SeriesBand retries = sampler.steady_band("retries");
+  EXPECT_EQ(retries.count, 4u);
+  EXPECT_DOUBLE_EQ(retries.mean, 6.0);
+  EXPECT_EQ(retries.min, 6);
+  const SeriesBand drain = sampler.steady_band("drain_ns");
+  EXPECT_EQ(drain.count, 4u);
+  EXPECT_EQ(drain.p50, 700);
+  // Every other field keeps the system-phase window.
+  EXPECT_EQ(sampler.steady_band("imbalance").max, 0);
+}
+
+// The same on a real RIPS run: message drops make every user phase
+// retransmit, and the steady bands must show it.
+TEST(TelemetryIntegration, FaultyRunHasNonZeroRetryAndDrainBands) {
+  const apps::TaskTrace trace = apps::build_nqueens_trace(9, 4);
+  topo::Mesh mesh(4, 4);
+  sched::Mwa mwa(mesh);
+  sim::CostModel cost;
+  cost.ns_per_work = 2000.0;
+  core::RipsEngine engine(mwa, cost, core::RipsConfig{});
+  sim::FaultSpec spec;
+  spec.horizon_ns = 1'000'000'000;
+  spec.drop_prob = 0.25;
+  const sim::FaultPlan plan = sim::FaultPlan::generate(11, 16, spec);
+  engine.set_fault_plan(&plan);
+  TelemetryBus bus;
+  TimeSeriesSampler sampler;
+  bus.subscribe(&sampler);
+  Obs o;
+  o.bus = &bus;
+  engine.set_obs(o);
+  engine.run(trace);
+
+  EXPECT_GT(sampler.steady_band("retries").mean, 0.0);
+  EXPECT_GT(sampler.steady_band("drain_ns").mean, 0.0);
+}
+
 TEST(TimeSeriesSampler, JsonRoundTripsThroughTheTsDiffLoader) {
   TimeSeriesSampler sampler;
   sampler.set_label("unit/RIPS/n4");
@@ -197,17 +251,22 @@ TEST(TsDiff, GatesSteadyBandRegressionsAndMissingSeries) {
   const analysis::TimeSeriesDoc same = make_doc(20, 10.0);
   const analysis::TimeSeriesDoc worse = make_doc(200, 10.0);
 
-  EXPECT_TRUE(analysis::ts_diff(base, same).ok());
-  const analysis::TsDiffResult bad = analysis::ts_diff(base, worse);
+  EXPECT_TRUE(analysis::diff(base, same).ok());
+  const analysis::DiffResult bad = analysis::diff(base, worse);
   EXPECT_FALSE(bad.ok());
-  ASSERT_FALSE(bad.regressions.empty());
-  EXPECT_EQ(bad.regressions[0].field, "imbalance");
+  ASSERT_EQ(bad.regressions.size(), 2u);
+  EXPECT_EQ(bad.regressions[0].key, "w/RIPS/n8");
+  EXPECT_EQ(bad.regressions[0].metric, "imbalance.mean");
+  EXPECT_EQ(bad.regressions[1].metric, "imbalance.p95");
+  EXPECT_EQ(bad.regressions[1].baseline, 20.0);
+  EXPECT_EQ(bad.regressions[1].current, 200.0);
 
   analysis::TimeSeriesDoc empty;
-  const analysis::TsDiffResult missing = analysis::ts_diff(base, empty);
+  const analysis::DiffResult missing = analysis::diff(base, empty);
   EXPECT_FALSE(missing.ok());
   ASSERT_EQ(missing.missing.size(), 1u);
-  EXPECT_NE(analysis::ts_report(missing).find("MISSING"), std::string::npos);
+  EXPECT_EQ(missing.missing[0], "w/RIPS/n8");
+  EXPECT_NE(analysis::report(missing).find("MISSING"), std::string::npos);
 }
 
 // --------------------------------------------------------- FlightRecorder
