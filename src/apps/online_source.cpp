@@ -14,7 +14,6 @@ i32 OnlineJobs::append_job(const std::string& name, const TaskTrace& job,
   const i32 index = num_jobs();
   names_.push_back(name);
   tasks_per_job_.push_back(job.size());
-  job_of_.reserve(job_of_.size() + job.size());
 
   // Same breadth-first copy as merge_jobs: roots first, then each parent's
   // children consecutively — the order TaskTrace::add_child requires.

@@ -3,9 +3,9 @@
 // OnlineJobs maintains ONE single-segment merged trace that new jobs are
 // appended to while an engine is already running over it (the
 // RipsEngine::run_online contract: appends happen only inside
-// TaskSource::poll, ids are stable, children follow their parents). It is
-// the multi-tenant substrate of the job server (src/serve) and of the
-// deterministic sources below.
+// TaskSource::poll, ids are stable until the next retirement, children
+// follow their parents). It is the multi-tenant substrate of the job
+// server (src/serve) and of the deterministic sources below.
 //
 // ScriptedSource replays a precomputed submission schedule in simulated
 // time: job k arrives at a fixed sim-instant, independent of wall clock,
@@ -22,9 +22,10 @@
 
 namespace rips::apps {
 
-/// A growing merged trace plus the per-task job map and per-job totals.
-/// Appends preserve all existing task ids; the job map vector has a stable
-/// address so engines can hold a pointer to it across appends.
+/// A merged trace plus the per-task job map and per-job totals. Appends
+/// preserve all existing task ids; retire() drops every task at once. The
+/// job map vector has a stable address so engines can hold a pointer to it
+/// across appends and retirements.
 class OnlineJobs {
  public:
   /// Appends every task of `job` (which must be single-segment) to the
@@ -34,6 +35,14 @@ class OnlineJobs {
   /// TaskSource::poll must report to the engine.
   i32 append_job(const std::string& name, const TaskTrace& job,
                  std::vector<TaskId>* roots_out);
+
+  /// Empties the trace and the job map, keeping their storage. Job
+  /// indices, names and per-job totals carry on: the next job appended is
+  /// still job num_jobs(), but its first task is id 0.
+  void retire() {
+    trace_.clear();
+    job_of_.clear();
+  }
 
   const TaskTrace& trace() const { return trace_; }
   const std::vector<i32>& job_of() const { return job_of_; }
@@ -64,6 +73,7 @@ struct ScriptedJob {
 /// arrival time). Jobs whose arrival instant has passed are injected at
 /// each poll; when the machine is idle and nothing is due, the source
 /// advances the simulated clock to the next arrival instead of blocking.
+/// It retires its tasks whenever the engine asks.
 class ScriptedSource : public exec::TaskSource {
  public:
   explicit ScriptedSource(std::vector<ScriptedJob> schedule);
@@ -71,6 +81,10 @@ class ScriptedSource : public exec::TaskSource {
   const TaskTrace& trace() const override { return jobs_.trace(); }
   Poll poll(const EngineView& view, std::vector<TaskId>* new_roots,
             SimTime* advance_ns) override;
+  bool retire() override {
+    jobs_.retire();
+    return true;
+  }
   const std::vector<i32>* job_of() const override { return &jobs_.job_of(); }
   i32 num_jobs() const override { return jobs_.num_jobs(); }
   std::string job_name(i32 job) const override { return jobs_.name(job); }

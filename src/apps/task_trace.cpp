@@ -50,6 +50,16 @@ TaskId TaskTrace::add_child(TaskId parent, u64 work) {
   return id;
 }
 
+void TaskTrace::clear() {
+  tasks_.clear();
+  children_.clear();
+  roots_flat_.clear();
+  root_offsets_.assign(2, 0);
+  segment_work_.assign(1, 0);
+  total_work_ = 0;
+  max_task_work_ = 0;
+}
+
 u64 TaskTrace::critical_path(u32 segment) const {
   RIPS_CHECK(segment < num_segments());
   // Children always have larger ids than their parents, so one backward

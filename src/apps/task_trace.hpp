@@ -70,6 +70,10 @@ class TaskTrace {
   /// get children of their own (construction is breadth-first friendly).
   TaskId add_child(TaskId parent, u64 work);
 
+  /// Removes every task, leaving an empty single-segment trace; keeps the
+  /// storage, so refilling it up to its old size allocates nothing.
+  void clear();
+
   // --- accessors ---------------------------------------------------------
   size_t size() const { return tasks_.size(); }
   const TraceTask& task(TaskId id) const {

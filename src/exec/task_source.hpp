@@ -6,12 +6,17 @@
 // mid-run — the regime the job server (src/serve) operates in.
 //
 // Contract:
-//  * trace() returns the source's growing TaskTrace. Existing tasks are
+//  * trace() returns the source's TaskTrace. Tasks already in it are
 //    immutable; the source may append new tasks ONLY inside poll() (which
 //    the engine calls from its own loop between phases), so the engine can
 //    read the trace without synchronization during a phase. The trace must
 //    keep a single synchronization segment — a global segment barrier has
 //    no meaning when jobs arrive continuously.
+//  * The trace shrinks only through retire(), which the engine calls at
+//    an idle point: right before an idle poll, when every task of the
+//    trace has executed and no queue holds one. A source that answers true
+//    has emptied its trace and job map, so the next appended task is id 0
+//    again; job indices never restart. The default keeps every task.
 //  * poll() is invoked by the engine (a) once before the first system
 //    phase, (b) after every user phase (machine_idle = false), and
 //    (c) whenever a system phase leaves the whole machine without work
@@ -69,9 +74,14 @@ class TaskSource {
   virtual Poll poll(const EngineView& view, std::vector<TaskId>* new_roots,
                     SimTime* advance_ns) = 0;
 
+  /// Drop every task of the trace (see the contract above). Returns true
+  /// when the trace and the job map are now empty; false keeps them.
+  virtual bool retire() { return false; }
+
   /// Per-task job ownership map for multi-tenant accounting, one entry per
-  /// trace task, growing with the trace; null disables job accounting.
-  /// The pointed-to vector must have a stable address across polls.
+  /// trace task, growing and retired with the trace; null disables job
+  /// accounting. The pointed-to vector must have a stable address across
+  /// polls.
   virtual const std::vector<i32>* job_of() const { return nullptr; }
   virtual i32 num_jobs() const { return 0; }
 

@@ -184,7 +184,7 @@ SimTime RipsEngine::recover(SimTime t) {
   ev.kind = obs::TelemetryEvent::Kind::kRecovery;
   ev.t = t;
   ev.dur_ns = extra;
-  ev.phase = static_cast<u64>(phases_.size());
+  ev.phase = c_phase_system_->value();
   ev.arg = static_cast<i64>(reinjected);
   ev.detail = "recovery line rebuilt";
   obs_.incident(ev);
@@ -235,7 +235,7 @@ SimTime RipsEngine::system_phase(SimTime t) {
   // started the phase, which the replay below destroys. The snapshot is a
   // flat CSR so detached monitors cost nothing and attached ones cost no
   // steady-state allocation.
-  const u64 phase_idx = static_cast<u64>(phases_.size());
+  const u64 phase_idx = c_phase_system_->value();
   const bool monitoring = obs_.monitor != nullptr && !config_.weighted;
   if (monitoring) {
     before_offsets_.resize(static_cast<size_t>(n) + 1);
@@ -409,7 +409,7 @@ SimTime RipsEngine::system_phase(SimTime t) {
   h_phase_imbalance_->observe(sample.imbalance);
   h_phase_moved_->observe(static_cast<i64>(moved));
   h_phase_dur_us_->observe(duration / 1000);
-  phases_.push_back(sample);
+  if (!online_) phases_.push_back(sample);
   obs_.phase(sample);
   if (phase_snapshots_) {
     registry_.snapshot("phase=" + std::to_string(phase_idx));
@@ -725,7 +725,7 @@ SimTime RipsEngine::user_phase(SimTime t) {
     ev.kind = obs::TelemetryEvent::Kind::kCrash;
     ev.t = death;
     ev.node = phys;
-    ev.phase = static_cast<u64>(phases_.size());
+    ev.phase = c_phase_system_->value();
     ev.arg = static_cast<i64>(lost);
     ev.detail = "fail-stop crash committed";
     obs_.incident(ev);
@@ -861,6 +861,10 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   exec_node_.assign(trace.size(), kInvalidNode);
   executed_total_ = 0;
   released_segments_ = 0;
+  online_ = false;
+  retired_ = 0;
+  folded_ = 0;
+  nonlocal_folded_ = 0;
   phases_.clear();
   if (phases_.capacity() < 1024) phases_.reserve(1024);
   metrics_ = sim::RunMetrics{};
@@ -927,6 +931,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
     job_work_ns_.assign(nj, 0);
     job_done_ns_.assign(nj, 0);
     job_migrated_.assign(nj, 0);
+    job_nonlocal_.assign(nj, 0);
   } else {
     // Stale accumulators from a previous run must not leak into an online
     // run whose first tenant arrives only after the loop started (the
@@ -935,6 +940,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
     job_work_ns_.clear();
     job_done_ns_.clear();
     job_migrated_.clear();
+    job_nonlocal_.clear();
   }
   obs_.run_begin({"rips", n, trace.size()});
 }
@@ -1009,6 +1015,7 @@ sim::RunMetrics RipsEngine::run_online(exec::TaskSource& source) {
   // the single segment released without placing roots — the source reports
   // every root (including any in its initial trace) through poll().
   released_segments_ = 1;
+  online_ = true;
   online_synced_ = trace_->size();
   online_rr_ = 0;
 
@@ -1017,10 +1024,13 @@ sim::RunMetrics RipsEngine::run_online(exec::TaskSource& source) {
   while (true) {
     t = system_phase(t);
     if (machine_empty()) {
-      RIPS_CHECK_MSG(executed_total_ == trace_->size(),
+      RIPS_CHECK_MSG(executed_total_ == retired_ + trace_->size(),
                      "machine idle with unexecuted tasks — the source "
                      "appended tasks without reporting their roots");
       if (drained) break;  // the final (empty) phase detected termination
+      // The one retirement point: no queue holds a task and every task of
+      // the trace has executed, so none of them is ever read again.
+      retire_online(source);
       if (online_poll(source, &t, /*idle=*/true)) drained = true;
       continue;  // the next system phase schedules what just arrived
     }
@@ -1064,7 +1074,8 @@ bool RipsEngine::online_poll(exec::TaskSource& source, SimTime* t, bool idle) {
 void RipsEngine::grow_online_state(const exec::TaskSource& source) {
   const size_t m = trace_->size();
   if (m == online_synced_ && source.num_jobs() == num_jobs_) return;
-  RIPS_CHECK_MSG(m >= online_synced_, "online traces only grow");
+  RIPS_CHECK_MSG(m >= online_synced_,
+                 "online traces only grow between retirements");
   RIPS_CHECK_MSG(trace_->num_segments() == 1,
                  "online task sources must keep a single segment");
   origin_.resize(m, kInvalidNode);
@@ -1088,11 +1099,48 @@ void RipsEngine::grow_online_state(const exec::TaskSource& source) {
     job_work_ns_.resize(s, 0);
     job_done_ns_.resize(s, 0);
     job_migrated_.resize(s, 0);
+    job_nonlocal_.resize(s, 0);
   }
   if (job_accounting_) {
     RIPS_CHECK_MSG(job_of_->size() == m,
                    "job map must have one entry per trace task");
   }
+}
+
+void RipsEngine::fold_nonlocal() {
+  const size_t m = trace_->size();
+  nonlocal_folded_ += static_cast<u64>(simd::count_ne_i32(
+      exec_node_.data() + folded_, origin_.data() + folded_, m - folded_));
+  if (job_accounting_) {
+    for (size_t i = folded_; i < m; ++i) {
+      if (exec_node_[i] != origin_[i]) {
+        job_nonlocal_[static_cast<size_t>((*job_of_)[i])] += 1;
+      }
+    }
+  }
+  folded_ = m;
+}
+
+void RipsEngine::retire_online(exec::TaskSource& source) {
+  // Count before dropping: the per-job tally reads the source's job map,
+  // which retire() empties.
+  fold_nonlocal();
+  const size_t m = trace_->size();
+  if (!source.retire()) return;
+  RIPS_CHECK_MSG(trace_->size() == 0 &&
+                     (job_of_ == nullptr || job_of_->empty()),
+                 "a retiring source must empty its trace and job map");
+  retired_ += m;
+  folded_ = 0;
+  online_synced_ = 0;
+  // clear() keeps the capacity: the next run of work up to the largest one
+  // so far grows these arrays without allocating.
+  origin_.clear();
+  exec_node_.clear();
+  work_ns_.clear();
+  task_weight_.clear();
+  drain_cost_.clear();
+  start_rank_.clear();
 }
 
 sim::RunMetrics RipsEngine::finalize_run(SimTime t) {
@@ -1111,20 +1159,15 @@ sim::RunMetrics RipsEngine::finalize_run(SimTime t) {
       metrics_.total_idle_ns += horizon > used ? horizon - used : 0;
     }
   }
-  const u64 nonlocal = static_cast<u64>(
-      simd::count_ne_i32(exec_node_.data(), origin_.data(), trace_->size()));
-  c_tasks_nonlocal_->add(nonlocal);
-  RIPS_CHECK_MSG(executed_total_ == trace_->size(),
+  fold_nonlocal();
+  c_tasks_nonlocal_->add(nonlocal_folded_);
+  RIPS_CHECK_MSG(executed_total_ == retired_ + trace_->size(),
                  "RIPS finished with unexecuted tasks");
   if (job_accounting_) {
     metrics_.jobs.resize(static_cast<size_t>(num_jobs_));
-    for (size_t i = 0; i < trace_->size(); ++i) {
-      if (exec_node_[i] != origin_[i]) {
-        metrics_.jobs[static_cast<size_t>((*job_of_)[i])].nonlocal_tasks += 1;
-      }
-    }
     for (i32 j = 0; j < num_jobs_; ++j) {
       sim::JobMetrics& jm = metrics_.jobs[static_cast<size_t>(j)];
+      jm.nonlocal_tasks = job_nonlocal_[static_cast<size_t>(j)];
       jm.tasks = job_tasks_[static_cast<size_t>(j)];
       jm.work_ns = job_work_ns_[static_cast<size_t>(j)];
       jm.completion_ns = job_done_ns_[static_cast<size_t>(j)];

@@ -78,6 +78,14 @@ class RipsEngine {
   /// everything injected has executed, with the same Table-I metrics as
   /// run(). Fault plans are not supported in online mode, and the source's
   /// job map (if any) replaces a set_job_map() binding for the run.
+  ///
+  /// Idle points bound the engine's state by live work: whenever a system
+  /// phase leaves the machine empty before an idle poll, the engine counts
+  /// the trace's non-local executions and calls source.retire(). A source
+  /// that retires empties its trace, the per-task arrays are cleared
+  /// (keeping their capacity) and task ids restart at 0; job indices and
+  /// per-job counters carry on, so the metrics are those of a source that
+  /// keeps every task. No phase list is kept (see phases()).
   sim::RunMetrics run_online(exec::TaskSource& source);
 
   /// Structured observability (docs/OBSERVABILITY.md): an optional
@@ -166,9 +174,10 @@ class RipsEngine {
   /// Physical ids of the nodes still alive after the last run.
   const std::vector<NodeId>& live_nodes() const { return live_; }
 
-  /// The system-phase samples of the last run, as the bus receives them
+  /// The system-phase samples of the last run(), as the bus receives them
   /// (Section 4's 15-Queens narrative: tasks scheduled and moved, comm
-  /// steps, duration t1 - t0 per phase).
+  /// steps, duration t1 - t0 per phase). Empty after run_online(): a
+  /// serving session can run for hours, so its samples go to the bus only.
   const std::vector<obs::PhaseSample>& phases() const { return phases_; }
 
  private:
@@ -220,6 +229,13 @@ class RipsEngine {
   /// Grows origin_/exec_node_/sequential_ns/drain_cost_/job arrays over
   /// tasks the source appended since the last sync.
   void grow_online_state(const exec::TaskSource& source);
+  /// Idle point of run_online: folds the trace's non-local executions into
+  /// the run totals, then asks the source to retire its tasks and, if it
+  /// does, clears the per-task arrays.
+  void retire_online(exec::TaskSource& source);
+  /// Counts non-local executions (total and per job) of tasks
+  /// [folded_, trace size) into nonlocal_folded_ / job_nonlocal_.
+  void fold_nonlocal();
 
   /// Recovery line: marks pending deaths permanent, rebuilds the live
   /// view / scheduler / collectives, re-injects checkpointed tasks of the
@@ -248,7 +264,7 @@ class RipsEngine {
   std::vector<NodeId> exec_node_;
   u64 executed_total_ = 0;
   u32 released_segments_ = 0;
-  std::vector<obs::PhaseSample> phases_;  // system phases of this run
+  std::vector<obs::PhaseSample> phases_;  // system phases of a batch run
   sim::RunMetrics metrics_;
 
   // Multi-job accounting (set_job_map). job_accounting_ is on for the
@@ -264,11 +280,18 @@ class RipsEngine {
   std::vector<SimTime> job_work_ns_;  // cumulative executed work per job
   std::vector<SimTime> job_done_ns_;  // latest task end per job
   std::vector<u64> job_migrated_;     // task moves per job
+  std::vector<u64> job_nonlocal_;     // folded non-local executions per job
 
   // Online mode (run_online) bookkeeping.
+  bool online_ = false;               // the current run is run_online
   std::vector<TaskId> online_roots_;  // per-poll scratch
   size_t online_synced_ = 0;          // tasks synced into engine state
   u64 online_rr_ = 0;                 // round-robin root placement cursor
+  u64 retired_ = 0;                   // executed tasks the source dropped
+  // Non-local executions of tasks [0, folded_) of the current trace, and
+  // of every retired task, counted by fold_nonlocal.
+  size_t folded_ = 0;
+  u64 nonlocal_folded_ = 0;
 
   // --- steady-state scratch arenas ---------------------------------------
   // Every per-phase working vector lives here and is overwritten in place:

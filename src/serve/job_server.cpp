@@ -17,8 +17,8 @@ namespace rips::serve {
 using obs::json::quoted;
 
 /// TaskSource adapter: the OnlineJobs trace lives here (mutated only on
-/// the engine thread, inside poll, per the TaskSource contract) while all
-/// queueing state lives in the JobServer under its mutex.
+/// the engine thread, inside poll and retire, per the TaskSource contract)
+/// while all queueing state lives in the JobServer under its mutex.
 class JobServer::QueueSource final : public exec::TaskSource {
  public:
   explicit QueueSource(JobServer* server) : server_(server) {}
@@ -28,11 +28,15 @@ class JobServer::QueueSource final : public exec::TaskSource {
             SimTime* advance_ns) override {
     return server_->engine_poll(view, new_roots, advance_ns);
   }
+  bool retire() override {
+    jobs_.retire();
+    return true;
+  }
   const std::vector<i32>* job_of() const override { return &jobs_.job_of(); }
   i32 num_jobs() const override { return jobs_.num_jobs(); }
   std::string job_name(i32 job) const override { return jobs_.name(job); }
 
-  apps::OnlineJobs jobs_;  // engine thread only (inside poll)
+  apps::OnlineJobs jobs_;  // engine thread only (inside poll and retire)
 
  private:
   JobServer* server_;
@@ -108,6 +112,7 @@ exec::TaskSource::Poll JobServer::engine_poll(
   std::unique_lock<std::mutex> lock(mu_);
   sim_now_ = view.now;
   executed_total_ = view.executed_total;
+  held_tasks_ = source_->jobs_.trace().size();  // after any retirement
 
   // Completion detection: job j (engine index) is done exactly when its
   // cumulative executed count reaches the task count it contributed.
@@ -162,6 +167,7 @@ exec::TaskSource::Poll JobServer::engine_poll(
     new_roots->insert(new_roots->end(), roots.begin(), roots.end());
     injected = true;
   }
+  held_tasks_ = source_->jobs_.trace().size();
   using Poll = exec::TaskSource::Poll;
   if (injected) return Poll::kNewWork;
   return draining_ ? Poll::kDrained : Poll::kIdle;
@@ -345,22 +351,30 @@ std::string JobServer::status_reply(i64 job_id) const {
 
 std::string JobServer::stats_reply() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // One reply line per request: fold the pretty-printed registry onto it.
+  std::string server = server_registry_.to_json();
+  std::replace(server.begin(), server.end(), '\n', ' ');
   std::string extra =
       ",\"jobs\":" + std::to_string(jobs_.size()) +
       ",\"pending\":" + std::to_string(pending_.size()) +
       ",\"running\":" + std::to_string(running_) +
       ",\"jobs_done\":" + std::to_string(jobs_done_) +
       ",\"executed_total\":" + std::to_string(executed_total_) +
+      ",\"held_tasks\":" + std::to_string(held_tasks_) +
       ",\"sim_now_ns\":" + std::to_string(sim_now_) +
       ",\"draining\":" + (draining_ ? "true" : "false") +
       ",\"finished\":" + (finished_ ? "true" : "false") +
-      ",\"server\":" + server_registry_.to_json();
+      ",\"server\":" + server;
   return ok_reply("stats", extra);
 }
 
 u64 JobServer::executed_total() const {
   std::lock_guard<std::mutex> lock(mu_);
   return executed_total_;
+}
+u64 JobServer::held_tasks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_tasks_;
 }
 i32 JobServer::pending_jobs() const {
   std::lock_guard<std::mutex> lock(mu_);

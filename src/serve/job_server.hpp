@@ -8,7 +8,9 @@
 // shared OnlineJobs trace mid-run — genuinely dynamic task injection, not
 // trace replay — and every tenant's jobs multiplex through the engine's
 // per-job accounting, so Jain fairness and per-job latency come out of the
-// same RunMetrics machinery the batch benches use.
+// same RunMetrics machinery the batch benches use. Whenever the machine
+// idles, the engine retires the finished tasks (QueueSource::retire), so
+// the daemon holds the tasks of live work only, plus one record per job.
 //
 // Wall↔sim clock: while the simulated machine has work, time is simulated
 // phase time; while it is idle, the engine thread blocks on the pending
@@ -92,6 +94,10 @@ class JobServer {
   /// Tasks the engine has executed so far (updated every phase) — the
   /// "engine loop is provably running" probe used by tests and jobctl.
   u64 executed_total() const;
+  /// Tasks in the engine's current trace: admitted and not yet retired.
+  /// The engine retires every task whenever the machine idles, so this
+  /// returns to 0 once all admitted work is done (updated every poll).
+  u64 held_tasks() const;
   i32 pending_jobs() const;
   i32 running_jobs() const;
   u64 jobs_done() const;
@@ -156,6 +162,7 @@ class JobServer {
   bool shutdown_done_ = false;
   SimTime sim_now_ = 0;      // last engine clock seen at a poll
   u64 executed_total_ = 0;
+  u64 held_tasks_ = 0;       // trace size at the last poll
   i32 running_ = 0;
   u64 jobs_done_ = 0;
   // While the engine thread is blocked in the idle cv-wait, sim_now_ is

@@ -19,6 +19,7 @@
 
 #include "apps/online_source.hpp"
 #include "apps/synthetic.hpp"
+#include "exec/task_source.hpp"
 #include "obs/json.hpp"
 #include "obs/monitors.hpp"
 #include "rips/rips_engine.hpp"
@@ -186,6 +187,49 @@ TEST(OnlineJobs, AppendPreservesStructureAndMapsOwnership) {
   EXPECT_EQ(work[0], want_a);
 }
 
+TEST(OnlineJobs, AppendGrowsTheJobMapGeometrically) {
+  // One-task jobs: a map that grew by exactly each job's size would be
+  // reallocated, and copied whole, on every append.
+  apps::TaskTrace one;
+  one.add_root(100);
+  apps::OnlineJobs jobs;
+  const i32* data = jobs.job_of().data();
+  int moves = 0;
+  for (int k = 0; k < 1000; ++k) {
+    jobs.append_job("j", one, nullptr);
+    if (jobs.job_of().data() != data) {
+      ++moves;
+      data = jobs.job_of().data();
+    }
+  }
+  EXPECT_EQ(jobs.job_of().size(), 1000u);
+  EXPECT_LE(moves, 32);
+}
+
+TEST(OnlineJobs, RetireEmptiesTheTraceButKeepsJobIndices) {
+  apps::OnlineJobs jobs;
+  jobs.append_job("a", small_job(1), nullptr);
+  jobs.append_job("b", small_job(2, 4), nullptr);
+  const i32* map = jobs.job_of().data();
+  jobs.retire();
+  EXPECT_EQ(jobs.trace().size(), 0u);
+  EXPECT_EQ(jobs.trace().num_segments(), 1u);
+  EXPECT_TRUE(jobs.job_of().empty());
+  EXPECT_EQ(jobs.num_jobs(), 2);
+  EXPECT_EQ(jobs.name(1), "b");
+  EXPECT_EQ(jobs.job_tasks(1), small_job(2, 4).size());
+
+  // Task ids restart at 0, job indices carry on, and the map's storage is
+  // reused.
+  std::vector<TaskId> roots;
+  EXPECT_EQ(jobs.append_job("c", small_job(3, 2), &roots), 2);
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(roots[0], 0);
+  EXPECT_EQ(jobs.trace().size(), small_job(3, 2).size());
+  EXPECT_EQ(jobs.job_of().data(), map);
+  for (const i32 owner : jobs.job_of()) EXPECT_EQ(owner, 2);
+}
+
 // --- run_online ----------------------------------------------------------
 
 sim::RunMetrics run_scripted(std::vector<apps::ScriptedJob> schedule,
@@ -267,6 +311,114 @@ TEST(RunOnline, MatchesBatchMergeWhenEverythingArrivesUpFront) {
 
   EXPECT_EQ(online.num_tasks, batch.num_tasks);
   EXPECT_EQ(online.sequential_ns, batch.sequential_ns);
+}
+
+// ScriptedSource behind the default TaskSource::retire(): the engine keeps
+// every task of the session, as it did before idle-point retirement.
+class KeepingSource final : public exec::TaskSource {
+ public:
+  explicit KeepingSource(std::vector<apps::ScriptedJob> schedule)
+      : inner_(std::move(schedule)) {}
+  const apps::TaskTrace& trace() const override { return inner_.trace(); }
+  Poll poll(const EngineView& view, std::vector<TaskId>* new_roots,
+            SimTime* advance_ns) override {
+    return inner_.poll(view, new_roots, advance_ns);
+  }
+  const std::vector<i32>* job_of() const override { return inner_.job_of(); }
+  i32 num_jobs() const override { return inner_.num_jobs(); }
+  std::string job_name(i32 job) const override {
+    return inner_.job_name(job);
+  }
+
+ private:
+  apps::ScriptedSource inner_;
+};
+
+/// 40 jobs in bursts of 3, 400 ms of simulated time apart: every burst
+/// finishes long before the next one arrives, so the machine idles (and a
+/// retiring source drops its tasks) between bursts.
+std::vector<apps::ScriptedJob> gapped_schedule() {
+  std::vector<apps::ScriptedJob> schedule;
+  for (int k = 0; k < 40; ++k) {
+    schedule.push_back({"t" + std::to_string(k % 4) + "/j" + std::to_string(k),
+                        static_cast<SimTime>(k / 3) * 400'000'000,
+                        small_job(static_cast<u64>(100 + k))});
+  }
+  return schedule;
+}
+
+struct Session {
+  sim::RunMetrics metrics;
+  std::string registry_json;
+  bool monitors_ok = false;
+};
+
+Session run_session(core::RipsEngine& engine, exec::TaskSource& source) {
+  obs::InvariantMonitor monitor;
+  obs::Obs o;
+  o.monitor = &monitor;
+  engine.set_obs(o);
+  Session s;
+  s.metrics = engine.run_online(source);
+  s.registry_json = engine.metrics_registry().to_json();
+  s.monitors_ok = monitor.ok();
+  engine.set_obs({});
+  return s;
+}
+
+TEST(RunOnline, RetiringAtIdlePointsChangesNoResult) {
+  const topo::MeshShape shape = topo::paper_mesh_shape(16);
+  topo::Mesh mesh(shape.rows, shape.cols);
+  sched::Mwa mwa(mesh);
+  sim::CostModel cost;
+  cost.ns_per_work = 500.0;
+  for (const core::GlobalPolicy global :
+       {core::GlobalPolicy::kAny, core::GlobalPolicy::kAll}) {
+    for (const core::LocalPolicy local :
+         {core::LocalPolicy::kLazy, core::LocalPolicy::kEager}) {
+      core::RipsConfig config;
+      config.global = global;
+      config.local = local;
+      SCOPED_TRACE(config.name());
+      apps::ScriptedSource retiring(gapped_schedule());
+      KeepingSource keeping(gapped_schedule());
+      core::RipsEngine engine_a(mwa, cost, config);
+      core::RipsEngine engine_b(mwa, cost, config);
+      const Session a = run_session(engine_a, retiring);
+      const Session b = run_session(engine_b, keeping);
+
+      EXPECT_TRUE(a.monitors_ok);
+      EXPECT_TRUE(b.monitors_ok);
+      ASSERT_EQ(a.metrics.jobs.size(), 40u);
+      ASSERT_EQ(b.metrics.jobs.size(), 40u);
+      for (size_t j = 0; j < a.metrics.jobs.size(); ++j) {
+        EXPECT_TRUE(a.metrics.jobs[j] == b.metrics.jobs[j]) << "job " << j;
+      }
+      EXPECT_TRUE(a.metrics == b.metrics);
+      EXPECT_EQ(a.registry_json, b.registry_json);
+      EXPECT_GT(a.metrics.nonlocal_tasks, 0u);
+      // The retiring source dropped every burst but the last; the keeping
+      // one still holds the whole session.
+      EXPECT_LT(retiring.trace().size(), a.metrics.num_tasks);
+      EXPECT_EQ(keeping.trace().size(), b.metrics.num_tasks);
+    }
+  }
+}
+
+TEST(RunOnline, RetirementStateResetsPerRun) {
+  const topo::MeshShape shape = topo::paper_mesh_shape(16);
+  topo::Mesh mesh(shape.rows, shape.cols);
+  sched::Mwa mwa(mesh);
+  sim::CostModel cost;
+  cost.ns_per_work = 500.0;
+  core::RipsEngine engine(mwa, cost, core::RipsConfig{});
+  apps::ScriptedSource first(gapped_schedule());
+  apps::ScriptedSource second(gapped_schedule());
+  const Session a = run_session(engine, first);
+  const Session b = run_session(engine, second);
+  EXPECT_TRUE(a.monitors_ok);
+  EXPECT_TRUE(b.monitors_ok);
+  EXPECT_TRUE(a.metrics == b.metrics);
 }
 
 // --- JobServer (no sockets) ----------------------------------------------
@@ -416,6 +568,52 @@ TEST(JobServer, TenantSlotFreesWhenItsJobCompletes) {
   EXPECT_TRUE(server.submit(again).ok);
   server.drain();
   EXPECT_EQ(server.jobs_done(), 3u);
+}
+
+TEST(JobServer, RetiresFinishedTasksWhenTheMachineIdles) {
+  serve::ServeOptions options;
+  options.nodes = 16;
+  options.monitors = true;
+  serve::JobServer server(options);
+  server.start();
+
+  const auto wait_idle = [&server](u64 jobs_done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.jobs_done() < jobs_done || server.held_tasks() != 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "machine never went idle with its tasks retired";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  serve::SubmitParams first;
+  first.tenant = "alice";
+  const auto a = server.submit(first);
+  ASSERT_TRUE(a.ok);
+  wait_idle(1);
+  const std::string stats = server.handle_line("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find("\"held_tasks\":0,"), std::string::npos) << stats;
+  EXPECT_EQ(stats.find('\n'), std::string::npos) << "one reply line";
+
+  // The second job's task ids restart at 0 in the emptied trace; it must
+  // still run every one of its own tasks exactly once.
+  serve::SubmitParams second;
+  second.tenant = "bob";
+  second.roots = 24;
+  const auto b = server.submit(second);
+  ASSERT_TRUE(b.ok);
+  wait_idle(2);
+  EXPECT_NE(server.handle_line("{\"op\":\"status\",\"job\":1}")
+                .find("\"state\":\"done\""),
+            std::string::npos);
+
+  server.drain();
+  EXPECT_TRUE(server.monitors_ok());
+  const sim::RunMetrics& m = server.result();
+  ASSERT_EQ(m.jobs.size(), 2u);
+  EXPECT_EQ(m.jobs[0].tasks, a.tasks);
+  EXPECT_EQ(m.jobs[1].tasks, b.tasks);
+  EXPECT_EQ(m.num_tasks, a.tasks + b.tasks);
 }
 
 TEST(JobServer, IdleWaitBeforeSubmissionIsNotChargedAsLatency) {
