@@ -66,7 +66,7 @@ class WorkStealing final : public balance::Strategy {
                           /*max_tasks=*/half);
     } else if (msg.kind == kStolenTasks) {
       stealing_[static_cast<size_t>(node)] = false;
-      if (msg.tasks.empty()) {
+      if (msg.num_tasks == 0) {
         failures_[static_cast<size_t>(node)] += 1;
         on_idle(engine, node);  // try another victim
       } else {

@@ -19,6 +19,7 @@ DynamicEngine::DynamicEngine(const topo::Topology& topo,
     : topo_(topo),
       cost_(cost),
       strategy_(strategy),
+      node_lanes_(static_cast<size_t>(topo.size())),
       c_tasks_executed_(&registry_.counter("tasks.executed")),
       c_tasks_nonlocal_(&registry_.counter("tasks.nonlocal")),
       c_tasks_migrated_(&registry_.counter("tasks.migrated")),
@@ -48,6 +49,16 @@ SimTime DynamicEngine::node_now(NodeId node) const {
   return nodes_[static_cast<size_t>(node)].free_at;
 }
 
+size_t DynamicEngine::lane(NodeId node, i32 hops) {
+  std::vector<std::pair<i32, u32>>& mine =
+      node_lanes_[static_cast<size_t>(node)];
+  for (const auto& [h, id] : mine) {
+    if (h == hops) return id;
+  }
+  mine.emplace_back(hops, static_cast<u32>(events_.add_lane()));
+  return mine.back().second;
+}
+
 void DynamicEngine::charge_overhead(NodeId node, SimTime ns) {
   NodeRt& n = nodes_[static_cast<size_t>(node)];
   n.free_at = std::max(n.free_at, now_) + ns;
@@ -64,62 +75,55 @@ void DynamicEngine::send_message(NodeId from, NodeId to, i32 kind, i64 a,
                                  i64 b, i64 max_tasks) {
   RIPS_CHECK(from != to);
   NodeRt& sender = nodes_[static_cast<size_t>(from)];
-  Message msg;
-  msg.tasks = acquire_task_buf();
+  Pending msg;
   msg.kind = kind;
   msg.a = a;
   msg.b = b;
+  msg.node = to;
   msg.from = from;
-  const i64 take = std::min<i64>(max_tasks,
-                                 static_cast<i64>(sender.queue.size()));
-  for (i64 i = 0; i < take; ++i) {
-    // Migrate the OLDEST queued tasks: with depth-first local execution
-    // (see maybe_start) the oldest entries are the shallowest, largest
-    // subtrees — moving one of them moves a whole pocket of future work,
-    // which is what lets load spread faster than the task-by-task
-    // diffusion decay (the classic work-stealing discipline).
-    msg.tasks.push_back(sender.queue.pop_front());
+  const i64 take = std::clamp<i64>(max_tasks, 0,
+                                   static_cast<i64>(sender.queue.size()));
+  if (take > 0) {
+    msg.tasks = acquire_task_buf();
+    std::vector<TaskId>& tasks = task_bufs_[msg.tasks];
+    for (i64 i = 0; i < take; ++i) {
+      // Migrate the OLDEST queued tasks: with depth-first local execution
+      // (see maybe_start) the oldest entries are the shallowest, largest
+      // subtrees — moving one of them moves a whole pocket of future work,
+      // which is what lets load spread faster than the task-by-task
+      // diffusion decay (the classic work-stealing discipline).
+      tasks.push_back(sender.queue.pop_front());
+    }
   }
-  msg.corr = msg_corr_++;
-  charge_overhead(from, cost_.send_time(static_cast<i64>(msg.tasks.size())));
-  c_msg_sent_->add();
-  c_tasks_migrated_->add(static_cast<u64>(msg.tasks.size()));
+  post(msg, take);
   RIPS_CHECK_MSG(c_msg_sent_->value() < 200'000'000ULL,
                  "runaway strategy: message budget exceeded");
-  const SimTime latency = cost_.network_time(topo_.distance(from, to));
-  h_msg_latency_ns_->observe(latency);
-  obs::instant(obs_.trace, from, obs::record::kSend, sender.free_at,
-               static_cast<i64>(msg.tasks.size()), msg.corr);
-  const SimTime arrival = sender.free_at + latency;
-  Pending p;
-  p.kind = Pending::kDeliver;
-  p.node = to;
-  p.msg = std::move(msg);
-  events_.push(arrival, std::move(p));
   if (take > 0) strategy_.on_load_change(*this, from);
 }
 
 void DynamicEngine::send_spawned_task(NodeId from, NodeId to, TaskId task) {
   RIPS_CHECK(from != to);
-  Message msg;
-  msg.tasks = acquire_task_buf();
-  msg.kind = -1;  // pure migration, no strategy meaning
+  Pending msg;
+  msg.kind = kMigrate;
+  msg.node = to;
   msg.from = from;
-  msg.tasks.push_back(task);
+  msg.tasks = acquire_task_buf();
+  task_bufs_[msg.tasks].push_back(task);
+  post(msg, 1);
+}
+
+void DynamicEngine::post(Pending msg, i64 tasks) {
   msg.corr = msg_corr_++;
-  charge_overhead(from, cost_.send_time(1));
+  charge_overhead(msg.from, cost_.send_time(tasks));
   c_msg_sent_->add();
-  c_tasks_migrated_->add(1);
-  const SimTime latency = cost_.network_time(topo_.distance(from, to));
+  c_tasks_migrated_->add(static_cast<u64>(tasks));
+  const i32 hops = topo_.distance(msg.from, msg.node);
+  const SimTime latency = cost_.network_time(hops);
   h_msg_latency_ns_->observe(latency);
-  obs::instant(obs_.trace, from, obs::record::kSend,
-               nodes_[static_cast<size_t>(from)].free_at, 1, msg.corr);
-  const SimTime arrival = nodes_[static_cast<size_t>(from)].free_at + latency;
-  Pending p;
-  p.kind = Pending::kDeliver;
-  p.node = to;
-  p.msg = std::move(msg);
-  events_.push(arrival, std::move(p));
+  const SimTime sent = nodes_[static_cast<size_t>(msg.from)].free_at;
+  obs::instant(obs_.trace, msg.from, obs::record::kSend, sent, tasks,
+               msg.corr);
+  events_.push(lane(msg.from, hops), sent + latency, msg);
 }
 
 void DynamicEngine::maybe_start(NodeId node) {
@@ -133,11 +137,10 @@ void DynamicEngine::maybe_start(NodeId node) {
   n.task_start_ns = std::max(n.free_at, now_);
   n.free_at = n.task_start_ns + work;
   n.busy_ns += work;
-  Pending p;
-  p.kind = Pending::kTaskFinish;
-  p.node = node;
-  p.task = task;
-  events_.push(n.free_at, std::move(p));
+  Pending finish;
+  finish.a = task;
+  finish.node = node;
+  events_.push(lane(node, 0), n.free_at, finish);
 }
 
 void DynamicEngine::finish_task(NodeId node, TaskId task) {
@@ -178,22 +181,31 @@ void DynamicEngine::finish_task(NodeId node, TaskId task) {
   }
 }
 
-void DynamicEngine::deliver(NodeId node, Message msg, SimTime arrival) {
-  (void)arrival;  // now_ == arrival when this runs
-  obs::instant(obs_.trace, node, obs::record::kRecv, now_,
-               static_cast<i64>(msg.tasks.size()), msg.corr);
-  charge_overhead(node, cost_.recv_time(static_cast<i64>(msg.tasks.size())));
-  for (TaskId t : msg.tasks) {
-    nodes_[static_cast<size_t>(node)].queue.push_back(t);
+void DynamicEngine::deliver(const Pending& msg) {
+  const NodeId node = msg.node;
+  Message view;
+  view.kind = msg.kind;
+  view.from = msg.from;
+  view.a = msg.a;
+  view.b = msg.b;
+  view.corr = msg.corr;
+  if (msg.tasks != kNoTasks) {
+    std::vector<TaskId>& tasks = task_bufs_[msg.tasks];
+    view.num_tasks = static_cast<i64>(tasks.size());
+    nodes_[static_cast<size_t>(node)].queue.append(tasks.data(), tasks.size());
+    tasks.clear();
+    free_task_bufs_.push_back(msg.tasks);
   }
+  obs::instant(obs_.trace, node, obs::record::kRecv, now_, view.num_tasks,
+               view.corr);
+  charge_overhead(node, cost_.recv_time(view.num_tasks));
   h_queue_depth_->observe(load_of(node));
-  if (!msg.tasks.empty()) {
+  if (view.num_tasks > 0) {
     maybe_start(node);
     strategy_.on_load_change(*this, node);
   }
-  if (msg.kind >= 0) strategy_.on_message(*this, node, msg);
+  if (view.kind >= 0) strategy_.on_message(*this, node, view);
   maybe_start(node);
-  release_task_buf(std::move(msg.tasks));
 }
 
 void DynamicEngine::release_segment(u32 segment, SimTime at) {
@@ -267,7 +279,6 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
   metrics_.num_nodes = n;
   registry_.reset();
   events_.clear();
-  events_.reserve(static_cast<size_t>(n) * 8);
   now_ = 0;
   current_segment_ = 0;
   completed_in_segment_ = 0;
@@ -305,13 +316,13 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
   }
 
   while (!events_.empty()) {
-    auto event = events_.pop();
+    const auto event = events_.pop();
     now_ = event.time;
-    Pending& p = event.payload;
-    if (p.kind == Pending::kTaskFinish) {
-      finish_task(p.node, p.task);
+    const Pending& p = event.payload;
+    if (p.kind == kFinish) {
+      finish_task(p.node, static_cast<TaskId>(p.a));
     } else {
-      deliver(p.node, std::move(p.msg), event.time);
+      deliver(p);
     }
   }
 

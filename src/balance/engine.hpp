@@ -12,11 +12,20 @@
 //     task of the previous segment (data affinity), except segment 0 whose
 //     roots all materialize on node 0 (sequential root expansion).
 //
-// The run is bit-deterministic: one event queue with stable tie-breaking,
-// strategy randomness from an explicit seed.
+// The run is bit-deterministic: events fire in (time, scheduling order),
+// strategy randomness comes from an explicit seed.
+//
+// Every event is one node's clock plus a fixed delay: a task completion at
+// the node's free_at, or a message arriving free_at + hops * per_hop_ns
+// after its sender's send. A node's free_at never decreases, so the events
+// of each (node, hops) pair are scheduled in time order, and the event
+// queue keeps one FIFO lane per pair (sim/event_queue.hpp) — lane
+// (v, 0) holds v's task completions, lane (v, h) the messages v sends h
+// hops away.
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/task_trace.hpp"
@@ -97,9 +106,9 @@ class DynamicEngine {
   /// engine takes the OLDEST queued tasks (the shallowest, largest
   /// subtrees under the depth-first local execution order — the classic
   /// work-stealing discipline that lets load spread faster than pure
-  /// diffusion). `max_tasks` limits how many are taken; the actual tasks
-  /// are appended to the message. Charges sender CPU; the receiver is
-  /// charged at delivery.
+  /// diffusion). `max_tasks` limits how many are taken; they join the
+  /// receiver's queue at delivery, and the delivered Message's num_tasks
+  /// counts them. Charges sender CPU; the receiver is charged at delivery.
   void send_message(NodeId from, NodeId to, i32 kind, i64 a = 0, i64 b = 0,
                     i64 max_tasks = 0);
 
@@ -107,11 +116,22 @@ class DynamicEngine {
   void send_spawned_task(NodeId from, NodeId to, TaskId task);
 
  private:
+  /// Engine-internal event kinds; strategy message kinds are >= 0.
+  static constexpr i32 kFinish = -2;   ///< task `a` completes on `node`
+  static constexpr i32 kMigrate = -1;  ///< a spawned task, no strategy meaning
+  static constexpr u32 kNoTasks = ~u32{0};
+
+  /// One scheduled event: a task completion or a message delivery to
+  /// `node`. Trivially copyable; a message's migrated tasks wait in
+  /// task_bufs_[tasks] (kNoTasks if it carries none).
   struct Pending {
-    enum Kind { kTaskFinish, kDeliver } kind;
-    NodeId node;
-    TaskId task = kInvalidTask;
-    Message msg;
+    i64 a = 0;
+    i64 b = 0;
+    i64 corr = -1;
+    NodeId node = 0;
+    NodeId from = kInvalidNode;
+    i32 kind = kFinish;
+    u32 tasks = kNoTasks;
   };
 
   struct NodeRt {
@@ -123,24 +143,28 @@ class DynamicEngine {
     bool executing = false;
   };
 
+  /// The queue lane of the events `node` schedules `hops` hops away (0:
+  /// its own task completions), added on first use.
+  size_t lane(NodeId node, i32 hops);
+
   void charge_overhead(NodeId node, SimTime ns);
   void maybe_start(NodeId node);
   void finish_task(NodeId node, TaskId task);
-  void deliver(NodeId node, Message msg, SimTime arrival);
+  void post(Pending msg, i64 tasks);
+  void deliver(const Pending& msg);
   void release_segment(u32 segment, SimTime at);
 
-  /// Message payload buffers cycle through a free list: acquired when a
-  /// message is built, released (capacity kept) after delivery. In steady
-  /// state the per-steal message path allocates nothing.
-  std::vector<TaskId> acquire_task_buf() {
-    if (task_buf_pool_.empty()) return {};
-    std::vector<TaskId> buf = std::move(task_buf_pool_.back());
-    task_buf_pool_.pop_back();
+  /// Migration buffers cycle through a free list: taken when a message
+  /// carries tasks, returned (capacity kept) once they are delivered. In
+  /// steady state the per-steal message path allocates nothing.
+  u32 acquire_task_buf() {
+    if (free_task_bufs_.empty()) {
+      task_bufs_.emplace_back();
+      return static_cast<u32>(task_bufs_.size() - 1);
+    }
+    const u32 buf = free_task_bufs_.back();
+    free_task_bufs_.pop_back();
     return buf;
-  }
-  void release_task_buf(std::vector<TaskId>&& buf) {
-    buf.clear();
-    task_buf_pool_.push_back(std::move(buf));
   }
 
   const topo::Topology& topo_;
@@ -149,6 +173,10 @@ class DynamicEngine {
 
   const apps::TaskTrace* trace_ = nullptr;
   sim::EventQueue<Pending> events_;
+  // Per node, (hops, lane) of every lane it has used. Only the hop counts
+  // in use get a lane (Gradient and RID use 0 and 1 of a mesh's up to
+  // diameter + 1), and the table outlives runs as the lanes do.
+  std::vector<std::vector<std::pair<i32, u32>>> node_lanes_;
   std::vector<NodeRt> nodes_;
   std::vector<NodeId> origin_;     // per task: node where it materialized
   std::vector<NodeId> exec_node_;  // per task: node where it executed
@@ -159,7 +187,8 @@ class DynamicEngine {
   SimTime now_ = 0;
   bool running_ = false;
   i64 msg_corr_ = 0;  // next send/recv correlation id (reset per run)
-  std::vector<std::vector<TaskId>> task_buf_pool_;  // recycled msg payloads
+  std::vector<std::vector<TaskId>> task_bufs_;  // in-flight migrations
+  std::vector<u32> free_task_bufs_;             // task_bufs_ slots not in use
 
   // Multi-job accounting (set_job_map); active only while a map is attached.
   const std::vector<i32>* job_of_ = nullptr;

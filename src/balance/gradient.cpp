@@ -6,12 +6,9 @@
 
 namespace rips::balance {
 
-i32 Gradient::wmax(const DynamicEngine& engine) const {
-  return engine.topology().diameter() + 1;
-}
-
 void Gradient::reset(DynamicEngine& engine) {
   const auto n = static_cast<size_t>(engine.topology().size());
+  wmax_ = engine.topology().diameter() + 1;
   neighbors_.assign(n, {});
   nbr_proximity_.assign(n, {});
   // Everyone starts lightly loaded => proximity 0 everywhere, consistent.
@@ -30,7 +27,7 @@ void Gradient::on_spawn(DynamicEngine& engine, NodeId node, TaskId task) {
 
 void Gradient::recompute_proximity(DynamicEngine& engine, NodeId node) {
   const auto v = static_cast<size_t>(node);
-  const i32 cap = wmax(engine);
+  const i32 cap = wmax_;
   const i64 load = engine.load_of(node);
   if (load <= params_.light_mark) {
     is_light_[v] = true;
@@ -61,7 +58,7 @@ void Gradient::maybe_push(DynamicEngine& engine, NodeId node) {
   if (engine.load_of(node) < params_.high_mark) return;
   // Downhill neighbor: minimum proximity, strictly below our own (so the
   // task keeps approaching a lightly loaded node and cannot ping-pong).
-  i32 best = wmax(engine);
+  i32 best = wmax_;
   size_t best_idx = neighbors_[v].size();
   for (size_t k = 0; k < neighbors_[v].size(); ++k) {
     if (nbr_proximity_[v][k] < best) {
@@ -70,7 +67,7 @@ void Gradient::maybe_push(DynamicEngine& engine, NodeId node) {
     }
   }
   if (best_idx == neighbors_[v].size() || best >= proximity_[v]) return;
-  if (best >= wmax(engine)) return;  // no light node in sight
+  if (best >= wmax_) return;  // no light node in sight
   pushing_ = true;
   engine.send_message(node, neighbors_[v][best_idx], kTaskPush, /*a=*/0,
                       /*b=*/0, /*max_tasks=*/1);

@@ -40,9 +40,9 @@ class Gradient final : public Strategy {
 
   void recompute_proximity(DynamicEngine& engine, NodeId node);
   void maybe_push(DynamicEngine& engine, NodeId node);
-  i32 wmax(const DynamicEngine& engine) const;
 
   Params params_;
+  i32 wmax_ = 0;  ///< proximity cap: diameter + 1 (set by reset)
   bool pushing_ = false;  ///< re-entrancy guard: one push per trigger
   /// Hysteresis on the lightly-loaded state: a node turns light at
   /// load <= light_mark and heavy again only at load >= light_mark + 2,
@@ -53,7 +53,6 @@ class Gradient final : public Strategy {
   // nbr_proximity_[node] is indexed like topology().neighbors(node).
   std::vector<std::vector<i32>> nbr_proximity_;
   std::vector<std::vector<NodeId>> neighbors_;
-  bool initialized_ = false;
 };
 
 }  // namespace rips::balance

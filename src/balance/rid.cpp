@@ -106,7 +106,7 @@ void Rid::on_message(DynamicEngine& engine, NodeId node, const Message& msg) {
     outstanding_[v] = std::max(0, outstanding_[v] - 1);
     for (size_t k = 0; k < neighbors_[v].size(); ++k) {
       if (neighbors_[v][k] == msg.from) {
-        if (msg.tasks.empty()) {
+        if (msg.num_tasks == 0) {
           // The donor had nothing to spare: our view of it was stale.
           // Following Willebeek-LeMair & Reeves, load information travels
           // only in the periodic update messages, so we must not request

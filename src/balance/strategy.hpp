@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "util/types.hpp"
 
@@ -16,14 +15,15 @@ namespace rips::balance {
 
 class DynamicEngine;
 
-/// Strategy-defined message. `kind` is interpreted by the strategy; tasks
-/// ride along for migrations; a/b carry small scalars (loads, amounts).
+/// Strategy-defined message. `kind` is interpreted by the strategy
+/// (negative kinds are reserved for the engine); a/b carry small scalars
+/// (loads, amounts); num_tasks counts the tasks that migrated with it.
 struct Message {
   i32 kind = 0;
+  NodeId from = kInvalidNode;
   i64 a = 0;
   i64 b = 0;
-  std::vector<TaskId> tasks;
-  NodeId from = kInvalidNode;
+  i64 num_tasks = 0;
   /// Engine-assigned correlation id, unique per run. The matching `send` /
   /// `recv` trace instants carry it as the "corr" payload so trace analysis
   /// can reconstruct the message edge (src/obs/analysis). Strategies never
@@ -43,7 +43,8 @@ class Strategy {
 
   /// A task was just created at `node` (parent completion or segment-root
   /// release). The strategy must place it: either
-  /// engine.enqueue_local(node, task) or engine.send_tasks(...).
+  /// engine.enqueue_local(node, task) or
+  /// engine.send_spawned_task(node, to, task).
   virtual void on_spawn(DynamicEngine& engine, NodeId node, TaskId task) = 0;
 
   /// A strategy message arrived (migrated tasks are already enqueued at

@@ -2,32 +2,33 @@
 // order they were scheduled (a monotone sequence number breaks ties), so a
 // simulation run is a pure function of its inputs.
 //
-// The store is a hand-rolled 4-ary implicit heap rather than
-// std::priority_queue. (time, seq) is a total order, so the pop sequence
-// is identical for any correct heap — the layout is purely a performance
-// choice: a 4-ary heap halves the tree depth (fewer cache-missing levels
-// per sift) and pop() MOVES the payload out instead of copying it off the
-// top, which matters when Payload carries vectors (task migrations).
+// The queue is a k-way merge of FIFO lanes. Every push names a lane, and
+// the times pushed to one lane must never decrease (an always-on check
+// aborts otherwise), so each lane is already sorted by (time, seq) and
+// only the lanes' heads need ordering. A push appends to its lane and
+// touches the head heap only when the lane was empty; a pop takes the
+// front of the earliest lane and sifts a heap of non-empty lanes, not of
+// events. The dynamic engine's events are one node's clock plus a fixed
+// delay, one lane per (node, delay) (balance/engine.hpp): on 32 nodes
+// that is ~64 heads where a heap of events held ~14K.
 //
-// Large payloads are stored OUT of the heap: when sizeof(Payload) exceeds
-// a cache-friendly threshold the heap holds 24-byte {time, seq, slot}
-// entries referencing a payload slab with a free list, so every sift moves
-// three words instead of the whole event. Profiling the core suite showed
-// sift_down on the engine's message-bearing events (payloads embedding a
-// std::vector of task ids) dominating the simulator's flat profile; the
-// indirection removes that traffic. The slab is chunked (fixed-size blocks
-// reached through a pointer table), so growing it never moves live
-// payloads — growth is one block allocation, not an O(slab) reallocation.
-// Pop order is (time, seq) either way, so results are bit-identical across
-// both representations.
+// (time, seq) is a total order, so the pop sequence is the one any correct
+// priority queue over the same events would give.
+//
+// A lane is a chain of fixed-size chunks drawn from one pool shared by all
+// lanes; a chunk goes back to the pool as soon as the lane has read past
+// it. Lanes peak at different times (on the 32-node Gradient rows the sum
+// of per-lane peaks is ~4x the queue's peak), so the shared pool keeps
+// storage at the queue's live size plus at most two part-filled chunks per
+// non-empty lane. clear() keeps the pool, so a re-run allocates nothing.
 #pragma once
 
-#include <algorithm>
+#include <limits>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/types.hpp"
 
 namespace rips::sim {
@@ -41,140 +42,163 @@ class EventQueue {
     Payload payload;
   };
 
-  void push(SimTime time, Payload payload) {
-    if constexpr (kIndirect) {
-      u32 slot;
-      if (!free_.empty()) {
-        slot = free_.back();
-        free_.pop_back();
-      } else {
-        if (slab_size_ == chunks_.size() * kChunk) {
-          chunks_.push_back(std::make_unique<Payload[]>(kChunk));
-        }
-        slot = static_cast<u32>(slab_size_++);
-      }
-      slab_at(slot) = std::move(payload);
-      heap_.push_back(Entry{time, next_seq_++, slot});
-    } else {
-      heap_.push_back(Entry{time, next_seq_++, std::move(payload)});
-    }
-    sift_up(heap_.size() - 1);
+  explicit EventQueue(size_t num_lanes = 0) : lanes_(num_lanes) {}
+
+  /// Adds an empty lane and returns its index. Lanes live as long as the
+  /// queue; clear() empties them but keeps them.
+  size_t add_lane() {
+    lanes_.emplace_back();
+    return lanes_.size() - 1;
   }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  /// Schedules `payload` at `time` on `lane`. `time` must not be earlier
+  /// than the last time pushed to that lane since clear().
+  void push(size_t lane, SimTime time, Payload payload) {
+    Lane& l = lanes_[lane];
+    RIPS_CHECK_MSG(time >= l.tail,
+                   "EventQueue: push earlier than its lane's tail");
+    l.tail = time;
+    const u64 seq = next_seq_++;
+    const bool was_empty = l.back == nullptr;
+    if (was_empty) {
+      l.front = l.back = take_chunk();
+      l.first = l.end = 0;
+    } else if (l.end == kChunk) {
+      l.back = l.back->next = take_chunk();
+      l.end = 0;
+    }
+    l.back->events[l.end++] = Event{time, seq, std::move(payload)};
+    if (was_empty) push_head(Head{time, seq, static_cast<u32>(lane)});
+    ++size_;
+  }
+
+  bool empty() const { return heads_.empty(); }
+  size_t size() const { return size_; }
 
   /// Time of the earliest pending event (undefined when empty).
-  SimTime next_time() const { return heap_.front().time; }
+  SimTime next_time() const { return heads_.front().time; }
 
-  /// Removes and returns the earliest event. The payload is moved out of
-  /// the heap (or the payload slab), never copied.
+  /// Removes and returns the earliest event; the payload is moved out.
   Event pop() {
-    if constexpr (kIndirect) {
-      const Entry top = heap_.front();
-      Event out{top.time, top.seq, std::move(slab_at(top.slot))};
-      free_.push_back(top.slot);
-      remove_top();
-      return out;
-    } else {
-      Event out = std::move(heap_.front());
-      remove_top();
+    Head& top = heads_.front();
+    Lane& l = lanes_[top.lane];
+    Event out = std::move(l.front->events[l.first++]);
+    --size_;
+    if (l.front == l.back && l.first == l.end) {  // lane drained
+      give_chunk(l.front);
+      l.front = l.back = nullptr;
+      top = heads_.back();
+      heads_.pop_back();
+      if (!heads_.empty()) sift_down();
       return out;
     }
-  }
-
-  /// Pre-sizes the heap storage (engines reserve for the expected number
-  /// of in-flight events so steady-state pushes never reallocate).
-  void reserve(size_t n) {
-    heap_.reserve(n);
-    if constexpr (kIndirect) {
-      while (chunks_.size() * kChunk < n) {
-        chunks_.push_back(std::make_unique<Payload[]>(kChunk));
-      }
+    if (l.first == kChunk) {
+      Chunk* done = l.front;
+      l.front = done->next;
+      l.first = 0;
+      give_chunk(done);
     }
+    // The lane's next event is no earlier than the one just taken, so its
+    // heap entry only moves down.
+    const Event& next = l.front->events[l.first];
+    top.time = next.time;
+    top.seq = next.seq;
+    sift_down();
+    return out;
   }
 
-  /// Drops all pending events and restarts the tie-break sequence;
-  /// reserved storage is kept (chunks and the payloads' own buffers) so a
-  /// re-run reuses the allocations.
+  /// Drops all pending events, restarts the tie-break sequence and lifts
+  /// every lane's time floor. Chunks return to the pool for the next run.
   void clear() {
-    heap_.clear();
-    next_seq_ = 0;
-    if constexpr (kIndirect) {
-      slab_size_ = 0;
-      free_.clear();
+    for (Lane& l : lanes_) {
+      while (l.front != nullptr) {
+        Chunk* done = l.front;
+        l.front = done == l.back ? nullptr : done->next;
+        give_chunk(done);
+      }
+      l = Lane{};
     }
+    heads_.clear();
+    size_ = 0;
+    next_seq_ = 0;
   }
 
  private:
-  // Heap entries stay three words when the payload is bulky; small
-  // payloads (timers, plain ids) ride inline — the indirection would cost
-  // a slab hop for no bandwidth win.
-  static constexpr bool kIndirect = sizeof(Payload) > 32;
+  static constexpr u32 kChunk = 32;  // events per chunk
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::min();
 
-  struct Ref {
+  struct Chunk {
+    Event events[kChunk];
+    Chunk* next = nullptr;
+  };
+
+  struct Lane {
+    Chunk* front = nullptr;  // chunk of the oldest pending event
+    Chunk* back = nullptr;   // chunk the next push writes to
+    u32 first = 0;           // index of the oldest pending event in front
+    u32 end = 0;             // one past the newest pending event in back
+    SimTime tail = kNever;   // last time pushed: the lane's floor
+  };
+
+  /// A non-empty lane, keyed by its front event.
+  struct Head {
     SimTime time;
     u64 seq;
-    u32 slot;
+    u32 lane;
   };
-  using Entry = std::conditional_t<kIndirect, Ref, Event>;
 
-  /// Strict ordering: earlier time first, then earlier scheduling.
-  static bool earlier(const Entry& a, const Entry& b) {
+  static bool earlier(const Head& a, const Head& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
 
-  void remove_top() {
-    if (heap_.size() > 1) {
-      heap_.front() = std::move(heap_.back());
-      heap_.pop_back();
-      sift_down(0);
-    } else {
-      heap_.pop_back();
+  Chunk* take_chunk() {
+    if (free_ == nullptr) {
+      chunks_.push_back(std::make_unique<Chunk>());
+      return chunks_.back().get();
     }
+    Chunk* c = free_;
+    free_ = c->next;
+    return c;
   }
 
-  void sift_up(size_t i) {
-    Entry v = std::move(heap_[i]);
+  void give_chunk(Chunk* c) {
+    c->next = free_;
+    free_ = c;
+  }
+
+  void push_head(Head h) {
+    size_t i = heads_.size();
+    heads_.push_back(h);
     while (i > 0) {
-      const size_t parent = (i - 1) / 4;
-      if (!earlier(v, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
+      const size_t parent = (i - 1) / 2;
+      if (!earlier(h, heads_[parent])) break;
+      heads_[i] = heads_[parent];
       i = parent;
     }
-    heap_[i] = std::move(v);
+    heads_[i] = h;
   }
 
-  void sift_down(size_t i) {
-    const size_t n = heap_.size();
-    Entry v = std::move(heap_[i]);
+  /// Restores the heap after the root's key grew.
+  void sift_down() {
+    const size_t n = heads_.size();
+    const Head h = heads_.front();
+    size_t i = 0;
     while (true) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t last = std::min(first + 4, n);
-      for (size_t c = first + 1; c < last; ++c) {
-        if (earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!earlier(heap_[best], v)) break;
-      heap_[i] = std::move(heap_[best]);
-      i = best;
+      size_t child = 2 * i + 1;
+      if (child >= n) break;
+      if (child + 1 < n && earlier(heads_[child + 1], heads_[child])) ++child;
+      if (!earlier(heads_[child], h)) break;
+      heads_[i] = heads_[child];
+      i = child;
     }
-    heap_[i] = std::move(v);
+    heads_[i] = h;
   }
 
-  static constexpr size_t kChunk = 256;  // payloads per slab block
-
-  Payload& slab_at(u32 slot) {
-    return chunks_[slot / kChunk][slot % kChunk];
-  }
-
-  std::vector<Entry> heap_;
-  // Chunked payload slab when kIndirect (else empty): stable addresses,
-  // O(1) block growth.
-  std::vector<std::unique_ptr<Payload[]>> chunks_;
-  std::vector<u32> free_;  // recycled slab slots
-  size_t slab_size_ = 0;   // high-water slot count
+  std::vector<Lane> lanes_;
+  std::vector<Head> heads_;  // binary min-heap of the non-empty lanes
+  std::vector<std::unique_ptr<Chunk>> chunks_;  // the pool (owner)
+  Chunk* free_ = nullptr;                       // unused chunks, linked
+  size_t size_ = 0;
   u64 next_seq_ = 0;
 };
 

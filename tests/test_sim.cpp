@@ -2,6 +2,7 @@
 // and derived run metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -37,85 +38,104 @@ TEST(CostModel, MessageCostsIncludePerTaskPacking) {
 
 // --------------------------------------------------------- EventQueue
 
-TEST(EventQueue, OrdersByTime) {
-  EventQueue<int> q;
-  q.push(30, 3);
-  q.push(10, 1);
-  q.push(20, 2);
+TEST(EventQueue, OrdersByTimeAcrossLanes) {
+  EventQueue<int> q(3);
+  q.push(0, 30, 3);
+  q.push(1, 10, 1);
+  q.push(2, 20, 2);
   EXPECT_EQ(q.pop().payload, 1);
   EXPECT_EQ(q.pop().payload, 2);
   EXPECT_EQ(q.pop().payload, 3);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, BreaksTiesByInsertionOrder) {
-  EventQueue<int> q;
-  for (int i = 0; i < 100; ++i) q.push(42, i);
+TEST(EventQueue, BreaksTiesByPushOrder) {
+  // Equal times within one lane and across lanes: push order decides.
+  EventQueue<int> q(4);
+  for (int i = 0; i < 100; ++i) q.push(static_cast<size_t>(i * 7 % 4), 42, i);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(q.pop().payload, i);
   }
 }
 
 TEST(EventQueue, NextTimePeeks) {
-  EventQueue<int> q;
-  q.push(7, 0);
-  q.push(3, 1);
+  EventQueue<int> q(2);
+  q.push(0, 7, 0);
+  q.push(1, 3, 1);
   EXPECT_EQ(q.next_time(), 3);
   EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(EventQueue, PopMovesMoveOnlyPayloads) {
-  // pop() must move the payload out, not copy it — unique_ptr would not
-  // compile against a copying implementation.
-  EventQueue<std::unique_ptr<int>> q;
-  q.push(20, std::make_unique<int>(2));
-  q.push(10, std::make_unique<int>(1));
+  // pop() and a lane's ring growth must move payloads, not copy them —
+  // unique_ptr would not compile against a copying implementation.
+  EventQueue<std::unique_ptr<int>> q(2);
+  for (int i = 0; i < 20; ++i) q.push(0, 20 + i, std::make_unique<int>(2 + i));
+  q.push(1, 10, std::make_unique<int>(1));
   EXPECT_EQ(*q.pop().payload, 1);
-  EXPECT_EQ(*q.pop().payload, 2);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(*q.pop().payload, 2 + i);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, QuaternaryHeapKeepsTotalOrderUnderChurn) {
-  // Deterministic pseudo-random interleaving of pushes and pops; the
-  // (time, seq) order must match a reference sort whatever the heap arity.
-  EventQueue<int> q;
-  q.reserve(256);
-  std::vector<std::pair<SimTime, int>> reference;
+TEST(EventQueue, LaneMergeMatchesStableSortUnderChurn) {
+  // Deterministic pseudo-random pushes interleaved with pops over 12 lanes,
+  // each push at max(its lane's tail, the last popped time) plus a small
+  // random delay — the engine's pattern, so nothing is scheduled in the
+  // past. The whole pop sequence must then be the pushes stably sorted by
+  // time (ties in push order), however the lanes wrap and grow.
+  constexpr size_t kLanes = 12;
+  EventQueue<int> q(kLanes);
+  std::vector<SimTime> tail(kLanes, 0);
+  std::vector<std::pair<SimTime, int>> pushed;
+  std::vector<std::pair<SimTime, int>> popped;
+  SimTime now = 0;
   u64 state = 12345;
-  int id = 0;
-  std::vector<int> popped;
-  for (int round = 0; round < 500; ++round) {
+  auto next = [&state](u64 bound) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const SimTime t = static_cast<SimTime>((state >> 33) % 64);
-    q.push(t, id);
-    reference.push_back({t, id});
-    ++id;
-    if (round % 3 == 2) popped.push_back(q.pop().payload);
+    return (state >> 33) % bound;
+  };
+  for (int id = 0; id < 4000; ++id) {
+    const size_t lane = next(kLanes);
+    tail[lane] = std::max(tail[lane], now) + static_cast<SimTime>(next(8));
+    q.push(lane, tail[lane], id);
+    pushed.push_back({tail[lane], id});
+    // Pop less often than we push early on, more often later, so lanes
+    // both grow past their first ring and drain to empty.
+    const u64 pops = id < 2000 ? next(2) : next(3);
+    for (u64 k = 0; k < pops && !q.empty(); ++k) {
+      const auto e = q.pop();
+      now = e.time;
+      popped.push_back({e.time, e.payload});
+    }
   }
-  while (!q.empty()) popped.push_back(q.pop().payload);
-  // Overall pop sequence need not be globally sorted (pops interleave
-  // with pushes), but draining the rest must come out in (time, seq)
-  // order among the remaining events; easiest full check: re-run all
-  // events through a fresh queue and compare with a stable sort.
-  EventQueue<int> q2;
-  for (const auto& [t, v] : reference) q2.push(t, v);
-  std::stable_sort(reference.begin(), reference.end(),
+  while (!q.empty()) {
+    const auto e = q.pop();
+    popped.push_back({e.time, e.payload});
+  }
+  std::stable_sort(pushed.begin(), pushed.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [t, v] : reference) {
-    const auto e = q2.pop();
-    EXPECT_EQ(e.time, t);
-    EXPECT_EQ(e.payload, v);
-  }
-  EXPECT_EQ(popped.size(), reference.size());
+  EXPECT_EQ(popped, pushed);
 }
 
-TEST(EventQueue, ClearResetsTieBreakSequence) {
-  EventQueue<int> q;
-  q.push(5, 1);
+TEST(EventQueue, ClearResetsTieBreakSequenceAndLaneFloors) {
+  EventQueue<int> q(1);
+  q.push(0, 5, 1);
+  q.push(0, 50, 9);
   q.clear();
-  q.push(5, 2);
-  q.push(5, 3);
+  EXPECT_TRUE(q.empty());
+  q.push(0, 5, 2);  // below the cleared tail (50): allowed after clear()
+  q.push(0, 5, 3);
   EXPECT_EQ(q.pop().payload, 2);  // seq restarted: insertion order holds
   EXPECT_EQ(q.pop().payload, 3);
+}
+
+TEST(EventQueueDeathTest, PushEarlierThanItsLaneTailAborts) {
+  EventQueue<int> q(2);
+  q.push(0, 10, 0);
+  q.push(1, 5, 1);  // another lane may run behind
+  (void)q.pop();
+  (void)q.pop();  // lane 0 is empty again, but keeps its floor of 10
+  EXPECT_DEATH(q.push(0, 9, 2), "earlier than its lane's tail");
 }
 
 // ----------------------------------------------------------- TaskQueue
