@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "apps/nqueens.hpp"
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -40,29 +40,29 @@ int main(int argc, char** argv) {
 
   const std::vector<SimTime> intervals_us = {100,    500,     2'000,
                                              10'000, 50'000, 200'000};
-  std::vector<bench::RunDescriptor> descriptors;
+  std::vector<sweep::RunDescriptor> descriptors;
   {
     // Descriptor 0: the dedicated init-signal protocol (the default).
-    bench::RunDescriptor d;
+    sweep::RunDescriptor d;
     d.workload = &workload;
     d.nodes = nodes;
-    d.kind = bench::Kind::kRips;
+    d.kind = sweep::Kind::kRips;
     descriptors.push_back(d);
   }
   for (const SimTime interval_us : intervals_us) {
     core::RipsConfig config;
     config.detect = core::DetectMode::kPeriodic;
     config.periodic_interval_ns = interval_us * 1000;
-    bench::RunDescriptor d;
+    sweep::RunDescriptor d;
     d.workload = &workload;
     d.nodes = nodes;
-    d.kind = bench::Kind::kRips;
+    d.kind = sweep::Kind::kRips;
     d.config = config;
     // Short intervals mean many reductions => slower simulation.
     d.cost_hint = 1.0 / static_cast<double>(interval_us);
     descriptors.push_back(d);
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   TextTable table;
   table.header({"detection", "phases", "Th (s)", "Ti (s)", "T (s)", "mu"});
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   }
   table.separator();
   for (size_t k = 0; k < intervals_us.size(); ++k) {
-    const bench::RunResult& r = results[k + 1];
+    const sweep::RunResult& r = results[k + 1];
     RIPS_CHECK_MSG(r.ok, "sweep run failed");
     const auto& m = r.run.metrics;
     char label[64];

@@ -11,7 +11,7 @@
 //   --jobs=1    sweep parallelism (0 = all hardware threads)
 #include <cstdio>
 
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   std::printf("Ablation: RIPS policy combinations on %d processors%s\n",
               nodes, quick ? " (quick workloads)" : "");
   const auto workloads =
-      bench::build_workloads(apps::paper_workload_specs(quick), jobs);
+      sweep::build_workloads(apps::paper_workload_specs(quick), jobs);
 
   std::vector<core::RipsConfig> configs;
   for (const core::LocalPolicy local :
@@ -43,26 +43,26 @@ int main(int argc, char** argv) {
   lifo.lifo_execution = true;
 
   // workload-major, then the 4 policy combinations and the LIFO variant.
-  std::vector<bench::RunDescriptor> descriptors;
+  std::vector<sweep::RunDescriptor> descriptors;
   for (const auto& workload : workloads) {
     for (const auto& config : configs) {
-      bench::RunDescriptor d;
+      sweep::RunDescriptor d;
       d.workload = &workload;
       d.nodes = nodes;
-      d.kind = bench::Kind::kRips;
+      d.kind = sweep::Kind::kRips;
       d.config = config;
       d.cost_hint = static_cast<double>(workload.trace.size());
       descriptors.push_back(d);
     }
-    bench::RunDescriptor d;
+    sweep::RunDescriptor d;
     d.workload = &workload;
     d.nodes = nodes;
-    d.kind = bench::Kind::kRips;
+    d.kind = sweep::Kind::kRips;
     d.config = lifo;
     d.cost_hint = static_cast<double>(workload.trace.size());
     descriptors.push_back(d);
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   TextTable table;
   table.header({"workload", "policy", "phases", "# non-local", "Th (s)",
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     double best = 0.0;
     std::string best_name;
     for (const auto& config : configs) {
-      const bench::RunResult& r = results[next++];
+      const sweep::RunResult& r = results[next++];
       RIPS_CHECK_MSG(r.ok, "sweep run failed");
       const auto& run = r.run;
       table.row({workload.group + " " + workload.name, config.name(),
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
         best_name = config.name();
       }
     }
-    const bench::RunResult& lifo_r = results[next++];
+    const sweep::RunResult& lifo_r = results[next++];
     RIPS_CHECK_MSG(lifo_r.ok, "sweep run failed");
     const auto& lifo_run = lifo_r.run;
     table.row({workload.group + " " + workload.name, "ANY-Lazy LIFO",

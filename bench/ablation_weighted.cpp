@@ -19,7 +19,7 @@
 #include <cstdio>
 
 #include "apps/synthetic.hpp"
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       nodes);
 
   auto workloads =
-      bench::build_workloads(apps::paper_workload_specs(quick), jobs);
+      sweep::build_workloads(apps::paper_workload_specs(quick), jobs);
   {
     // An adversarial heavy-tailed synthetic: 90%% tiny, 10%% of tasks 10x.
     apps::SyntheticConfig config;
@@ -53,21 +53,21 @@ int main(int argc, char** argv) {
     workloads.push_back(std::move(heavy));
   }
 
-  std::vector<bench::RunDescriptor> descriptors;
+  std::vector<sweep::RunDescriptor> descriptors;
   for (const auto& workload : workloads) {
     for (const bool weighted : {false, true}) {
       core::RipsConfig config;
       config.weighted = weighted;
-      bench::RunDescriptor d;
+      sweep::RunDescriptor d;
       d.workload = &workload;
       d.nodes = nodes;
-      d.kind = bench::Kind::kRips;
+      d.kind = sweep::Kind::kRips;
       d.config = config;
       d.cost_hint = static_cast<double>(workload.trace.size());
       descriptors.push_back(d);
     }
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   TextTable table;
   table.header({"workload", "balanced by", "phases", "tasks moved", "Ti (s)",
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   size_t next = 0;
   for (const auto& workload : workloads) {
     for (const bool weighted : {false, true}) {
-      const bench::RunResult& r = results[next++];
+      const sweep::RunResult& r = results[next++];
       RIPS_CHECK_MSG(r.ok, "sweep run failed");
       const auto& run = r.run;
       table.row({workload.group + " " + workload.name,

@@ -14,7 +14,7 @@
 //   --jobs=1    sweep parallelism (0 = all hardware threads)
 #include <cstdio>
 
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -29,22 +29,22 @@ int main(int argc, char** argv) {
   std::printf("Figure 5: normalized quality factors on %d processors\n",
               nodes);
   const auto workloads =
-      bench::build_workloads(apps::paper_workload_specs(quick), jobs);
+      sweep::build_workloads(apps::paper_workload_specs(quick), jobs);
 
-  const std::vector<bench::Kind> kinds = bench::table1_kinds();
-  std::vector<bench::RunDescriptor> descriptors;
+  const std::vector<sweep::Kind> kinds = sweep::table1_kinds();
+  std::vector<sweep::RunDescriptor> descriptors;
   for (const auto& workload : workloads) {
-    for (const bench::Kind kind : kinds) {
-      bench::RunDescriptor d;
+    for (const sweep::Kind kind : kinds) {
+      sweep::RunDescriptor d;
       d.workload = &workload;
       d.nodes = nodes;
       d.kind = kind;
       d.cost_hint = static_cast<double>(workload.trace.size()) *
-                    (kind == bench::Kind::kGradient ? 8.0 : 1.0);
+                    (kind == sweep::Kind::kGradient ? 8.0 : 1.0);
       descriptors.push_back(d);
     }
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   std::string group;
   TextTable table;
@@ -65,11 +65,11 @@ int main(int argc, char** argv) {
     const double mu_opt = workload.trace.optimal_efficiency(nodes);
     double mu_rand = 0.0;
     std::vector<std::string> row{workload.name};
-    for (const bench::Kind kind : kinds) {
-      const bench::RunResult& r = results[next++];
+    for (const sweep::Kind kind : kinds) {
+      const sweep::RunResult& r = results[next++];
       RIPS_CHECK_MSG(r.ok, "sweep run failed");
       const double mu = r.run.metrics.efficiency();
-      if (kind == bench::Kind::kRandom) mu_rand = mu;
+      if (kind == sweep::Kind::kRandom) mu_rand = mu;
       const double denom = mu_opt - mu;
       // A strategy at (or numerically above) the optimum gets a large
       // finite factor rather than a division blow-up.

@@ -1,9 +1,18 @@
 // harness — machine-readable bench driver (docs/OBSERVABILITY.md).
 //
-// Runs paper workloads under the selected strategies and emits a stable
-// JSON document ("rips-bench-v1") that CI diffing, notebooks, and the
+// Runs one suite and emits its JSON document ("rips-bench-v1",
+// sim::bench_doc_json) that CI diffing, notebooks, and the
 // bench/check_bench_json validator can consume, instead of scraping the
-// ASCII tables the fig*/table* benches print.
+// ASCII tables the fig*/table* benches print. Suites:
+//   core    the first paper workload of each application group;
+//   full    every paper workload;
+//   scale   the scaling frontier (docs/PERFORMANCE.md, Scaling): RIPS on
+//           the `scale` synthetic preset — strong scaling of one ~1M-task
+//           trace at {128, 512, 2048, 4096, 8192, 16384, 65536} nodes (the
+//           4096-65536 tier repeats in weighted mode) and weak scaling
+//           (~256 tasks per node) at {128, 512, 2048, 4096}. --quick runs
+//           one 2048-node ~100k-task strong point. Phase snapshots are off:
+//           the suite times the allocation-free steady-state loop.
 //
 // Workload construction and the runs themselves dispatch through the
 // parallel sweep executor (src/exec/sweep): `--jobs=N` spreads them over N
@@ -15,6 +24,7 @@
 // Examples:
 //   ./harness --json                      # core suite -> BENCH_core.json
 //   ./harness --json=out.json --strategy=all --nodes=64 --jobs=4
+//   ./harness --suite=scale --quick=0 --json  # -> BENCH_scale.json
 //   ./harness --app=Queens --trace-out=run.trace.json
 //
 // The Perfetto trace (--trace-out) holds the LAST run executed, so narrow
@@ -26,10 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "apps/synthetic.hpp"
 #include "apps/trace_io.hpp"
-#include "harness.hpp"
-#include "obs/json.hpp"
+#include "exec/sweep/runner.hpp"
 #include "obs/live_status.hpp"
+#include "sim/fault.hpp"
+#include "sim/metrics.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 
@@ -57,90 +69,117 @@ core::RipsConfig parse_policy(const std::string& policy) {
   return config;
 }
 
-std::vector<bench::Kind> parse_strategies(const std::string& s) {
-  if (s == "all") return bench::table1_kinds();
-  if (s == "rips") return {bench::Kind::kRips};
-  if (s == "random") return {bench::Kind::kRandom};
-  if (s == "gradient") return {bench::Kind::kGradient};
-  if (s == "rid") return {bench::Kind::kRid};
-  if (s == "sid") return {bench::Kind::kSid};
+std::vector<sweep::Kind> parse_strategies(const std::string& s) {
+  if (s == "all") return sweep::table1_kinds();
+  if (s == "rips") return {sweep::Kind::kRips};
+  if (s == "random") return {sweep::Kind::kRandom};
+  if (s == "gradient") return {sweep::Kind::kGradient};
+  if (s == "rid") return {sweep::Kind::kRid};
+  if (s == "sid") return {sweep::Kind::kSid};
   RIPS_CHECK_MSG(false, "--strategy must be rips|random|gradient|rid|sid|all");
   return {};
 }
 
-struct RunRecord {
-  std::string workload;
-  std::string group;
-  std::string scheduler;
-  std::string policy;
+/// One row of a suite.
+struct Point {
+  size_t workload = 0;  ///< index into Suite::specs
+  std::string group;    ///< the row's "group" member
   i32 nodes = 0;
-  bool monitors_ok = true;
-  sim::RunMetrics metrics;
-  std::string registry_json;
+  sweep::Kind kind = sweep::Kind::kRips;
+  bool weighted = false;
 };
 
-std::string to_json(const std::vector<RunRecord>& runs, const std::string& suite,
-                    bool quick, i32 nodes) {
-  using obs::json::quoted;
-  std::string out = "{";
-  out += "\"schema\":\"rips-bench-v1\",";
-  out += "\"suite\":" + quoted(suite) + ",";
-  out += "\"quick\":" + std::string(quick ? "true" : "false") + ",";
-  out += "\"nodes\":" + std::to_string(nodes) + ",";
-  out += "\"runs\":[";
-  char buf[64];
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunRecord& r = runs[i];
-    const sim::RunMetrics& m = r.metrics;
-    if (i > 0) out += ",";
-    out += "{";
-    out += "\"workload\":" + quoted(r.workload) + ",";
-    out += "\"group\":" + quoted(r.group) + ",";
-    out += "\"scheduler\":" + quoted(r.scheduler) + ",";
-    out += "\"policy\":" + quoted(r.policy) + ",";
-    out += "\"nodes\":" + std::to_string(r.nodes) + ",";
-    out += "\"tasks\":" + std::to_string(m.num_tasks) + ",";
-    out += "\"makespan_ns\":" + std::to_string(m.makespan_ns) + ",";
-    out += "\"sequential_ns\":" + std::to_string(m.sequential_ns) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.efficiency());
-    out += "\"efficiency\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.3f", m.speedup());
-    out += "\"speedup\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.overhead_s());
-    out += "\"overhead_s\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.idle_s());
-    out += "\"idle_s\":" + std::string(buf) + ",";
-    out += "\"nonlocal_tasks\":" + std::to_string(m.nonlocal_tasks) + ",";
-    out += "\"system_phases\":" + std::to_string(m.system_phases) + ",";
-    out += "\"measure_pass\":" +
-           quoted(m.used_fast_measure ? "drain-sum" : "full") + ",";
-    // Per-job (tenant) rows, multi-job workloads only: single-job runs
-    // carry no "fairness" or "jobs" field.
-    if (!m.jobs.empty()) {
-      std::snprintf(buf, sizeof buf, "%.6f", m.job_fairness());
-      out += "\"fairness\":" + std::string(buf) + ",";
-      out += "\"jobs\":[";
-      for (size_t j = 0; j < m.jobs.size(); ++j) {
-        const sim::JobMetrics& jm = m.jobs[j];
-        if (j > 0) out += ",";
-        out += "{";
-        out += "\"name\":" + quoted(jm.name) + ",";
-        out += "\"tasks\":" + std::to_string(jm.tasks) + ",";
-        out += "\"nonlocal_tasks\":" + std::to_string(jm.nonlocal_tasks) + ",";
-        out += "\"tasks_migrated\":" + std::to_string(jm.tasks_migrated) + ",";
-        out += "\"work_ns\":" + std::to_string(jm.work_ns) + ",";
-        out += "\"completion_ns\":" + std::to_string(jm.completion_ns);
-        out += "}";
+struct Suite {
+  std::vector<apps::WorkloadSpec> specs;  ///< built once, shared by rows
+  std::vector<Point> points;
+  i32 nodes = 0;  ///< the document's "nodes" member
+};
+
+/// Core/full/--app selection over the paper workloads. Selects BEFORE
+/// building: specs carry the group/name the built workload will have, so
+/// the core suite / --app filter never pays for workloads it will not run.
+Suite paper_suite(const std::string& suite, const std::string& app_filter,
+                  bool quick, i32 nodes,
+                  const std::vector<sweep::Kind>& kinds) {
+  Suite s;
+  s.nodes = nodes;
+  std::vector<std::string> seen_groups;
+  for (const apps::WorkloadSpec& spec : apps::paper_workload_specs(quick)) {
+    if (!app_filter.empty()) {
+      if (spec.name.find(app_filter) == std::string::npos &&
+          spec.group.find(app_filter) == std::string::npos) {
+        continue;
       }
-      out += "],";
+    } else if (suite == "core") {
+      // First workload of each application group: the smoke set CI runs.
+      if (std::find(seen_groups.begin(), seen_groups.end(), spec.group) !=
+          seen_groups.end()) {
+        continue;
+      }
+      seen_groups.push_back(spec.group);
     }
-    out += "\"monitors_ok\":" + std::string(r.monitors_ok ? "true" : "false") +
-           ",";
-    out += "\"metrics\":" + r.registry_json;
-    out += "}";
+    for (const sweep::Kind kind : kinds) {
+      s.points.push_back({s.specs.size(), spec.group, nodes, kind, false});
+    }
+    s.specs.push_back(spec);
   }
-  out += "]}";
-  return out;
+  RIPS_CHECK_MSG(!s.specs.empty(), "no workload matches the selection");
+  return s;
+}
+
+/// The scaling frontier. Strong scaling re-runs one trace at every machine
+/// size; weak scaling grows the trace with the machine. The strong tier
+/// extends through 8K-64K nodes, where per-phase scheduler/monitor state
+/// dwarfs the per-task state and the flat data-level kernels carry the
+/// run; those sizes repeat in weighted mode (per-task work as the load
+/// unit), which exercises the gather-sum load collection instead of the
+/// count-only path.
+Suite scale_suite(bool quick) {
+  const std::vector<i32> strong =
+      quick ? std::vector<i32>{2048}
+            : std::vector<i32>{128, 512, 2048, 4096, 8192, 16384, 65536};
+  const std::vector<i32> weighted =
+      quick ? std::vector<i32>{} : std::vector<i32>{4096, 8192, 16384, 65536};
+  const std::vector<i32> weak =
+      quick ? std::vector<i32>{} : std::vector<i32>{128, 512, 2048, 4096};
+  const u64 strong_target = quick ? 102'400 : 1'048'576;
+
+  Suite s;
+  s.nodes = strong.back();
+  const auto add = [&](const char* group, i32 nodes, u64 target,
+                       bool is_weighted) {
+    // Each distinct trace size is built once.
+    const std::string name = "scale-" + std::to_string(target);
+    size_t w = 0;
+    while (w < s.specs.size() && s.specs[w].name != name) ++w;
+    if (w == s.specs.size()) {
+      apps::WorkloadSpec spec;
+      spec.group = "scale";
+      spec.name = name;
+      spec.build = [name, target]() {
+        apps::Workload out;
+        out.group = "scale";
+        out.name = name;
+        out.trace = apps::cached_trace(name, [target] {
+          return apps::build_synthetic_trace(apps::scale_config(target),
+                                             /*seed=*/1);
+        });
+        out.cost.ns_per_work = 2000.0;
+        out.tasks_reported = out.trace.size();
+        return out;
+      };
+      s.specs.push_back(std::move(spec));
+    }
+    s.points.push_back({w, group, nodes, sweep::Kind::kRips, is_weighted});
+  };
+  for (const i32 n : strong) add("strong-scaling", n, strong_target, false);
+  for (const i32 n : weighted) {
+    add("strong-scaling-weighted", n, strong_target, true);
+  }
+  for (const i32 n : weak) {
+    add("weak-scaling", n, static_cast<u64>(n) * 256, false);
+  }
+  return s;
 }
 
 }  // namespace
@@ -149,26 +188,35 @@ int main(int argc, char** argv) {
   const Args args(argc, argv);
   if (args.has("help")) {
     std::printf(
-        "usage: harness [--suite=core|full] [--app=<name substring>]\n"
+        "usage: harness [--suite=core|full|scale] [--app=<name substring>]\n"
         "  [--nodes=32] [--strategy=rips|random|gradient|rid|sid|all]\n"
         "  [--policy={any,all}-{lazy,eager}] [--quick=1] [--rid-u=0.4]\n"
-        "  [--monitors=1] [--jobs=1] [--json[=BENCH_core.json]]\n"
+        "  [--monitors=1] [--jobs=1] [--json[=BENCH_<suite>.json]]\n"
         "  [--trace-out=path] [--trace-cache=DIR]\n"
         "  [--live-status] [--timeseries-out=harness.timeseries.json]\n"
+        "  [--fault-seed=N] [--crash-mtbf-ms=N] [--drop-prob=P]\n"
+        "  [--fault-horizon-ms=N]\n"
         "emits the rips-bench-v1 JSON document (see docs/OBSERVABILITY.md);\n"
         "validate with bench/check_bench_json. --jobs=N parallelizes the\n"
         "sweep (0 = all hardware threads); output is identical for any N.\n"
-        "--live-status keeps a progress line on stderr; --timeseries-out\n"
-        "records per-phase samples for every run and writes a\n"
-        "rips-timeseries-v1 document (both leave stdout and the bench JSON\n"
-        "byte-identical). --trace-cache=DIR caches the expensive\n"
+        "--suite=scale runs RIPS on the scaling frontier at its own machine\n"
+        "sizes (so it rejects --app, --nodes and other strategies) and is\n"
+        "the only suite that takes the --fault-* flags: one fault plan per\n"
+        "machine size. --live-status keeps a progress line on stderr;\n"
+        "--timeseries-out records per-phase samples for every run and\n"
+        "writes a rips-timeseries-v1 document (both leave stdout and the\n"
+        "bench JSON byte-identical). --trace-cache=DIR caches the expensive\n"
         "application traces under DIR across invocations (overrides the\n"
-        "RIPS_TRACE_CACHE env var).\n");
+        "RIPS_TRACE_CACHE env var). stderr ends with one line: wall clock,\n"
+        "simulated tasks per wall-second of the sweep, and the measuring\n"
+        "pass the RIPS rows used (fast | full | mixed | none).\n");
     return 0;
   }
   args.check_known({"help", "suite", "app", "nodes", "strategy", "policy",
                     "quick", "rid-u", "monitors", "jobs", "json", "trace-out",
-                    "trace-cache", "live-status", "timeseries-out"});
+                    "trace-cache", "live-status", "timeseries-out",
+                    "fault-seed", "crash-mtbf-ms", "drop-prob",
+                    "fault-horizon-ms"});
 
   if (args.has("trace-cache")) {
     apps::set_trace_cache_dir(args.get("trace-cache", ""));
@@ -182,129 +230,157 @@ int main(int argc, char** argv) {
   const core::RipsConfig config = parse_policy(policy_name);
   const double rid_u = args.get_double("rid-u", 0.4);
   const bool monitors = args.get_bool("monitors", true);
-  const std::vector<bench::Kind> kinds =
+  const std::vector<sweep::Kind> kinds =
       parse_strategies(args.get("strategy", "rips"));
+  const bool scale = suite == "scale";
+  const bool inject_faults = args.has("fault-seed");
+  RIPS_CHECK_MSG(suite == "core" || suite == "full" || scale,
+                 "--suite must be core|full|scale");
+  if (scale) {
+    RIPS_CHECK_MSG(!args.has("app") && !args.has("nodes"),
+                   "--suite=scale sets its own workloads and machine sizes; "
+                   "drop --app and --nodes");
+    RIPS_CHECK_MSG(kinds.size() == 1 && kinds[0] == sweep::Kind::kRips,
+                   "--suite=scale runs RIPS only; drop --strategy");
+  } else {
+    for (const char* flag : {"fault-seed", "crash-mtbf-ms", "drop-prob",
+                             "fault-horizon-ms"}) {
+      RIPS_CHECK_MSG(!args.has(flag), "the --fault-* flags need --suite=scale");
+    }
+  }
 
   const auto wall_start = std::chrono::steady_clock::now();
-
-  // Select BEFORE building: specs carry the group/name the built workload
-  // will have, so the core suite / --app filter never pays for workloads
-  // it will not run.
-  const std::vector<apps::WorkloadSpec> all_specs =
-      apps::paper_workload_specs(quick);
-  std::vector<apps::WorkloadSpec> selected;
-  std::vector<std::string> seen_groups;
-  for (const apps::WorkloadSpec& s : all_specs) {
-    if (!app_filter.empty()) {
-      if (s.name.find(app_filter) == std::string::npos &&
-          s.group.find(app_filter) == std::string::npos) {
-        continue;
-      }
-    } else if (suite == "core") {
-      // First workload of each application group: the smoke set CI runs.
-      if (std::find(seen_groups.begin(), seen_groups.end(), s.group) !=
-          seen_groups.end()) {
-        continue;
-      }
-      seen_groups.push_back(s.group);
-    } else {
-      RIPS_CHECK_MSG(suite == "full", "--suite must be core|full");
-    }
-    selected.push_back(s);
-  }
-  RIPS_CHECK_MSG(!selected.empty(), "no workload matches the selection");
-
+  const Suite s = scale ? scale_suite(quick)
+                        : paper_suite(suite, app_filter, quick, nodes, kinds);
   const std::vector<apps::Workload> workloads =
-      bench::build_workloads(selected, jobs);
+      sweep::build_workloads(s.specs, jobs);
 
-  const bool want_trace = args.has("trace-out");
-
-  std::vector<bench::RunDescriptor> descriptors;
-  for (const apps::Workload& w : workloads) {
-    for (const bench::Kind kind : kinds) {
-      bench::RunDescriptor d;
-      d.workload = &w;
-      d.nodes = nodes;
-      d.kind = kind;
-      d.rid_u = rid_u;
-      d.config = config;
-      d.monitor = monitors;
-      // Scheduling hint only (results are order-committed): Gradient's
-      // per-event pressure propagation makes it ~8x the other engines on
-      // the same trace, and run time scales with trace length.
-      d.cost_hint = static_cast<double>(w.trace.size()) *
-                    (kind == bench::Kind::kGradient ? 8.0 : 1.0);
-      descriptors.push_back(d);
+  // Deterministic fault injection, one plan per row (crash victims are
+  // node ids, so a plan is only meaningful at its own machine size).
+  // Crash/message-fault plans keep the drain-sum fast measuring pass; the
+  // stderr measure= label below reports the pass the runs actually used.
+  std::vector<sim::FaultPlan> fault_plans;
+  if (inject_faults) {
+    sim::FaultSpec spec;
+    spec.horizon_ns = args.get_int("fault-horizon-ms", 1000) * 1'000'000;
+    spec.crash_mtbf_ns = args.get_double("crash-mtbf-ms", 0.0) * 1e6;
+    spec.drop_prob = args.get_double("drop-prob", 0.0);
+    const u64 seed = static_cast<u64>(args.get_int("fault-seed", 1));
+    for (const Point& p : s.points) {
+      fault_plans.push_back(sim::FaultPlan::generate(seed, p.nodes, spec));
     }
   }
-  // Like the sequential harness, the exported trace holds the LAST run;
-  // per-run sessions are tens of MB, so only that run records one.
-  if (want_trace) descriptors.back().collect_trace = true;
 
   // Live telemetry: one locked printer shared by every per-run bus, and
   // per-run samplers when a time-series export was requested. Both are
   // passive — stdout and the bench JSON stay byte-identical.
   const bool live_status = args.get_bool("live-status", args.has("live-status"));
   const bool want_timeseries = args.has("timeseries-out");
+  const bool want_trace = args.has("trace-out");
   obs::LiveStatusPrinter::Options live_opts;
-  live_opts.total_runs = descriptors.size();
+  live_opts.total_runs = s.points.size();
   obs::LiveStatusPrinter live(live_opts);
-  for (bench::RunDescriptor& d : descriptors) {
+
+  std::vector<sweep::RunDescriptor> descriptors;
+  for (size_t i = 0; i < s.points.size(); ++i) {
+    const Point& p = s.points[i];
+    sweep::RunDescriptor d;
+    d.workload = &workloads[p.workload];
+    d.nodes = p.nodes;
+    d.kind = p.kind;
+    d.rid_u = rid_u;
+    d.config = config;
+    d.config.weighted = p.weighted;
+    d.monitor = monitors;
+    d.tuning.phase_snapshots = !scale;
+    if (inject_faults) d.fault_plan = &fault_plans[i];
     if (live_status) d.live = &live;
     d.collect_timeseries = want_timeseries;
+    // Scheduling hint only (results are order-committed): run time scales
+    // with trace length, Gradient's per-event pressure propagation makes
+    // it ~8x the other engines on the same trace, and per-phase scheduler
+    // and drain state scale with the machine, so the 64K-node rows start
+    // first under --jobs=N instead of trailing the sweep.
+    d.cost_hint = static_cast<double>(d.workload->trace.size()) *
+                      (p.kind == sweep::Kind::kGradient ? 8.0 : 1.0) +
+                  static_cast<double>(p.nodes) * 256.0;
+    descriptors.push_back(d);
   }
+  // The exported trace holds the LAST run; per-run sessions are tens of
+  // MB, so only that run records one.
+  if (want_trace) descriptors.back().collect_trace = true;
 
-  const std::vector<bench::RunResult> results =
-      bench::run_sweep(descriptors, jobs);
+  const auto sweep_start = std::chrono::steady_clock::now();
+  const std::vector<sweep::RunResult> results =
+      sweep::run_sweep(descriptors, jobs);
+  const auto sweep_end = std::chrono::steady_clock::now();
   if (live_status) live.finish();
 
-  std::vector<RunRecord> runs;
+  std::vector<sim::BenchRow> rows;
   bool all_monitors_ok = true;
+  u64 total_tasks = 0;
+  bool saw_fast = false;
+  bool saw_full = false;
   for (size_t i = 0; i < results.size(); ++i) {
-    const bench::RunDescriptor& d = descriptors[i];
-    const bench::RunResult& r = results[i];
+    const sweep::RunDescriptor& d = descriptors[i];
+    const sweep::RunResult& r = results[i];
     if (!r.ok) {
       std::fprintf(stderr, "sweep run failed: %s\n", r.error.c_str());
       RIPS_CHECK_MSG(false, "a sweep run threw; see stderr");
     }
-    RunRecord rec;
-    rec.workload = d.workload->name;
-    rec.group = d.workload->group;
-    rec.scheduler = r.run.strategy;
-    rec.policy = d.kind == bench::Kind::kRips ? policy_name : "none";
-    rec.nodes = nodes;
-    rec.monitors_ok = r.monitors_ok;
-    rec.metrics = r.run.metrics;
-    rec.registry_json = r.run.registry.to_json();
-    runs.push_back(std::move(rec));
-    std::printf("%-18s %-9s eff=%.3f makespan=%.3fs phases=%llu %s\n",
-                d.workload->name.c_str(), r.run.strategy.c_str(),
-                r.run.metrics.efficiency(), r.run.metrics.exec_s(),
-                static_cast<unsigned long long>(r.run.metrics.system_phases),
-                r.monitors_ok ? "" : "MONITOR-VIOLATION");
+    const sim::RunMetrics& m = r.run.metrics;
+    sim::BenchRow row;
+    row.workload = d.workload->name;
+    row.group = s.points[i].group;
+    row.scheduler = r.run.strategy;
+    row.policy = d.kind == sweep::Kind::kRips ? policy_name : "none";
+    row.nodes = d.nodes;
+    row.metrics = m;
+    row.monitors_ok = r.monitors_ok;
+    row.registry_json = r.run.registry.to_json();
+    rows.push_back(std::move(row));
+    total_tasks += m.num_tasks;
+    if (d.kind == sweep::Kind::kRips) {
+      (m.used_fast_measure ? saw_fast : saw_full) = true;
+    }
+    if (scale) {
+      std::printf("%-14s %-14s nodes=%-5d tasks=%-8llu eff=%.3f "
+                  "makespan=%.3fs phases=%llu%s\n",
+                  s.points[i].group.c_str(), d.workload->name.c_str(), d.nodes,
+                  static_cast<unsigned long long>(m.num_tasks),
+                  m.efficiency(), m.exec_s(),
+                  static_cast<unsigned long long>(m.system_phases),
+                  r.monitors_ok ? "" : " MONITOR-VIOLATION");
+    } else {
+      std::printf("%-18s %-9s eff=%.3f makespan=%.3fs phases=%llu %s\n",
+                  d.workload->name.c_str(), r.run.strategy.c_str(),
+                  m.efficiency(), m.exec_s(),
+                  static_cast<unsigned long long>(m.system_phases),
+                  r.monitors_ok ? "" : "MONITOR-VIOLATION");
+    }
     if (!r.monitors_ok) {
       all_monitors_ok = false;
       std::fputs(r.monitor_report.c_str(), stderr);
     }
   }
 
-  const std::string bench_json =
-      to_json(runs, app_filter.empty() ? suite : "custom", quick, nodes);
   if (args.has("json")) {
     // Bare `--json` (no value) selects the default artifact name.
-    std::string path = args.get("json", "BENCH_core.json");
-    if (path.empty()) path = "BENCH_core.json";
+    std::string path = args.get("json", "");
+    if (path.empty()) path = "BENCH_" + suite + ".json";
     std::ofstream out(path, std::ios::binary);
-    out << bench_json << "\n";
+    out << sim::bench_doc_json(app_filter.empty() ? suite : "custom", quick,
+                               s.nodes, rows)
+        << "\n";
     out.flush();
     RIPS_CHECK_MSG(out.good(), "failed to write the bench JSON");
-    std::printf("wrote %s (%zu runs)\n", path.c_str(), runs.size());
+    std::printf("wrote %s (%zu runs)\n", path.c_str(), rows.size());
   }
   if (want_timeseries) {
     std::string path = args.get("timeseries-out", "harness.timeseries.json");
     if (path.empty()) path = "harness.timeseries.json";
     std::vector<const obs::TimeSeriesSampler*> samplers;
-    for (const bench::RunResult& r : results) {
+    for (const sweep::RunResult& r : results) {
       samplers.push_back(r.timeseries.get());
     }
     std::ofstream ts_out(path, std::ios::binary);
@@ -322,13 +398,29 @@ int main(int argc, char** argv) {
                 trace.size(), static_cast<unsigned long long>(trace.dropped()));
   }
 
-  // Stderr on purpose: stdout must stay byte-identical across job counts,
-  // and wall clock is the one thing --jobs is allowed to change. CI's
-  // nightly speedup assertion parses this line.
+  // Stderr on purpose: stdout must stay byte-identical across hosts and
+  // job counts, and wall clock is the one thing allowed to differ. Nightly
+  // CI parses the `harness: wall_ms=` prefix. Throughput counts every
+  // simulated task execution against the sweep's wall time (workload
+  // construction excluded — it is cacheable and the same for every engine
+  // path); measure= is derived from the RIPS rows' used_fast_measure, the
+  // same flags as the JSON rows' measure_pass.
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall_start)
                            .count();
-  std::fprintf(stderr, "harness: wall_ms=%lld jobs=%d runs=%zu\n",
-               static_cast<long long>(wall_ms), jobs, runs.size());
+  const double sweep_s =
+      std::chrono::duration<double>(sweep_end - sweep_start).count();
+  const char* measure = saw_fast && saw_full ? "mixed"
+                        : saw_fast           ? "fast"
+                        : saw_full           ? "full"
+                                             : "none";
+  std::fprintf(stderr,
+               "harness: wall_ms=%lld jobs=%d runs=%zu tasks=%llu "
+               "throughput=%.0f tasks/s measure=%s\n",
+               static_cast<long long>(wall_ms), jobs, rows.size(),
+               static_cast<unsigned long long>(total_tasks),
+               sweep_s > 0.0 ? static_cast<double>(total_tasks) / sweep_s
+                             : 0.0,
+               measure);
   return all_monitors_ok ? 0 : 1;
 }

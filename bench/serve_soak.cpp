@@ -14,7 +14,6 @@
 // Reported per job: submit-to-completion latency (arrival -> last task,
 // simulated); reported per run: p50/p95/p99/mean latency and the Jain
 // fairness index over tenant progress rates.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -22,10 +21,10 @@
 
 #include "apps/online_source.hpp"
 #include "apps/synthetic.hpp"
-#include "obs/json.hpp"
 #include "obs/monitors.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
+#include "sim/metrics.hpp"
 #include "topo/topology.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
@@ -34,15 +33,10 @@ namespace {
 
 using namespace rips;
 
-struct SoakResult {
-  sim::RunMetrics metrics;
-  std::vector<SimTime> latencies;  ///< per job, job index order
-  bool monitors_ok = true;
-  std::string registry_json;
-};
-
-SoakResult run_soak(i32 nodes, i32 jobs_total, i32 tenants,
-                    SimTime interarrival_ns, u64 seed, bool monitors) {
+/// The soak as its one rips-bench-v1 row: job arrivals are the submit
+/// times its latency members are measured from.
+sim::BenchRow run_soak(i32 nodes, i32 jobs_total, i32 tenants,
+                       SimTime interarrival_ns, u64 seed, bool monitors) {
   // Fixed schedule: job k belongs to tenant k % T and arrives at
   // k * interarrival. Sizes vary by seed so tenants are not symmetric.
   std::vector<apps::ScriptedJob> schedule;
@@ -77,24 +71,20 @@ SoakResult run_soak(i32 nodes, i32 jobs_total, i32 tenants,
   if (monitors) o.monitor = &monitor;
   engine.set_obs(o);
 
-  SoakResult result;
-  result.metrics = engine.run_online(source);
-  for (size_t j = 0; j < result.metrics.jobs.size(); ++j) {
-    result.metrics.jobs[j].name = source.jobs().name(static_cast<i32>(j));
-    const SimTime end = result.metrics.jobs[j].completion_ns;
-    const SimTime arrival = source.arrival_ns(static_cast<i32>(j));
-    result.latencies.push_back(end > arrival ? end - arrival : 0);
+  sim::BenchRow row;
+  row.workload = "scripted-soak";
+  row.group = "serve";
+  row.scheduler = "RIPS";
+  row.policy = "any-lazy";
+  row.nodes = nodes;
+  row.metrics = engine.run_online(source);
+  for (size_t j = 0; j < row.metrics.jobs.size(); ++j) {
+    row.metrics.jobs[j].name = source.jobs().name(static_cast<i32>(j));
+    row.job_submit_ns.push_back(source.arrival_ns(static_cast<i32>(j)));
   }
-  result.monitors_ok = !monitors || monitor.ok();
-  result.registry_json = engine.metrics_registry().to_json();
-  return result;
-}
-
-SimTime percentile(std::vector<SimTime> sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
+  row.monitors_ok = !monitors || monitor.ok();
+  row.registry_json = engine.metrics_registry().to_json();
+  return row;
 }
 
 }  // namespace
@@ -124,90 +114,29 @@ int main(int argc, char** argv) {
   RIPS_CHECK_MSG(jobs_total >= 2 && tenants >= 1 && tenants <= jobs_total,
                  "need --jobs-total >= 2 and 1 <= --tenants <= --jobs-total");
 
-  const SoakResult result =
+  const sim::BenchRow row =
       run_soak(nodes, jobs_total, tenants, interarrival_ns, seed, monitors);
-  const sim::RunMetrics& m = result.metrics;
-
-  std::vector<SimTime> sorted = result.latencies;
-  std::sort(sorted.begin(), sorted.end());
-  SimTime lat_sum = 0;
-  for (const SimTime l : sorted) lat_sum += l;
-  const SimTime p50 = percentile(sorted, 0.50);
-  const SimTime p95 = percentile(sorted, 0.95);
-  const SimTime p99 = percentile(sorted, 0.99);
-  const SimTime mean =
-      sorted.empty() ? 0 : lat_sum / static_cast<SimTime>(sorted.size());
+  const sim::RunMetrics& m = row.metrics;
+  const sim::JobLatency lat = sim::job_latency(m, row.job_submit_ns);
+  const auto ms = [](SimTime ns) { return 1e-6 * static_cast<double>(ns); };
 
   std::printf("serve_soak: %d jobs / %d tenants on %d nodes\n", jobs_total,
               tenants, nodes);
   std::printf("  makespan %.3f s, %llu tasks, efficiency %.4f\n", m.exec_s(),
               static_cast<unsigned long long>(m.num_tasks), m.efficiency());
   std::printf("  latency p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  mean %.3f ms\n",
-              1e-6 * static_cast<double>(p50), 1e-6 * static_cast<double>(p95),
-              1e-6 * static_cast<double>(p99),
-              1e-6 * static_cast<double>(mean));
+              ms(lat.p50_ns), ms(lat.p95_ns), ms(lat.p99_ns), ms(lat.mean_ns));
   std::printf("  fairness (Jain) %.4f, monitors %s\n", m.job_fairness(),
-              result.monitors_ok ? "clean" : "VIOLATED");
+              row.monitors_ok ? "clean" : "VIOLATED");
 
   if (args.has("json")) {
-    using obs::json::quoted;
-    char buf[64];
-    std::string out = "{";
-    out += "\"schema\":\"rips-bench-v1\",";
-    out += "\"suite\":\"serve-soak\",";
-    out += "\"quick\":false,";
-    out += "\"nodes\":" + std::to_string(nodes) + ",";
-    out += "\"runs\":[{";
-    out += "\"workload\":\"scripted-soak\",";
-    out += "\"group\":\"serve\",";
-    out += "\"scheduler\":\"RIPS\",";
-    out += "\"policy\":\"any-lazy\",";
-    out += "\"nodes\":" + std::to_string(nodes) + ",";
-    out += "\"tasks\":" + std::to_string(m.num_tasks) + ",";
-    out += "\"makespan_ns\":" + std::to_string(m.makespan_ns) + ",";
-    out += "\"sequential_ns\":" + std::to_string(m.sequential_ns) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.efficiency());
-    out += "\"efficiency\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.3f", m.speedup());
-    out += "\"speedup\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.overhead_s());
-    out += "\"overhead_s\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.idle_s());
-    out += "\"idle_s\":" + std::string(buf) + ",";
-    out += "\"nonlocal_tasks\":" + std::to_string(m.nonlocal_tasks) + ",";
-    out += "\"system_phases\":" + std::to_string(m.system_phases) + ",";
-    out += "\"measure_pass\":" +
-           quoted(m.used_fast_measure ? "drain-sum" : "full") + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.job_fairness());
-    out += "\"fairness\":" + std::string(buf) + ",";
-    out += "\"jobs\":[";
-    for (size_t j = 0; j < m.jobs.size(); ++j) {
-      const sim::JobMetrics& jm = m.jobs[j];
-      if (j > 0) out += ",";
-      out += "{";
-      out += "\"name\":" + quoted(jm.name) + ",";
-      out += "\"tasks\":" + std::to_string(jm.tasks) + ",";
-      out += "\"nonlocal_tasks\":" + std::to_string(jm.nonlocal_tasks) + ",";
-      out += "\"tasks_migrated\":" + std::to_string(jm.tasks_migrated) + ",";
-      out += "\"work_ns\":" + std::to_string(jm.work_ns) + ",";
-      out += "\"completion_ns\":" + std::to_string(jm.completion_ns);
-      out += "}";
-    }
-    out += "],";
-    out += "\"latency_p50_ns\":" + std::to_string(p50) + ",";
-    out += "\"latency_p95_ns\":" + std::to_string(p95) + ",";
-    out += "\"latency_p99_ns\":" + std::to_string(p99) + ",";
-    out += "\"latency_mean_ns\":" + std::to_string(mean) + ",";
-    out += "\"monitors_ok\":" +
-           std::string(result.monitors_ok ? "true" : "false") + ",";
-    out += "\"metrics\":" + result.registry_json;
-    out += "}]}";
-
-    const std::string path = args.get("json", "BENCH_serve.json");
+    // Bare `--json` (no value) selects the default artifact name.
+    std::string path = args.get("json", "BENCH_serve.json");
+    if (path.empty()) path = "BENCH_serve.json";
     std::ofstream file(path);
     RIPS_CHECK_MSG(file.good(), "cannot open --json output file");
-    file << out << "\n";
+    file << sim::bench_doc_json("serve-soak", false, nodes, {row}) << "\n";
     std::fprintf(stderr, "serve_soak: wrote %s\n", path.c_str());
   }
-  return result.monitors_ok ? 0 : 1;
+  return row.monitors_ok ? 0 : 1;
 }

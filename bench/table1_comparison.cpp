@@ -18,7 +18,7 @@
 //   --jobs=1     sweep parallelism (0 = all hardware threads)
 #include <cstdio>
 
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -33,41 +33,41 @@ int main(int argc, char** argv) {
   std::printf("Table I: comparison of scheduling algorithms on %d processors\n",
               nodes);
   const auto workloads =
-      bench::build_workloads(apps::paper_workload_specs(quick), jobs);
+      sweep::build_workloads(apps::paper_workload_specs(quick), jobs);
 
-  const std::vector<bench::Kind> kinds = bench::table1_kinds();
-  std::vector<bench::RunDescriptor> descriptors;
+  const std::vector<sweep::Kind> kinds = sweep::table1_kinds();
+  std::vector<sweep::RunDescriptor> descriptors;
   for (const auto& workload : workloads) {
-    for (const bench::Kind kind : kinds) {
-      bench::RunDescriptor d;
+    for (const sweep::Kind kind : kinds) {
+      sweep::RunDescriptor d;
       d.workload = &workload;
       d.nodes = nodes;
       d.kind = kind;
       d.cost_hint = static_cast<double>(workload.trace.size()) *
-                    (kind == bench::Kind::kGradient ? 8.0 : 1.0);
+                    (kind == sweep::Kind::kGradient ? 8.0 : 1.0);
       descriptors.push_back(d);
     }
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   TextTable table;
   table.header({"workload", "strategy", "# tasks", "# non-local", "Th (s)",
                 "Ti (s)", "T (s)", "mu"});
-  std::vector<bench::StrategyRun> queens15_rips;
+  std::vector<sweep::StrategyRun> queens15_rips;
   size_t next = 0;
   for (const auto& workload : workloads) {
     const std::string label = workload.group + " " + workload.name;
-    for (const bench::Kind kind : kinds) {
-      const bench::RunResult& r = results[next++];
+    for (const sweep::Kind kind : kinds) {
+      const sweep::RunResult& r = results[next++];
       RIPS_CHECK_MSG(r.ok, "sweep run failed");
-      const bench::StrategyRun& run = r.run;
+      const sweep::StrategyRun& run = r.run;
       table.row({label, run.strategy,
                  cell(static_cast<long long>(workload.tasks_reported)),
                  cell(static_cast<long long>(run.metrics.nonlocal_tasks)),
                  cell(run.metrics.overhead_s(), 2),
                  cell(run.metrics.idle_s(), 2), cell(run.metrics.exec_s(), 2),
                  cell_pct(run.metrics.efficiency())});
-      if (kind == bench::Kind::kRips && workload.name == "15-Queens") {
+      if (kind == sweep::Kind::kRips && workload.name == "15-Queens") {
         queens15_rips.push_back(run);
       }
     }

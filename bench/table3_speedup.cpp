@@ -11,7 +11,7 @@
 //   --jobs=1    sweep parallelism (0 = all hardware threads)
 #include <cstdio>
 
-#include "harness.hpp"
+#include "exec/sweep/runner.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -36,35 +36,35 @@ int main(int argc, char** argv) {
     specs.push_back({"GROMOS", "16 A",
                      [] { return apps::build_gromos_workload(16.0); }});
   }
-  const auto workloads = bench::build_workloads(specs, jobs);
+  const auto workloads = sweep::build_workloads(specs, jobs);
 
-  const std::vector<bench::Kind> kinds = bench::table1_kinds();
-  std::vector<bench::RunDescriptor> descriptors;
+  const std::vector<sweep::Kind> kinds = sweep::table1_kinds();
+  std::vector<sweep::RunDescriptor> descriptors;
   for (const auto& workload : workloads) {
     const bool is_ida = workload.group == "IDA* search";
-    for (const bench::Kind kind : kinds) {
+    for (const sweep::Kind kind : kinds) {
       for (const i32 nodes : {64, 128}) {
-        bench::RunDescriptor d;
+        sweep::RunDescriptor d;
         d.workload = &workload;
         d.nodes = nodes;
         d.kind = kind;
         d.rid_u = is_ida ? 0.7 : 0.4;
         d.cost_hint = static_cast<double>(workload.trace.size()) *
-                      (kind == bench::Kind::kGradient ? 8.0 : 1.0);
+                      (kind == sweep::Kind::kGradient ? 8.0 : 1.0);
         descriptors.push_back(d);
       }
     }
   }
-  const auto results = bench::run_sweep(descriptors, jobs);
+  const auto results = sweep::run_sweep(descriptors, jobs);
 
   TextTable table;
   table.header({"workload", "strategy", "speedup @64", "speedup @128"});
   size_t next = 0;
   for (const auto& workload : workloads) {
-    for (const bench::Kind kind : kinds) {
+    for (const sweep::Kind kind : kinds) {
       (void)kind;
-      const bench::RunResult& at64 = results[next++];
-      const bench::RunResult& at128 = results[next++];
+      const sweep::RunResult& at64 = results[next++];
+      const sweep::RunResult& at128 = results[next++];
       RIPS_CHECK_MSG(at64.ok && at128.ok, "sweep run failed");
       table.row({workload.group + " " + workload.name, at64.run.strategy,
                  cell(at64.run.metrics.speedup(), 1),

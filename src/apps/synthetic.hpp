@@ -29,7 +29,7 @@ TaskTrace build_synthetic_trace(const SyntheticConfig& config, u64 seed,
                                 u64 max_tasks = 0);
 
 /// The `scale` preset: an irregular million-task-class workload for the
-/// scaling suite (bench/scale_sweep, the CI scale-smoke test). Returns a
+/// scaling suite (`harness --suite=scale`, the CI scale-smoke test). Returns a
 /// config whose expected trace size is close to `target_tasks` — a forest
 /// of ~2500-task exponential-grain subtrees, so peak generation memory is
 /// the trace itself plus one breadth-first spawn frontier (no per-segment

@@ -68,7 +68,6 @@ StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
     core::RipsEngine engine(mwa, workload.cost, config);
     engine.set_obs(o);
     engine.set_fault_plan(fault_plan);
-    engine.set_full_measure_pass(tuning.full_measure);
     engine.set_phase_snapshots(tuning.phase_snapshots);
     engine.set_job_map(job_of, num_jobs);
     out.metrics = engine.run(workload.trace);

@@ -10,7 +10,7 @@
 // `harness --json` — is byte-identical for any job count.
 //
 // This header also owns the single-run building blocks the bench tools
-// share (Kind / run_strategy / StrategyRun), formerly bench/harness.hpp.
+// share (Kind / run_strategy / StrategyRun).
 #pragma once
 
 #include <memory>
@@ -47,11 +47,9 @@ enum class Kind { kRandom, kGradient, kRid, kRips, kSid };
 std::string kind_name(Kind kind);
 
 /// RIPS engine knobs that change cost but never results (ignored by the
-/// dynamic strategies). scale_sweep uses them: snapshots off keeps the
-/// steady-state loop allocation-free; full_measure re-enables the original
-/// O(subtree) measuring pass so one binary can time old vs new.
+/// dynamic strategies). `harness --suite=scale` turns snapshots off to keep
+/// the steady-state loop allocation-free.
 struct EngineTuning {
-  bool full_measure = false;
   bool phase_snapshots = true;
 };
 

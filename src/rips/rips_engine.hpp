@@ -115,12 +115,12 @@ class RipsEngine {
   /// results are unaffected (snapshots are a passive copy).
   void set_phase_snapshots(bool on) { phase_snapshots_ = on; }
 
-  /// Forces the original measuring pass that re-simulates every node's
-  /// full RTE drain (O(subtree) per phase). The default uses precomputed
-  /// per-task drain costs (O(queue length) per phase) whenever no fault
-  /// plan is attached; both paths produce bit-identical results — this
-  /// switch exists so benchmarks can measure one against the other in the
-  /// same binary.
+  /// Test hook for the reference measuring pass, which re-simulates every
+  /// node's full RTE drain (O(subtree) per phase). Runs use precomputed
+  /// per-task drain costs (O(queue length) per phase) instead; in normal
+  /// runs only a fault plan with slowdown windows selects the full pass.
+  /// Both passes produce bit-identical results, which is what the tests
+  /// that set this check.
   void set_full_measure_pass(bool on) { full_measure_ = on; }
 
   /// Which measuring pass the last run actually used (a fault plan with

@@ -1,8 +1,6 @@
 #include "serve/job_server.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
 #include "apps/online_source.hpp"
@@ -412,102 +410,32 @@ std::string JobServer::bench_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   RIPS_CHECK_MSG(finished_, "bench_json() before drain()");
 
-  std::string out = "{";
-  out += "\"schema\":\"rips-bench-v1\",";
-  out += "\"suite\":\"serve\",";
-  out += "\"quick\":false,";
-  out += "\"nodes\":" + std::to_string(options_.nodes) + ",";
-  out += "\"runs\":[";
   // A session in which no job ever ran has no meaningful run row (the
   // engine never executed a task); emit an empty suite.
+  std::vector<sim::BenchRow> rows;
   if (started_ && result_.num_tasks > 0) {
-    const sim::RunMetrics& m = result_;
-    char buf[64];
-    out += "{";
-    out += "\"workload\":\"served\",";
-    out += "\"group\":\"serve\",";
-    out += "\"scheduler\":\"RIPS\",";
-    std::string policy = options_.config.global == core::GlobalPolicy::kAll
-                             ? "all"
-                             : "any";
-    policy += options_.config.local == core::LocalPolicy::kEager ? "-eager"
-                                                                 : "-lazy";
-    out += "\"policy\":" + quoted(policy) + ",";
-    out += "\"nodes\":" + std::to_string(options_.nodes) + ",";
-    out += "\"tasks\":" + std::to_string(m.num_tasks) + ",";
-    out += "\"makespan_ns\":" + std::to_string(m.makespan_ns) + ",";
-    out += "\"sequential_ns\":" + std::to_string(m.sequential_ns) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.efficiency());
-    out += "\"efficiency\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.3f", m.speedup());
-    out += "\"speedup\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.overhead_s());
-    out += "\"overhead_s\":" + std::string(buf) + ",";
-    std::snprintf(buf, sizeof buf, "%.6f", m.idle_s());
-    out += "\"idle_s\":" + std::string(buf) + ",";
-    out += "\"nonlocal_tasks\":" + std::to_string(m.nonlocal_tasks) + ",";
-    out += "\"system_phases\":" + std::to_string(m.system_phases) + ",";
-    out += "\"measure_pass\":" +
-           quoted(m.used_fast_measure ? "drain-sum" : "full") + ",";
-
-    // Per-job rows + fairness, exactly the harness shape (check_bench_json
-    // requires >= 2 job rows whenever the members appear).
-    if (m.jobs.size() >= 2) {
-      std::snprintf(buf, sizeof buf, "%.6f", m.job_fairness());
-      out += "\"fairness\":" + std::string(buf) + ",";
-      out += "\"jobs\":[";
-      for (size_t j = 0; j < m.jobs.size(); ++j) {
-        const sim::JobMetrics& jm = m.jobs[j];
-        if (j > 0) out += ",";
-        out += "{";
-        out += "\"name\":" + quoted(jm.name) + ",";
-        out += "\"tasks\":" + std::to_string(jm.tasks) + ",";
-        out += "\"nonlocal_tasks\":" + std::to_string(jm.nonlocal_tasks) +
-               ",";
-        out += "\"tasks_migrated\":" + std::to_string(jm.tasks_migrated) +
-               ",";
-        out += "\"work_ns\":" + std::to_string(jm.work_ns) + ",";
-        out += "\"completion_ns\":" + std::to_string(jm.completion_ns);
-        out += "}";
-      }
-      out += "],";
+    sim::BenchRow row;
+    row.workload = "served";
+    row.group = "serve";
+    row.scheduler = "RIPS";
+    row.policy = options_.config.global == core::GlobalPolicy::kAll ? "all"
+                                                                    : "any";
+    row.policy += options_.config.local == core::LocalPolicy::kEager
+                      ? "-eager"
+                      : "-lazy";
+    row.nodes = options_.nodes;
+    row.metrics = result_;
+    row.monitors_ok = monitors_ok_;
+    row.registry_json = engine_registry_json_;
+    // Every job the engine ran contributes one latency sample.
+    for (size_t j = 0; j < result_.jobs.size() && j < engine_to_job_.size();
+         ++j) {
+      row.job_submit_ns.push_back(jobs_[engine_to_job_[j]].submit_ns);
     }
-
-    // Serving-specific extras (validators allow unknown members): per-job
-    // submit-to-completion latency percentiles over the session. Every job
-    // contributes one sample — a non-positive latency (clock skew) clamps
-    // to 0 rather than being dropped, so the percentiles always cover
-    // exactly the jobs the session ran.
-    std::vector<SimTime> latencies;
-    for (size_t j = 0; j < m.jobs.size() && j < engine_to_job_.size(); ++j) {
-      const Job& job = jobs_[engine_to_job_[j]];
-      const SimTime end = m.jobs[j].completion_ns;
-      latencies.push_back(end > job.submit_ns ? end - job.submit_ns : 0);
-    }
-    if (!latencies.empty()) {
-      std::sort(latencies.begin(), latencies.end());
-      const auto pct = [&](double q) {
-        size_t idx = static_cast<size_t>(q * static_cast<double>(
-                                                 latencies.size() - 1));
-        return latencies[idx];
-      };
-      SimTime sum = 0;
-      for (const SimTime l : latencies) sum += l;
-      out += "\"latency_p50_ns\":" + std::to_string(pct(0.50)) + ",";
-      out += "\"latency_p95_ns\":" + std::to_string(pct(0.95)) + ",";
-      out += "\"latency_p99_ns\":" + std::to_string(pct(0.99)) + ",";
-      out += "\"latency_mean_ns\":" +
-             std::to_string(sum / static_cast<SimTime>(latencies.size())) +
-             ",";
-    }
-    out += "\"jobs_done\":" + std::to_string(jobs_done_) + ",";
-    out += "\"monitors_ok\":" + std::string(monitors_ok_ ? "true" : "false") +
-           ",";
-    out += "\"metrics\":" + engine_registry_json_;
-    out += "}";
+    row.jobs_done = jobs_done_;
+    rows.push_back(std::move(row));
   }
-  out += "]}";
-  return out;
+  return sim::bench_doc_json("serve", false, options_.nodes, rows);
 }
 
 }  // namespace rips::serve

@@ -109,10 +109,11 @@ class JobServer {
   const sim::RunMetrics& result() const;
   bool monitors_ok() const;
 
-  /// rips-bench-v1 document for the finished session: one run row (suite
-  /// "serve") with per-job rows, Jain fairness and p50/p95/p99 job
-  /// latency, validated by bench/check_bench_json and gated by bench_diff
-  /// --fairness-tol exactly like the batch suites. Valid after drain().
+  /// rips-bench-v1 document for the finished session (sim::bench_doc_json):
+  /// one run row (suite "serve") with per-job rows, Jain fairness, p50/p95/
+  /// p99 job latency and jobs_done, validated by bench/check_bench_json and
+  /// gated by bench_diff --fairness-tol exactly like the batch suites.
+  /// Valid after drain().
   std::string bench_json() const;
 
   const obs::FlightRecorder& recorder() const { return recorder_; }

@@ -1,7 +1,9 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace rips::sim {
@@ -60,6 +62,108 @@ std::string RunMetrics::summary() const {
                   1e-9 * static_cast<double>(lost_work_ns));
     out += buf;
   }
+  return out;
+}
+
+JobLatency job_latency(const RunMetrics& metrics,
+                       const std::vector<SimTime>& submit_ns) {
+  std::vector<SimTime> sorted;
+  for (size_t j = 0; j < metrics.jobs.size() && j < submit_ns.size(); ++j) {
+    const SimTime end = metrics.jobs[j].completion_ns;
+    sorted.push_back(end > submit_ns[j] ? end - submit_ns[j] : 0);
+  }
+  JobLatency out;
+  out.samples = sorted.size();
+  if (sorted.empty()) return out;
+  std::sort(sorted.begin(), sorted.end());
+  const auto pct = [&](double q) {
+    return sorted[static_cast<size_t>(q *
+                                      static_cast<double>(sorted.size() - 1))];
+  };
+  SimTime sum = 0;
+  for (const SimTime l : sorted) sum += l;
+  out.p50_ns = pct(0.50);
+  out.p95_ns = pct(0.95);
+  out.p99_ns = pct(0.99);
+  out.mean_ns = sum / static_cast<SimTime>(sorted.size());
+  return out;
+}
+
+namespace {
+
+void append_row(std::string& out, const BenchRow& r) {
+  using obs::json::quoted;
+  const RunMetrics& m = r.metrics;
+  char buf[64];
+  const auto fixed = [&](const char* fmt, double v) {
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return std::string(buf);
+  };
+  out += "{";
+  out += "\"workload\":" + quoted(r.workload) + ",";
+  out += "\"group\":" + quoted(r.group) + ",";
+  out += "\"scheduler\":" + quoted(r.scheduler) + ",";
+  out += "\"policy\":" + quoted(r.policy) + ",";
+  out += "\"nodes\":" + std::to_string(r.nodes) + ",";
+  out += "\"tasks\":" + std::to_string(m.num_tasks) + ",";
+  out += "\"makespan_ns\":" + std::to_string(m.makespan_ns) + ",";
+  out += "\"sequential_ns\":" + std::to_string(m.sequential_ns) + ",";
+  out += "\"efficiency\":" + fixed("%.6f", m.efficiency()) + ",";
+  out += "\"speedup\":" + fixed("%.3f", m.speedup()) + ",";
+  out += "\"overhead_s\":" + fixed("%.6f", m.overhead_s()) + ",";
+  out += "\"idle_s\":" + fixed("%.6f", m.idle_s()) + ",";
+  out += "\"nonlocal_tasks\":" + std::to_string(m.nonlocal_tasks) + ",";
+  out += "\"system_phases\":" + std::to_string(m.system_phases) + ",";
+  out += "\"measure_pass\":" +
+         quoted(m.used_fast_measure ? "drain-sum" : "full") + ",";
+  if (m.jobs.size() >= 2) {
+    out += "\"fairness\":" + fixed("%.6f", m.job_fairness()) + ",";
+    out += "\"jobs\":[";
+    for (size_t j = 0; j < m.jobs.size(); ++j) {
+      const JobMetrics& jm = m.jobs[j];
+      if (j > 0) out += ",";
+      out += "{";
+      out += "\"name\":" + quoted(jm.name) + ",";
+      out += "\"tasks\":" + std::to_string(jm.tasks) + ",";
+      out += "\"nonlocal_tasks\":" + std::to_string(jm.nonlocal_tasks) + ",";
+      out += "\"tasks_migrated\":" + std::to_string(jm.tasks_migrated) + ",";
+      out += "\"work_ns\":" + std::to_string(jm.work_ns) + ",";
+      out += "\"completion_ns\":" + std::to_string(jm.completion_ns);
+      out += "}";
+    }
+    out += "],";
+  }
+  const JobLatency lat = job_latency(m, r.job_submit_ns);
+  if (lat.samples > 0) {
+    out += "\"latency_p50_ns\":" + std::to_string(lat.p50_ns) + ",";
+    out += "\"latency_p95_ns\":" + std::to_string(lat.p95_ns) + ",";
+    out += "\"latency_p99_ns\":" + std::to_string(lat.p99_ns) + ",";
+    out += "\"latency_mean_ns\":" + std::to_string(lat.mean_ns) + ",";
+  }
+  if (r.jobs_done) {
+    out += "\"jobs_done\":" + std::to_string(*r.jobs_done) + ",";
+  }
+  out += "\"monitors_ok\":" + std::string(r.monitors_ok ? "true" : "false") +
+         ",";
+  out += "\"metrics\":" + r.registry_json;
+  out += "}";
+}
+
+}  // namespace
+
+std::string bench_doc_json(std::string_view suite, bool quick, i32 nodes,
+                           const std::vector<BenchRow>& rows) {
+  std::string out = "{";
+  out += "\"schema\":\"rips-bench-v1\",";
+  out += "\"suite\":" + obs::json::quoted(suite) + ",";
+  out += "\"quick\":" + std::string(quick ? "true" : "false") + ",";
+  out += "\"nodes\":" + std::to_string(nodes) + ",";
+  out += "\"runs\":[";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0) out += ",";
+    append_row(out, rows[i]);
+  }
+  out += "]}";
   return out;
 }
 

@@ -2,7 +2,9 @@
 // The fields mirror the paper's Table I columns.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.hpp"
@@ -123,5 +125,42 @@ struct RunMetrics {
 
   std::string summary() const;
 };
+
+/// Per-job submit-to-completion latency of a run: job j's sample is
+/// jobs[j].completion_ns - submit_ns[j] over the jobs that have a submit
+/// time, a non-positive latency (clock skew) clamped to 0 rather than
+/// dropped. Percentile q is the sorted sample at index q·(n−1).
+struct JobLatency {
+  size_t samples = 0;
+  SimTime p50_ns = 0;
+  SimTime p95_ns = 0;
+  SimTime p99_ns = 0;
+  SimTime mean_ns = 0;
+};
+JobLatency job_latency(const RunMetrics& metrics,
+                       const std::vector<SimTime>& submit_ns);
+
+/// One run row of a rips-bench-v1 document (docs/OBSERVABILITY.md).
+struct BenchRow {
+  std::string workload;
+  std::string group;
+  std::string scheduler;
+  std::string policy;
+  i32 nodes = 0;
+  RunMetrics metrics;
+  bool monitors_ok = true;
+  std::string registry_json;  ///< obs::MetricsRegistry::to_json() of the run
+  /// Serving rows only. Per-job submit times (job index order) add the
+  /// latency_* members; jobs_done adds the session's completed-job count.
+  std::vector<SimTime> job_submit_ns;
+  std::optional<u64> jobs_done;
+};
+
+/// The rips-bench-v1 document: the one writer behind every suite's --json
+/// and rips_served's session export. It owns the member order and number
+/// formats, and writes "fairness" and "jobs" only for rows with at least
+/// two jobs (check_bench_json requires as much).
+std::string bench_doc_json(std::string_view suite, bool quick, i32 nodes,
+                           const std::vector<BenchRow>& rows);
 
 }  // namespace rips::sim

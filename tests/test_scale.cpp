@@ -1,7 +1,7 @@
 // Scaling frontier tests (docs/PERFORMANCE.md, Scaling): the `scale`
-// synthetic preset and the EngineTuning knobs the scale_sweep tool runs
-// with. The `scale` ctest label also runs scale_sweep --quick itself
-// (see scale_smoke in CMakeLists.txt).
+// synthetic preset, the tuning `harness --suite=scale` runs with, and the
+// reference measuring pass. The `scale` ctest label also runs the quick
+// scale suite itself (harness_golden_scale_quick in bench/CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,7 +9,10 @@
 
 #include "apps/synthetic.hpp"
 #include "exec/sweep/runner.hpp"
+#include "rips/rips_engine.hpp"
+#include "sched/mwa.hpp"
 #include "sim/metrics.hpp"
+#include "topo/topology.hpp"
 
 namespace rips::sweep {
 namespace {
@@ -55,9 +58,9 @@ TEST(ScalePreset, TraceSizeTracksTarget) {
   }
 }
 
-// scale_sweep's determinism promise, at the executor level: the exact runs
-// the quick suite issues produce byte-identical registries and identical
-// metrics for any job count.
+// The scale suite's determinism promise, at the executor level: the runs
+// it issues produce byte-identical registries and identical metrics for
+// any job count.
 TEST(ScaleSweep, ResultsAreIdenticalAcrossJobCounts) {
   const apps::Workload w = scale_workload(8192);
   std::vector<RunDescriptor> descriptors;
@@ -78,26 +81,32 @@ TEST(ScaleSweep, ResultsAreIdenticalAcrossJobCounts) {
   }
 }
 
-// EngineTuning is cost-only by contract: flipping full_measure must not
-// change a single simulated bit (with snapshots off the registries are
-// byte-identical, not just metric-equal).
+// The reference measuring pass must not change a single simulated bit:
+// with snapshots off the registries are byte-identical, not just
+// metric-equal. Only used_fast_measure (measure_pass) tells them apart.
 TEST(ScaleSweep, FullMeasurePassChangesNothingObservable) {
   const apps::Workload w = scale_workload(8192);
-  RunDescriptor fast;
-  fast.workload = &w;
-  fast.nodes = 64;
-  fast.kind = Kind::kRips;
-  fast.tuning.phase_snapshots = false;
-  RunDescriptor full = fast;
-  full.tuning.full_measure = true;
-
-  const std::vector<RunResult> results = run_sweep({fast, full}, /*jobs=*/1);
-  ASSERT_EQ(results.size(), 2u);
-  expect_same_run(results[0], results[1], "fast vs full measuring pass");
+  const topo::MeshShape shape = topo::paper_mesh_shape(64);
+  const topo::Mesh mesh(shape.rows, shape.cols);
+  sim::RunMetrics metrics[2];
+  std::string registry[2];
+  for (const bool full : {false, true}) {
+    sched::Mwa mwa(mesh);
+    core::RipsEngine engine(mwa, w.cost, core::RipsConfig{});
+    engine.set_phase_snapshots(false);
+    engine.set_full_measure_pass(full);
+    metrics[full] = engine.run(w.trace);
+    registry[full] = engine.metrics_registry().to_json();
+  }
+  EXPECT_TRUE(metrics[0].used_fast_measure);
+  EXPECT_FALSE(metrics[1].used_fast_measure);
+  metrics[1].used_fast_measure = true;
+  EXPECT_EQ(metrics[0], metrics[1]);
+  EXPECT_EQ(registry[0], registry[1]);
 }
 
 // Disabling phase snapshots strips the per-phase registry dumps but leaves
-// every simulated metric untouched — the knob scale_sweep relies on to
+// every simulated metric untouched — the knob the scale suite relies on to
 // keep the steady-state loop allocation-free.
 TEST(ScaleSweep, SnapshotKnobOnlyAffectsSnapshots) {
   const apps::Workload w = scale_workload(8192);

@@ -1,9 +1,10 @@
-// Simulator-layer tests: cost model arithmetic, event-queue determinism
-// and derived run metrics.
+// Simulator-layer tests: cost model arithmetic, event-queue determinism,
+// derived run metrics and the rips-bench-v1 writer's rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -212,6 +213,51 @@ TEST(RunMetrics, ZeroSafe) {
   EXPECT_DOUBLE_EQ(m.speedup(), 0.0);
   EXPECT_DOUBLE_EQ(m.overhead_s(), 0.0);
   EXPECT_FALSE(m.summary().empty());
+}
+
+// ----------------------------------------------------- rips-bench-v1
+
+TEST(JobLatency, ClampsNonPositiveAndIndexesQTimesNMinusOne) {
+  RunMetrics m;
+  for (const SimTime end : {50, 10, 40, 30, 5}) {
+    JobMetrics job;
+    job.completion_ns = end;
+    m.jobs.push_back(job);
+  }
+  // Job 4 finished before its submit time; the sixth submit has no job.
+  const JobLatency lat = job_latency(m, {0, 0, 0, 0, 9, 7});
+  EXPECT_EQ(lat.samples, 5u);    // sorted {0, 10, 30, 40, 50}
+  EXPECT_EQ(lat.p50_ns, 30);     // index 0.50 * 4 = 2
+  EXPECT_EQ(lat.p95_ns, 40);     // index 0.95 * 4 = 3.8 -> 3
+  EXPECT_EQ(lat.p99_ns, 40);
+  EXPECT_EQ(lat.mean_ns, 26);    // 130 / 5
+  EXPECT_EQ(job_latency(m, {}).samples, 0u);
+}
+
+TEST(BenchDoc, WritesJobMembersOnlyForTwoOrMoreJobs) {
+  BenchRow row;
+  row.metrics.num_nodes = 4;
+  row.metrics.makespan_ns = 100;
+  row.registry_json = "{}";
+  row.metrics.jobs.resize(1);
+  const std::string one = bench_doc_json("core", true, 4, {row});
+  EXPECT_EQ(one.find("\"fairness\""), std::string::npos) << one;
+  EXPECT_EQ(one.find("\"jobs\""), std::string::npos) << one;
+  EXPECT_EQ(one.find("latency_p50_ns"), std::string::npos) << one;
+
+  row.metrics.jobs.resize(2);
+  row.job_submit_ns = {0, 0};
+  row.jobs_done = 2;
+  const std::string two = bench_doc_json("serve", false, 4, {row});
+  const size_t fairness = two.find("\"fairness\":");
+  const size_t latency = two.find("\"latency_p50_ns\":");
+  const size_t done = two.find("\"jobs_done\":2,");
+  const size_t monitors = two.find("\"monitors_ok\":true,\"metrics\":{}}");
+  ASSERT_NE(fairness, std::string::npos) << two;
+  EXPECT_LT(fairness, latency);
+  EXPECT_LT(latency, done);
+  EXPECT_LT(done, monitors);
+  EXPECT_NE(monitors, std::string::npos) << two;
 }
 
 }  // namespace
