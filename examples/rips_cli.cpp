@@ -285,9 +285,10 @@ int run_cli(const Args& args) {
   obs::FlightRecorder recorder;
   const bool want_timeseries = args.has("timeseries-out");
   const bool want_blackbox = args.has("blackbox");
+  const std::string label =
+      args.get("app", "queens") + "/" + strategy + "/n" + std::to_string(nodes);
   if (want_timeseries) {
-    sampler.set_label(args.get("app", "queens") + "/" + strategy + "/n" +
-                      std::to_string(nodes));
+    sampler.set_label(label);
     bus.subscribe(&sampler);
   }
   if (args.get_bool("live-status", args.has("live-status"))) {
@@ -301,7 +302,7 @@ int run_cli(const Args& args) {
     std::string dump_path = args.get("blackbox", "rips-blackbox.json");
     if (dump_path.empty()) dump_path = "rips-blackbox.json";
     recorder.set_dump_path(dump_path);
-    recorder.attach_trace(want_trace ? &trace_session : nullptr);
+    recorder.set_label(label);
     recorder.arm_process_hooks();
     bus.subscribe(&recorder);
   }

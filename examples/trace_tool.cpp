@@ -8,7 +8,8 @@
 //   ./trace_tool critical-path run.trace.json      makespan attribution
 //   ./trace_tool critical-path run.trace.json --json=cp.json
 //   ./trace_tool top run.trace.json --limit=5      where the time went
-//   ./trace_tool blackbox rips-blackbox.json       flight-recorder dump
+//   ./trace_tool blackbox rips-blackbox.json       flight-recorder dump or
+//                                                  any time-series document
 //
 // `trace_tool <command> --help` prints that command's usage and exits 0.
 // Exit codes: 0 = ok, 2 = usage/parse error (including empty or truncated
@@ -71,9 +72,11 @@ const char* command_help(const std::string& cmd) {
            "(category, name), sorted by total time descending.\n";
   }
   if (cmd == "blackbox") {
-    return "usage: trace_tool blackbox <rips-blackbox.json>\n"
-           "Flight-recorder post-mortem: the always-on ring buffer's\n"
-           "events attributed to their phase windows.\n";
+    return "usage: trace_tool blackbox <timeseries.json>\n"
+           "Post-mortem over a rips-timeseries-v1 document: a flight-\n"
+           "recorder dump (its reason, then the ring) or a --timeseries-out\n"
+           "export. Every series' events are attributed to the phase\n"
+           "windows that contain them, followed by the last phases kept.\n";
   }
   return nullptr;
 }
@@ -85,7 +88,7 @@ int usage(bool ok) {
       "  analyze <trace.json> [--json=FILE]        phase-profile report\n"
       "  critical-path <trace.json> [--json=FILE]  makespan attribution\n"
       "  top <trace.json> [--limit=10]             span time aggregation\n"
-      "  blackbox <rips-blackbox.json>             flight-recorder\n"
+      "  blackbox <timeseries.json>                flight-recorder\n"
       "       post-mortem: events attributed to their phase windows\n");
   return ok ? 0 : 2;
 }
@@ -196,7 +199,7 @@ int run_tool(const Args& args) {
     args.check_known({"help"});
     if (args.positional().size() != 2) return usage(false);
     std::string error;
-    const auto doc = load_blackbox_file(args.positional()[1], &error);
+    const auto doc = load_timeseries_file(args.positional()[1], &error);
     if (!doc.has_value()) {
       std::fprintf(stderr, "trace_tool: %s: %s\n",
                    args.positional()[1].c_str(), error.c_str());

@@ -28,6 +28,21 @@ std::string str_field(const json::Value& obj, std::string_view key) {
   return v != nullptr && v->is_string() ? v->string : "";
 }
 
+PhaseKind parse_phase_kind(const std::string& name) {
+  if (name == "user") return PhaseKind::kUser;
+  if (name == "segment") return PhaseKind::kSegment;
+  return PhaseKind::kSystem;
+}
+
+TelemetryEvent::Kind parse_event_kind(const std::string& name) {
+  if (name == "recovery") return TelemetryEvent::Kind::kRecovery;
+  if (name == "monitor_violation") {
+    return TelemetryEvent::Kind::kMonitorViolation;
+  }
+  if (name == "coll_suspect") return TelemetryEvent::Kind::kCollSuspect;
+  return TelemetryEvent::Kind::kCrash;
+}
+
 std::optional<std::string> read_file(const std::string& path,
                                      std::string* error) {
   std::ifstream in(path, std::ios::binary);
@@ -121,7 +136,7 @@ std::optional<BenchDoc> load_bench_file(const std::string& path,
   return load_bench_doc(*text, error);
 }
 
-const SeriesBand* SeriesBands::find(std::string_view field) const {
+const SeriesBand* Series::find(std::string_view field) const {
   for (const auto& [name, band] : bands) {
     if (name == field) return &band;
   }
@@ -148,14 +163,52 @@ std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
     return fail("missing series array");
   }
   TimeSeriesDoc out;
+  out.reason = str_field(*doc, "reason");
   for (const json::Value& sv : series->array) {
     if (!sv.is_object()) return fail("series entry is not an object");
-    SeriesBands s;
+    Series s;
     s.label = str_field(sv, "label");
     s.engine = str_field(sv, "engine");
     s.nodes = static_cast<i64>(num_field(sv, "nodes"));
+    s.tasks = static_cast<u64>(num_field(sv, "tasks"));
     const json::Value* complete = sv.find("complete");
     s.complete = complete != nullptr && complete->boolean;
+    s.seen = static_cast<u64>(num_field(sv, "seen"));
+
+    // Rows follow kSampleColumns, the order both writers use.
+    const json::Value* samples = sv.find("samples");
+    if (samples != nullptr && samples->is_array()) {
+      for (const json::Value& row : samples->array) {
+        if (!row.is_array() ||
+            row.array.size() != std::size(kSampleColumns)) {
+          return fail("sample row does not match the columns");
+        }
+        std::array<i64, kSampleValues> values;
+        for (size_t v = 0; v < kSampleValues; ++v) {
+          values[v] = row.array[v + 1].as_i64();
+        }
+        s.samples.push_back(sample_from_values(
+            parse_phase_kind(row.array[0].string), values));
+      }
+    }
+    const json::Value* events = sv.find("events");
+    if (events != nullptr && events->is_array()) {
+      // Reserve first: TelemetryEvent::detail points into detail_storage,
+      // so the storage must never reallocate after pointers are taken.
+      s.detail_storage.reserve(events->array.size());
+      for (const json::Value& ev : events->array) {
+        if (!ev.is_object()) return fail("event entry is not an object");
+        TelemetryEvent e;
+        e.kind = parse_event_kind(str_field(ev, "kind"));
+        e.t = static_cast<SimTime>(num_field(ev, "t"));
+        e.node = static_cast<NodeId>(num_field(ev, "node", kInvalidNode));
+        e.phase = static_cast<u64>(num_field(ev, "phase"));
+        e.arg = static_cast<i64>(num_field(ev, "arg"));
+        s.detail_storage.push_back(str_field(ev, "detail"));
+        e.detail = s.detail_storage.back().c_str();
+        s.events.push_back(e);
+      }
+    }
     const json::Value* bands = sv.find("bands");
     if (bands != nullptr && bands->is_object()) {
       for (const auto& [field, bv] : bands->object) {
@@ -315,9 +368,9 @@ DiffResult diff(const TimeSeriesDoc& baseline, const TimeSeriesDoc& current,
       out.regressions.push_back({label, field + "." + stat, b, c, note});
     }
   };
-  for (const SeriesBands& b : baseline.series) {
-    const SeriesBands* c = nullptr;
-    for (const SeriesBands& s : current.series) {
+  for (const Series& b : baseline.series) {
+    const Series* c = nullptr;
+    for (const Series& s : current.series) {
       if (s.label == b.label) {
         c = &s;
         break;

@@ -73,21 +73,39 @@ std::optional<BenchDoc> load_bench_doc(std::string_view text,
 std::optional<BenchDoc> load_bench_file(const std::string& path,
                                         std::string* error = nullptr);
 
-/// One series of a rips-timeseries-v1 document, bands only: samples are
-/// not re-derived — the writer's own bands are compared, so the gate sees
-/// exactly what the document claims.
-struct SeriesBands {
+/// One series of a rips-timeseries-v1 document: its header, the samples
+/// and events it retained, and its bands. The gate compares the writer's
+/// own bands instead of re-deriving them from the samples, so it sees
+/// exactly what the document claims. Move-only: the events' `detail`
+/// pointers point into `detail_storage`.
+struct Series {
   std::string label;
   std::string engine;
   i64 nodes = 0;
+  u64 tasks = 0;
   bool complete = false;
+  u64 seen = 0;  ///< samples offered to the writer (>= samples.size())
+  std::vector<PhaseSample> samples;
+  std::vector<TelemetryEvent> events;
+  /// Owned backing store for the events' `detail` strings
+  /// (TelemetryEvent carries a const char* by design).
+  std::vector<std::string> detail_storage;
   std::vector<std::pair<std::string, SeriesBand>> bands;
+
+  Series() = default;
+  Series(Series&&) = default;
+  Series& operator=(Series&&) = default;
+  Series(const Series&) = delete;
+  Series& operator=(const Series&) = delete;
 
   const SeriesBand* find(std::string_view field) const;
 };
 
 struct TimeSeriesDoc {
-  std::vector<SeriesBands> series;
+  /// What triggered a flight-recorder dump ("fault", "signal:SIGABRT",
+  /// ...); empty for a document that is not a dump.
+  std::string reason;
+  std::vector<Series> series;
 };
 
 /// Parses a rips-timeseries-v1 document; nullopt + `error` on schema

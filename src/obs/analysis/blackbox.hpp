@@ -1,72 +1,39 @@
-// Black-box dump analysis (docs/OBSERVABILITY.md, "Flight recorder").
+// Black-box analysis (docs/OBSERVABILITY.md, "Flight recorder").
 //
-// Loads a `rips-blackbox-v1` document — the bounded ring of recent phase
-// samples, telemetry events and spans the FlightRecorder dumps when a
-// fault fires, an invariant monitor trips, or the process dies — and
-// attributes every recorded event to the phase sample whose [t0, t1]
-// window contains it. `trace_tool blackbox <file>` is the CLI over this.
+// Reads any rips-timeseries-v1 document — a FlightRecorder dump (the ring
+// of recent phase samples and telemetry events, written when a fault
+// fires, an invariant monitor trips, or the process dies) or a full
+// sampler export — and attributes every recorded event to the phase
+// sample whose [t0, t1] window contains it. `trace_tool blackbox <file>`
+// is the CLI over this.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "obs/analysis/bench_diff.hpp"
 #include "obs/telemetry.hpp"
-#include "util/types.hpp"
 
 namespace rips::obs::analysis {
-
-/// One span copied out of the dump's "spans" array (present only when a
-/// TraceSession was attached to the recorder; signal-path dumps omit them).
-struct BlackBoxSpan {
-  std::string name;
-  std::string category;
-  NodeId node = kInvalidNode;
-  SimTime t0 = 0;
-  SimTime dur_ns = 0;
-};
-
-/// A parsed rips-blackbox-v1 document.
-struct BlackBoxDoc {
-  std::string reason;  ///< "fault", "monitor_violation", "signal:SIGABRT", ...
-  std::string engine;
-  i32 num_nodes = 0;
-  u64 num_tasks = 0;
-  bool complete = false;
-  SimTime makespan_ns = 0;
-  u64 samples_seen = 0;  ///< offered to the ring (>= samples.size())
-  u64 events_seen = 0;
-  std::vector<PhaseSample> samples;
-  std::vector<TelemetryEvent> events;
-  std::vector<BlackBoxSpan> spans;
-
-  /// Owned backing store for the events' `detail` pointers (TelemetryEvent
-  /// carries a const char* by design; parsed documents need storage).
-  std::vector<std::string> detail_storage;
-};
-
-std::optional<BlackBoxDoc> load_blackbox_doc(std::string_view text,
-                                             std::string* error = nullptr);
-std::optional<BlackBoxDoc> load_blackbox_file(const std::string& path,
-                                              std::string* error = nullptr);
 
 /// One event attributed to the phase window that contains it.
 struct Attribution {
   const TelemetryEvent* event = nullptr;
-  /// Index into doc.samples of the covering phase, or npos when the event
-  /// falls outside every recorded window (ring overwrote the phase).
+  /// Index into series.samples of the covering phase, or npos when the
+  /// event falls outside every recorded window (ring overwrote the phase).
   static constexpr size_t kNoPhase = static_cast<size_t>(-1);
   size_t sample_index = kNoPhase;
 };
 
-/// Attributes every event to the sample whose [t0, t1] contains its time
-/// (ties broken toward the latest matching phase — the one that was live
-/// when the event fired). Order follows doc.events.
-std::vector<Attribution> attribute_events(const BlackBoxDoc& doc);
+/// Attributes every event of `series` to the phase sample whose [t0, t1]
+/// contains its time (ties broken toward the latest matching phase — the
+/// one that was live when the event fired). Per-job rows (job >= 0)
+/// repeat their phase's window and are skipped. Order follows
+/// series.events.
+std::vector<Attribution> attribute_events(const Series& series);
 
-/// Human-readable post-mortem: dump header, the attributed event list, and
-/// the last few phases before the failure.
-std::string blackbox_report(const BlackBoxDoc& doc);
+/// Human-readable post-mortem: the dump reason, then per series its
+/// header, the attributed event list, and the last few phases it kept.
+std::string blackbox_report(const TimeSeriesDoc& doc);
 
 }  // namespace rips::obs::analysis

@@ -8,17 +8,18 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <utility>
 
 #include "obs/json.hpp"
-#include "obs/trace.hpp"
 
 namespace rips::obs {
 
 namespace {
 
 // --- process hooks ----------------------------------------------------------
-// One armed recorder per process. The pointer is written only from
-// arm/disarm (normal code); the handlers only read it.
+// One armed recorder per process. The pointer is written from arm/disarm
+// (normal code) and cleared by the terminate handler; the signal handler
+// only reads it.
 FlightRecorder* g_armed = nullptr;
 std::terminate_handler g_prev_terminate = nullptr;
 bool g_hooks_installed = false;
@@ -36,7 +37,7 @@ const char* signal_reason(int sig) {
 }
 
 void black_box_signal_handler(int sig) {
-  if (g_armed != nullptr) {
+  if (g_armed != nullptr && !g_armed->dump_path().empty()) {
     const int fd = ::open(g_armed->dump_path().c_str(),
                           O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd >= 0) {
@@ -51,7 +52,10 @@ void black_box_signal_handler(int sig) {
 }
 
 [[noreturn]] void black_box_terminate_handler() {
-  if (g_armed != nullptr) g_armed->dump("terminate");
+  // Disarm first: the abort() that ends the run would otherwise send the
+  // signal path over this dump and replace its reason.
+  FlightRecorder* const armed = std::exchange(g_armed, nullptr);
+  if (armed != nullptr) armed->dump("terminate");
   if (g_prev_terminate != nullptr) g_prev_terminate();
   std::abort();
 }
@@ -67,214 +71,116 @@ void fd_write(int fd, const char* s, size_t n) {
   }
 }
 
-void fd_printf(int fd, const char* fmt, long long a = 0, long long b = 0,
-               long long c = 0, long long d = 0) {
-  char buf[256];
-  const int n = std::snprintf(buf, sizeof buf, fmt, a, b, c, d);
-  if (n > 0) fd_write(fd, buf, static_cast<size_t>(n) < sizeof buf
-                                   ? static_cast<size_t>(n)
-                                   : sizeof buf - 1);
+void fd_puts(int fd, const char* s) { fd_write(fd, s, std::strlen(s)); }
+
+void fd_num(int fd, long long v) {
+  char buf[24];
+  const int n = std::snprintf(buf, sizeof buf, "%lld", v);
+  if (n > 0) fd_write(fd, buf, static_cast<size_t>(n));
 }
 
-std::string sample_json(const PhaseSample& s) {
-  std::string out = "{\"kind\":" + json::quoted(phase_kind_name(s.kind));
-  out += ",\"phase\":" + std::to_string(s.phase);
-  out += ",\"t0\":" + std::to_string(s.t0);
-  out += ",\"t1\":" + std::to_string(s.t1);
-  out += ",\"tasks\":" + std::to_string(s.tasks);
-  out += ",\"moved\":" + std::to_string(s.moved);
-  out += ",\"imbalance\":" + std::to_string(s.imbalance);
-  out += ",\"comm_steps\":" + std::to_string(s.comm_steps);
-  out += ",\"rts_total\":" + std::to_string(s.rts_total);
-  out += ",\"retries\":" + std::to_string(s.retries);
-  out += ",\"live_nodes\":" + std::to_string(s.live_nodes);
-  out += ",\"drain_ns\":" + std::to_string(s.drain_ns);
-  out += ",\"executed_total\":" + std::to_string(s.executed_total);
-  out += ",\"job\":" + std::to_string(s.job);
-  out += "}";
-  return out;
-}
-
-std::string event_json(const TelemetryEvent& e) {
-  std::string out =
-      "{\"kind\":" + json::quoted(telemetry_event_kind_name(e.kind));
-  out += ",\"t\":" + std::to_string(e.t);
-  out += ",\"node\":" + std::to_string(e.node);
-  out += ",\"phase\":" + std::to_string(e.phase);
-  out += ",\"arg\":" + std::to_string(e.arg);
-  out += ",\"detail\":" + json::quoted(e.detail);
-  out += "}";
-  return out;
+/// `"s"` escaped the way JSON requires (quotes, backslashes, control
+/// characters), written in runs of plain characters.
+void fd_quoted(int fd, const char* s) {
+  fd_write(fd, "\"", 1);
+  const char* run = s;
+  for (; *s != '\0'; ++s) {
+    const auto c = static_cast<unsigned char>(*s);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    fd_write(fd, run, static_cast<size_t>(s - run));
+    char esc[8];
+    const int n = c < 0x20 ? std::snprintf(esc, sizeof esc, "\\u%04x", c)
+                           : std::snprintf(esc, sizeof esc, "\\%c", c);
+    fd_write(fd, esc, static_cast<size_t>(n));
+    run = s + 1;
+  }
+  fd_write(fd, run, static_cast<size_t>(s - run));
+  fd_write(fd, "\"", 1);
 }
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(Options options)
-    : options_(std::move(options)),
-      sample_ring_(options_.sample_capacity),
-      event_ring_(options_.event_capacity) {}
+FlightRecorder::FlightRecorder(std::string dump_path, Options ring)
+    : TimeSeriesSampler(ring), dump_path_(std::move(dump_path)) {}
 
 FlightRecorder::~FlightRecorder() {
   if (g_armed == this) disarm_process_hooks();
 }
 
-void FlightRecorder::on_run_begin(const RunStart& run) {
-  run_ = run;
-  makespan_ns_ = 0;
-  run_complete_ = false;
-}
-
-void FlightRecorder::on_phase(const PhaseSample& sample) {
-  ++samples_seen_;
-  sample_ring_.push(sample);
-}
+void FlightRecorder::on_job_phase(const PhaseSample&, std::span<const u64>) {}
 
 void FlightRecorder::on_event(const TelemetryEvent& event) {
-  ++events_seen_;
-  event_ring_.push(event);
-  if (options_.dump_on_event &&
-      (event.kind == TelemetryEvent::Kind::kCrash ||
-       event.kind == TelemetryEvent::Kind::kMonitorViolation)) {
-    dump(event.kind == TelemetryEvent::Kind::kCrash ? "fault"
-                                                    : "monitor_violation");
+  TimeSeriesSampler::on_event(event);
+  if (event.kind == TelemetryEvent::Kind::kCrash) dump("fault");
+  if (event.kind == TelemetryEvent::Kind::kMonitorViolation) {
+    dump("monitor_violation");
   }
-}
-
-void FlightRecorder::on_run_end(SimTime makespan_ns) {
-  makespan_ns_ = makespan_ns;
-  run_complete_ = true;
-}
-
-std::vector<PhaseSample> FlightRecorder::samples() const {
-  return sample_ring_.in_order();
-}
-
-std::vector<TelemetryEvent> FlightRecorder::events() const {
-  return event_ring_.in_order();
-}
-
-void FlightRecorder::clear() {
-  sample_ring_.clear();
-  event_ring_.clear();
-  samples_seen_ = 0;
-  events_seen_ = 0;
-  run_ = RunStart{};
-  makespan_ns_ = 0;
-  run_complete_ = false;
-}
-
-std::string FlightRecorder::to_json(const char* reason) const {
-  std::string out = "{\"schema\":\"rips-blackbox-v1\"";
-  out += ",\"reason\":" + json::quoted(reason);
-  out += ",\"engine\":" + json::quoted(run_.engine);
-  out += ",\"nodes\":" + std::to_string(run_.num_nodes);
-  out += ",\"tasks\":" + std::to_string(run_.num_tasks);
-  out += ",\"complete\":" + std::string(run_complete_ ? "true" : "false");
-  out += ",\"makespan_ns\":" + std::to_string(makespan_ns_);
-  out += ",\"samples_seen\":" + std::to_string(samples_seen_);
-  out += ",\"events_seen\":" + std::to_string(events_seen_);
-  out += ",\"samples\":[";
-  bool first = true;
-  for (const PhaseSample& s : sample_ring_.in_order()) {
-    if (!first) out += ",";
-    first = false;
-    out += sample_json(s);
-  }
-  out += "],\"events\":[";
-  first = true;
-  for (const TelemetryEvent& e : event_ring_.in_order()) {
-    if (!first) out += ",";
-    first = false;
-    out += event_json(e);
-  }
-  out += "],\"spans\":[";
-  first = true;
-  if (trace_ != nullptr) {
-    for (const TraceEvent& e : trace_->sorted_events()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"name\":" + json::quoted(e.name);
-      out += ",\"cat\":" + json::quoted(e.category);
-      out += ",\"node\":" + std::to_string(e.node);
-      out += ",\"t0\":" + std::to_string(e.start_ns);
-      out += ",\"dur\":" + std::to_string(e.dur_ns);
-      if (e.arg_name != nullptr) {
-        out += "," + json::quoted(e.arg_name) + ":" + std::to_string(e.arg);
-      }
-      out += "}";
-    }
-  }
-  out += "]}\n";
-  return out;
 }
 
 bool FlightRecorder::dump(const char* reason, const std::string& path) {
-  const std::string& target = path.empty() ? options_.dump_path : path;
+  const std::string& target = path.empty() ? dump_path_ : path;
+  if (target.empty()) return false;
   std::ofstream out(target, std::ios::binary);
-  if (!out) return false;
-  out << to_json(reason);
+  out << "{\"schema\":\"rips-timeseries-v1\",\"reason\":"
+      << json::quoted(reason) << ",\"series\":[" << series_json() << "]}\n";
   if (!out) return false;
   ++dumps_written_;
   return true;
 }
 
 void FlightRecorder::dump_signal_safe(int fd, const char* reason) const {
-  fd_write(fd, "{\"schema\":\"rips-blackbox-v1\",\"reason\":\"", 39);
-  fd_write(fd, reason, std::strlen(reason));
-  fd_write(fd, "\"", 1);
-  fd_printf(fd, ",\"nodes\":%lld,\"tasks\":%lld",
-            static_cast<long long>(run_.num_nodes),
-            static_cast<long long>(run_.num_tasks));
-  fd_printf(fd, ",\"complete\":false,\"makespan_ns\":0");
-  fd_printf(fd, ",\"samples_seen\":%lld,\"events_seen\":%lld",
-            static_cast<long long>(samples_seen_),
-            static_cast<long long>(events_seen_));
-  fd_write(fd, ",\"samples\":[", 12);
-  bool first = true;
-  // Walk the ring in order without allocating (no in_order() copy here).
-  const std::vector<PhaseSample>& sbuf = sample_ring_.buf;
-  for (size_t i = 0; i < sbuf.size(); ++i) {
-    const PhaseSample& s = sbuf[(sample_ring_.next + i) % sbuf.size()];
-    if (!first) fd_write(fd, ",", 1);
-    first = false;
-    fd_write(fd, "{\"kind\":\"", 9);
-    const char* kind = phase_kind_name(s.kind);
-    fd_write(fd, kind, std::strlen(kind));
-    fd_printf(fd, "\",\"phase\":%lld,\"t0\":%lld,\"t1\":%lld,\"tasks\":%lld",
-              static_cast<long long>(s.phase), static_cast<long long>(s.t0),
-              static_cast<long long>(s.t1), static_cast<long long>(s.tasks));
-    fd_printf(fd, ",\"moved\":%lld,\"imbalance\":%lld,\"rts_total\":%lld,"
-                  "\"retries\":%lld",
-              static_cast<long long>(s.moved),
-              static_cast<long long>(s.imbalance),
-              static_cast<long long>(s.rts_total),
-              static_cast<long long>(s.retries));
-    fd_printf(fd, ",\"live_nodes\":%lld,\"executed_total\":%lld,\"job\":%lld}",
-              static_cast<long long>(s.live_nodes),
-              static_cast<long long>(s.executed_total),
-              static_cast<long long>(s.job));
+  fd_puts(fd, "{\"schema\":\"rips-timeseries-v1\",\"reason\":");
+  fd_quoted(fd, reason);
+  fd_puts(fd, ",\"series\":[{\"label\":");
+  fd_quoted(fd, label().c_str());
+  fd_puts(fd, ",\"engine\":");
+  fd_quoted(fd, engine());
+  fd_puts(fd, ",\"nodes\":");
+  fd_num(fd, num_nodes());
+  fd_puts(fd, ",\"tasks\":");
+  fd_num(fd, static_cast<long long>(num_tasks()));
+  fd_puts(fd, ",\"makespan_ns\":");
+  fd_num(fd, makespan_ns());
+  fd_puts(fd, run_complete() ? ",\"complete\":true" : ",\"complete\":false");
+  fd_puts(fd, ",\"seen\":");
+  fd_num(fd, static_cast<long long>(seen()));
+  fd_puts(fd, ",\"dropped\":");
+  fd_num(fd, static_cast<long long>(dropped()));
+  fd_puts(fd, ",\"columns\":[");
+  for (size_t c = 0; c < std::size(kSampleColumns); ++c) {
+    if (c != 0) fd_puts(fd, ",");
+    fd_quoted(fd, kSampleColumns[c]);
   }
-  fd_write(fd, "],\"events\":[", 12);
-  first = true;
-  const std::vector<TelemetryEvent>& ebuf = event_ring_.buf;
-  for (size_t i = 0; i < ebuf.size(); ++i) {
-    const TelemetryEvent& e = ebuf[(event_ring_.next + i) % ebuf.size()];
-    if (!first) fd_write(fd, ",", 1);
-    first = false;
-    fd_write(fd, "{\"kind\":\"", 9);
-    const char* kind = telemetry_event_kind_name(e.kind);
-    fd_write(fd, kind, std::strlen(kind));
-    fd_printf(fd, "\",\"t\":%lld,\"node\":%lld,\"phase\":%lld,\"arg\":%lld",
-              static_cast<long long>(e.t), static_cast<long long>(e.node),
-              static_cast<long long>(e.phase), static_cast<long long>(e.arg));
-    fd_write(fd, ",\"detail\":\"", 11);
-    // detail is a static string we wrote ourselves — no escaping needed
-    // beyond trusting it contains no quotes (all call sites pass plain
-    // identifiers).
-    fd_write(fd, e.detail, std::strlen(e.detail));
-    fd_write(fd, "\"}", 2);
+  // Walk the rings in place: no in_order() copy on this path.
+  fd_puts(fd, "],\"samples\":[");
+  for (size_t i = 0; i < samples_.size(); ++i) {
+    const PhaseSample& s = samples_[i];
+    fd_puts(fd, i == 0 ? "[" : ",[");
+    fd_quoted(fd, phase_kind_name(s.kind));
+    for (const i64 v : sample_values(s)) {
+      fd_puts(fd, ",");
+      fd_num(fd, v);
+    }
+    fd_puts(fd, "]");
   }
-  fd_write(fd, "],\"spans\":[]}\n", 14);
+  fd_puts(fd, "],\"events\":[");
+  for (size_t i = 0; i < events_.size(); ++i) {
+    const TelemetryEvent& e = events_[i];
+    fd_puts(fd, i == 0 ? "{\"kind\":" : ",{\"kind\":");
+    fd_quoted(fd, telemetry_event_kind_name(e.kind));
+    fd_puts(fd, ",\"t\":");
+    fd_num(fd, e.t);
+    fd_puts(fd, ",\"node\":");
+    fd_num(fd, e.node);
+    fd_puts(fd, ",\"phase\":");
+    fd_num(fd, static_cast<long long>(e.phase));
+    fd_puts(fd, ",\"arg\":");
+    fd_num(fd, e.arg);
+    fd_puts(fd, ",\"detail\":");
+    fd_quoted(fd, e.detail);
+    fd_puts(fd, "}");
+  }
+  fd_puts(fd, "],\"bands\":{}}]}\n");
 }
 
 void FlightRecorder::arm_process_hooks() {

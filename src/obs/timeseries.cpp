@@ -10,8 +10,7 @@ namespace rips::obs {
 
 namespace {
 
-/// Field extractors shared by bands, JSON and CSV — one table so the
-/// column set cannot drift between exporters.
+/// Field extractor for the bands.
 i64 sample_field(const PhaseSample& s, const std::string& field) {
   if (field == "tasks") return static_cast<i64>(s.tasks);
   if (field == "moved") return static_cast<i64>(s.moved);
@@ -51,18 +50,40 @@ std::string band_json(const SeriesBand& band) {
   return out;
 }
 
-bool write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
-TimeSeriesSampler::TimeSeriesSampler(Options options) : options_(options) {
-  if (options_.stride == 0) options_.stride = 1;
+std::array<i64, kSampleValues> sample_values(const PhaseSample& s) {
+  return {static_cast<i64>(s.phase),  s.t0,
+          s.t1,                       static_cast<i64>(s.tasks),
+          static_cast<i64>(s.moved),  s.imbalance,
+          s.comm_steps,               s.rts_total,
+          s.retries,                  s.live_nodes,
+          s.drain_ns,                 static_cast<i64>(s.executed_total),
+          s.job};
 }
+
+PhaseSample sample_from_values(PhaseKind kind,
+                               const std::array<i64, kSampleValues>& v) {
+  PhaseSample s;
+  s.kind = kind;
+  s.phase = static_cast<u64>(v[0]);
+  s.t0 = v[1];
+  s.t1 = v[2];
+  s.tasks = static_cast<u64>(v[3]);
+  s.moved = static_cast<u64>(v[4]);
+  s.imbalance = v[5];
+  s.comm_steps = v[6];
+  s.rts_total = v[7];
+  s.retries = v[8];
+  s.live_nodes = static_cast<i32>(v[9]);
+  s.drain_ns = v[10];
+  s.executed_total = static_cast<u64>(v[11]);
+  s.job = static_cast<i32>(v[12]);
+  return s;
+}
+
+TimeSeriesSampler::TimeSeriesSampler(Options options)
+    : samples_(options.max_samples), events_(options.max_events) {}
 
 void TimeSeriesSampler::on_run_begin(const RunStart& run) {
   engine_ = run.engine;
@@ -74,12 +95,7 @@ void TimeSeriesSampler::on_run_begin(const RunStart& run) {
 
 void TimeSeriesSampler::on_phase(const PhaseSample& sample) {
   ++seen_;
-  if ((seen_ - 1) % options_.stride != 0 ||
-      samples_.size() >= options_.max_samples) {
-    ++dropped_;
-    return;
-  }
-  samples_.push_back(sample);
+  dropped_ += samples_.push(sample);
 }
 
 void TimeSeriesSampler::on_job_phase(const PhaseSample& sample,
@@ -94,25 +110,12 @@ void TimeSeriesSampler::on_job_phase(const PhaseSample& sample,
 }
 
 void TimeSeriesSampler::on_event(const TelemetryEvent& event) {
-  if (events_.size() < options_.max_events) events_.push_back(event);
+  events_.push(event);
 }
 
 void TimeSeriesSampler::on_run_end(SimTime makespan_ns) {
   makespan_ns_ = makespan_ns;
   run_complete_ = true;
-}
-
-void TimeSeriesSampler::clear() {
-  label_.clear();
-  engine_ = "";
-  num_nodes_ = 0;
-  num_tasks_ = 0;
-  makespan_ns_ = 0;
-  run_complete_ = false;
-  seen_ = 0;
-  dropped_ = 0;
-  samples_.clear();
-  events_.clear();
 }
 
 SeriesBand TimeSeriesSampler::steady_band(const std::string& field) const {
@@ -126,14 +129,15 @@ SeriesBand TimeSeriesSampler::steady_band(const std::string& field) const {
   // back to whatever kind they publish.
   const bool user_field = field == "retries" || field == "drain_ns";
   std::vector<const PhaseSample*> window;
-  for (const PhaseSample& s : samples_) {
+  for (size_t i = 0; i < samples_.size(); ++i) {
+    const PhaseSample& s = samples_[i];
     if (user_field ? s.kind == PhaseKind::kUser && s.job < 0
                    : s.kind == PhaseKind::kSystem) {
       window.push_back(&s);
     }
   }
   if (window.empty()) {
-    for (const PhaseSample& s : samples_) window.push_back(&s);
+    for (size_t i = 0; i < samples_.size(); ++i) window.push_back(&samples_[i]);
   }
   if (window.empty()) return band;
 
@@ -166,11 +170,6 @@ SeriesBand TimeSeriesSampler::steady_band(const std::string& field) const {
   return band;
 }
 
-const char* timeseries_csv_header() {
-  return "label,kind,phase,t0,t1,tasks,moved,imbalance,comm_steps,"
-         "rts_total,retries,live_nodes,drain_ns,executed_total,job";
-}
-
 std::string TimeSeriesSampler::series_json() const {
   std::string out = "{";
   out += "\"label\":" + json::quoted(label_);
@@ -181,28 +180,17 @@ std::string TimeSeriesSampler::series_json() const {
   out += ",\"complete\":" + std::string(run_complete_ ? "true" : "false");
   out += ",\"seen\":" + std::to_string(seen_);
   out += ",\"dropped\":" + std::to_string(dropped_);
-  out +=
-      ",\"columns\":[\"kind\",\"phase\",\"t0\",\"t1\",\"tasks\",\"moved\","
-      "\"imbalance\",\"comm_steps\",\"rts_total\",\"retries\",\"live_nodes\","
-      "\"drain_ns\",\"executed_total\",\"job\"]";
-  out += ",\"samples\":[";
+  out += ",\"columns\":[";
+  for (size_t c = 0; c < std::size(kSampleColumns); ++c) {
+    if (c != 0) out += ",";
+    out += json::quoted(kSampleColumns[c]);
+  }
+  out += "],\"samples\":[";
   for (size_t i = 0; i < samples_.size(); ++i) {
     const PhaseSample& s = samples_[i];
     if (i != 0) out += ",";
     out += "[" + json::quoted(phase_kind_name(s.kind));
-    out += "," + std::to_string(s.phase);
-    out += "," + std::to_string(s.t0);
-    out += "," + std::to_string(s.t1);
-    out += "," + std::to_string(s.tasks);
-    out += "," + std::to_string(s.moved);
-    out += "," + std::to_string(s.imbalance);
-    out += "," + std::to_string(s.comm_steps);
-    out += "," + std::to_string(s.rts_total);
-    out += "," + std::to_string(s.retries);
-    out += "," + std::to_string(s.live_nodes);
-    out += "," + std::to_string(s.drain_ns);
-    out += "," + std::to_string(s.executed_total);
-    out += "," + std::to_string(s.job);
+    for (const i64 v : sample_values(s)) out += "," + std::to_string(v);
     out += "]";
   }
   out += "],\"events\":[";
@@ -232,41 +220,13 @@ std::string TimeSeriesSampler::series_json() const {
 }
 
 std::string TimeSeriesSampler::to_json() const {
-  return "{\"schema\":\"rips-timeseries-v1\",\"series\":[" + series_json() +
-         "]}\n";
-}
-
-std::string TimeSeriesSampler::to_csv() const {
-  std::string out = timeseries_csv_header();
-  out += "\n";
-  for (const PhaseSample& s : samples_) {
-    out += label_;
-    out += ",";
-    out += phase_kind_name(s.kind);
-    out += "," + std::to_string(s.phase);
-    out += "," + std::to_string(s.t0);
-    out += "," + std::to_string(s.t1);
-    out += "," + std::to_string(s.tasks);
-    out += "," + std::to_string(s.moved);
-    out += "," + std::to_string(s.imbalance);
-    out += "," + std::to_string(s.comm_steps);
-    out += "," + std::to_string(s.rts_total);
-    out += "," + std::to_string(s.retries);
-    out += "," + std::to_string(s.live_nodes);
-    out += "," + std::to_string(s.drain_ns);
-    out += "," + std::to_string(s.executed_total);
-    out += "," + std::to_string(s.job);
-    out += "\n";
-  }
-  return out;
+  return timeseries_doc_json({this});
 }
 
 bool TimeSeriesSampler::write_json(const std::string& path) const {
-  return write_text(path, to_json());
-}
-
-bool TimeSeriesSampler::write_csv(const std::string& path) const {
-  return write_text(path, to_csv());
+  std::ofstream out(path, std::ios::binary);
+  out << to_json();
+  return static_cast<bool>(out);
 }
 
 std::string timeseries_doc_json(
@@ -280,20 +240,6 @@ std::string timeseries_doc_json(
     out += s->series_json();
   }
   out += "]}\n";
-  return out;
-}
-
-std::string timeseries_doc_csv(
-    const std::vector<const TimeSeriesSampler*>& samplers) {
-  std::string out = timeseries_csv_header();
-  out += "\n";
-  for (const TimeSeriesSampler* s : samplers) {
-    if (s == nullptr) continue;
-    const std::string csv = s->to_csv();
-    // Strip the per-sampler header line.
-    const size_t eol = csv.find('\n');
-    if (eol != std::string::npos) out += csv.substr(eol + 1);
-  }
   return out;
 }
 

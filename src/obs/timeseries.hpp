@@ -1,7 +1,13 @@
 // TimeSeriesSampler — a TelemetryBus subscriber that records the per-phase
-// sample stream and exports it as a `rips-timeseries-v1` document (JSON or
-// CSV). One sampler records one run (one *series*); multi-run tools
-// compose a document from several samplers with timeseries_doc_json().
+// sample stream and exports it as a `rips-timeseries-v1` document. One
+// sampler records one run (one *series*); multi-run tools compose a
+// document from several samplers with timeseries_doc_json(). It is the one
+// container and writer of phase samples: the flight recorder
+// (flight_recorder.hpp) is a sampler with a smaller ring and dump triggers.
+//
+// Memory is bounded: the sampler keeps the most recent `max_samples`
+// samples and `max_events` events in rings that grow to their caps and
+// then overwrite the oldest entry; `dropped()` counts overwritten samples.
 //
 // The steady-state view is the point: the paper's incremental-scheduling
 // argument is about behaviour *over many phases*, so the sampler also
@@ -11,6 +17,7 @@
 // Table-I columns (obs/analysis/bench_diff.hpp).
 #pragma once
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -29,14 +36,66 @@ struct SeriesBand {
   i64 p95 = 0;
 };
 
-class TimeSeriesSampler final : public TelemetrySubscriber {
+/// The columns of a series' sample rows, in row order: the phase-kind
+/// name, then the integer fields sample_values() returns.
+inline constexpr const char* kSampleColumns[] = {
+    "kind", "phase", "t0", "t1", "tasks", "moved", "imbalance",
+    "comm_steps", "rts_total", "retries", "live_nodes", "drain_ns",
+    "executed_total", "job"};
+inline constexpr size_t kSampleValues = std::size(kSampleColumns) - 1;
+
+/// The integer columns of one sample row (kSampleColumns after "kind").
+/// Plain loads and stores only, so the signal-path dump may call it.
+std::array<i64, kSampleValues> sample_values(const PhaseSample& s);
+/// Inverse of sample_values(): the sample a row describes.
+PhaseSample sample_from_values(PhaseKind kind,
+                               const std::array<i64, kSampleValues>& v);
+
+/// The most recent `cap` values of a stream: grows to the cap, then each
+/// push overwrites the oldest. Index 0 is the oldest retained value.
+/// Reading never allocates, so a signal handler may walk it.
+template <typename T>
+class RecentRing {
+ public:
+  explicit RecentRing(size_t cap) : cap_(cap) {}
+
+  /// Appends `value`; returns true when a retained value was overwritten
+  /// (or, at cap 0, `value` itself was dropped).
+  bool push(const T& value) {
+    if (buf_.size() < cap_) {
+      buf_.push_back(value);
+      return false;
+    }
+    if (cap_ != 0) {
+      buf_[head_] = value;
+      head_ = (head_ + 1) % cap_;
+    }
+    return true;
+  }
+  size_t size() const { return buf_.size(); }
+  const T& operator[](size_t i) const {
+    return buf_[(head_ + i) % buf_.size()];
+  }
+  /// Retained values, oldest first.
+  std::vector<T> in_order() const {
+    std::vector<T> out;
+    out.reserve(buf_.size());
+    for (size_t i = 0; i < buf_.size(); ++i) out.push_back((*this)[i]);
+    return out;
+  }
+
+ private:
+  std::vector<T> buf_;
+  size_t cap_;
+  size_t head_ = 0;  ///< slot of the oldest value once the ring is full
+};
+
+class TimeSeriesSampler : public TelemetrySubscriber {
  public:
   struct Options {
-    /// Record every `stride`-th phase sample (events are always kept).
-    u64 stride = 1;
-    /// Hard cap on retained samples; later samples only bump dropped().
+    /// Retained samples: the most recent ones; older ones bump dropped().
     size_t max_samples = 1u << 16;
-    /// Hard cap on retained events.
+    /// Retained events: the most recent ones.
     size_t max_events = 4096;
   };
 
@@ -58,28 +117,27 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
   void on_run_end(SimTime makespan_ns) override;
 
   // Recorded state --------------------------------------------------------
-  const std::vector<PhaseSample>& samples() const { return samples_; }
-  const std::vector<TelemetryEvent>& events() const { return events_; }
+  /// Retained samples, oldest first.
+  std::vector<PhaseSample> samples() const { return samples_.in_order(); }
+  /// Retained events, oldest first.
+  std::vector<TelemetryEvent> events() const { return events_.in_order(); }
   u64 seen() const { return seen_; }        ///< samples offered to the bus
-  u64 dropped() const { return dropped_; }  ///< samples lost to stride/cap
+  u64 dropped() const { return dropped_; }  ///< samples overwritten
   i32 num_nodes() const { return num_nodes_; }
   u64 num_tasks() const { return num_tasks_; }
   const char* engine() const { return engine_; }
   SimTime makespan_ns() const { return makespan_ns_; }
   bool run_complete() const { return run_complete_; }
 
-  /// Forget everything (including the label) — fresh-run state.
-  void clear();
-
   // Steady-state bands ----------------------------------------------------
   /// Band of one sample field over the steady-state window: the second
   /// half of the field's samples (all of them when fewer than 8 exist).
   /// "retries" and "drain_ns" are read from user-phase samples (not the
   /// per-job rows), every other field from system-phase samples; a series
-  /// with no sample of that kind uses all of its samples. `field` is a
-  /// column name from to_csv(): "imbalance", "moved", "tasks",
-  /// "rts_total", "retries", "drain_ns", "duration_ns". Unknown fields
-  /// return an empty band.
+  /// with no sample of that kind uses all of its samples. `field` is one
+  /// of "imbalance", "moved", "tasks", "comm_steps", "rts_total",
+  /// "retries", "drain_ns", "duration_ns". Unknown fields return an empty
+  /// band.
   SeriesBand steady_band(const std::string& field) const;
 
   // Export ----------------------------------------------------------------
@@ -88,13 +146,13 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
   std::string series_json() const;
   /// Complete single-series rips-timeseries-v1 document.
   std::string to_json() const;
-  /// CSV, one row per sample, `label` as the leading column.
-  std::string to_csv() const;
   bool write_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
+
+ protected:
+  RecentRing<PhaseSample> samples_;
+  RecentRing<TelemetryEvent> events_;
 
  private:
-  Options options_;
   std::string label_;
   const char* engine_ = "";
   i32 num_nodes_ = 0;
@@ -103,8 +161,6 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
   bool run_complete_ = false;
   u64 seen_ = 0;
   u64 dropped_ = 0;
-  std::vector<PhaseSample> samples_;
-  std::vector<TelemetryEvent> events_;
 };
 
 /// Composes one rips-timeseries-v1 document from several recorded runs:
@@ -112,13 +168,5 @@ class TimeSeriesSampler final : public TelemetrySubscriber {
 /// skipped.
 std::string timeseries_doc_json(
     const std::vector<const TimeSeriesSampler*>& samplers);
-
-/// CSV for several runs: one header line, then every sampler's rows.
-std::string timeseries_doc_csv(
-    const std::vector<const TimeSeriesSampler*>& samplers);
-
-/// The to_csv() header line (no trailing newline) — kept in one place so
-/// tests and docs cannot drift from the writer.
-const char* timeseries_csv_header();
 
 }  // namespace rips::obs

@@ -49,8 +49,7 @@ RipsEngine::RipsEngine(sched::ParallelScheduler& scheduler,
       h_phase_dur_us_(
           &registry_.histogram("phase.duration_us", pow2_bounds(1 << 24))),
       h_uphase_tasks_(
-          &registry_.histogram("user_phase.tasks", pow2_bounds(1 << 24))),
-      factory_(sched::any_size_mesh_factory()) {}
+          &registry_.histogram("user_phase.tasks", pow2_bounds(1 << 24))) {}
 
 NodeId RipsEngine::nearest_live(NodeId phys) const {
   RIPS_CHECK(!live_.empty());
@@ -143,7 +142,8 @@ SimTime RipsEngine::recover(SimTime t) {
   RIPS_CHECK_MSG(!live_.empty(), "every node crashed; nothing can recover");
   live_view_ = std::make_unique<topo::LiveView>(base_topology(), live_);
   live_coll_ = std::make_unique<coll::Collectives>(*live_view_);
-  degraded_sched_ = factory_(static_cast<i32>(live_.size()));
+  degraded_sched_ =
+      sched::any_size_mesh_factory()(static_cast<i32>(live_.size()));
   RIPS_CHECK_MSG(degraded_sched_ != nullptr &&
                      degraded_sched_->topology().size() ==
                          static_cast<i32>(live_.size()),

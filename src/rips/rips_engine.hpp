@@ -164,13 +164,6 @@ class RipsEngine {
     probe_ctx_ = ctx;
   }
 
-  /// Scheduler builder used to rebuild the scheduler over the survivors
-  /// after a crash (the constructor-provided scheduler only fits the full
-  /// machine). Defaults to sched::any_size_mesh_factory().
-  void set_scheduler_factory(sched::SchedulerFactory factory) {
-    factory_ = std::move(factory);
-  }
-
   /// Physical ids of the nodes still alive after the last run.
   const std::vector<NodeId>& live_nodes() const { return live_; }
 
@@ -401,7 +394,6 @@ class RipsEngine {
 
   const sim::FaultPlan* fault_plan_ = nullptr;
   std::optional<sim::FaultInjector> injector_;  // rebuilt per run
-  sched::SchedulerFactory factory_;
   std::vector<char> alive_;               // per physical node
   std::vector<NodeId> live_;              // rank -> physical, sorted
   std::vector<SimTime> crash_time_;       // per physical node, kNever if none

@@ -43,11 +43,7 @@ class JobServer::QueueSource final : public exec::TaskSource {
 JobServer::JobServer(ServeOptions options)
     : options_(std::move(options)),
       admission_(options_.admission),
-      recorder_(obs::FlightRecorder::Options{
-          /*sample_capacity=*/256, /*event_capacity=*/64,
-          options_.blackbox_path.empty() ? std::string("rips-blackbox.json")
-                                         : options_.blackbox_path,
-          /*dump_on_event=*/true}) {
+      recorder_(options_.blackbox_path) {
   RIPS_CHECK_MSG(options_.nodes >= 1 && options_.nodes <= 4096,
                  "serve: nodes must be in [1, 4096]");
   c_submitted_ = &server_registry_.counter("server.submitted");
@@ -264,9 +260,7 @@ bool JobServer::shutdown() {
   drain_locked();
   if (shutdown_done_) return false;
   shutdown_done_ = true;
-  if (!options_.blackbox_path.empty()) {
-    recorder_.dump("shutdown", options_.blackbox_path);
-  }
+  recorder_.dump("shutdown");
   return true;
 }
 

@@ -51,6 +51,7 @@ struct ServeOptions {
   u64 max_job_tasks = 200'000;    ///< per-job task-count cap (400 reject)
   bool monitors = true;           ///< attach the InvariantMonitor
   std::string blackbox_path;      ///< dump the flight recorder here on
+                                  ///< crashes, monitor violations and
                                   ///< shutdown ("" = no dump)
 };
 

@@ -1,7 +1,6 @@
 #include "topo/live_view.hpp"
 
 #include <algorithm>
-#include <deque>
 
 namespace rips::topo {
 
@@ -20,23 +19,24 @@ LiveView::LiveView(const Topology& base, std::vector<NodeId> live)
 
   // Relay adjacency: from every live node, walk the base graph through
   // dead nodes only; the first live node reached along any such path is a
-  // LiveView neighbor.
+  // LiveView neighbor. Each walk clears only the `seen` marks it set, so a
+  // survivor with live neighbors costs its degree, not the machine size.
   adj_.assign(live_.size(), {});
   std::vector<char> seen(static_cast<size_t>(n));
+  std::vector<NodeId> touched;
+  std::vector<NodeId> frontier;
   std::vector<NodeId> nbr;
   for (size_t r = 0; r < live_.size(); ++r) {
-    std::fill(seen.begin(), seen.end(), 0);
-    std::deque<NodeId> frontier;
+    touched.assign(1, live_[r]);
     seen[static_cast<size_t>(live_[r])] = 1;
-    frontier.push_back(live_[r]);
-    while (!frontier.empty()) {
-      const NodeId u = frontier.front();
-      frontier.pop_front();
+    frontier.assign(1, live_[r]);
+    for (size_t head = 0; head < frontier.size(); ++head) {
       nbr.clear();
-      base.append_neighbors(u, nbr);
+      base.append_neighbors(frontier[head], nbr);
       for (NodeId v : nbr) {
         if (seen[static_cast<size_t>(v)]) continue;
         seen[static_cast<size_t>(v)] = 1;
+        touched.push_back(v);
         const i32 vr = rank_of_[static_cast<size_t>(v)];
         if (vr == kInvalidNode) {
           frontier.push_back(v);  // dead relay: keep walking
@@ -45,11 +45,11 @@ LiveView::LiveView(const Topology& base, std::vector<NodeId> live)
         }
       }
     }
+    for (NodeId v : touched) seen[static_cast<size_t>(v)] = 0;
     std::sort(adj_[r].begin(), adj_[r].end());
   }
 
-  dist_.assign(live_.size() * live_.size(), -1);
-  dist_done_.assign(live_.size(), 0);
+  rows_.resize(live_.size());
 }
 
 std::string LiveView::name() const {
@@ -62,44 +62,38 @@ void LiveView::append_neighbors(NodeId rank, std::vector<NodeId>& out) const {
   out.insert(out.end(), a.begin(), a.end());
 }
 
-void LiveView::bfs_from(i32 rank) const {
-  if (dist_done_[static_cast<size_t>(rank)]) return;
-  const size_t n = live_.size();
-  i32* row = dist_.data() + static_cast<size_t>(rank) * n;
-  std::deque<i32> queue;
-  row[rank] = 0;
-  queue.push_back(rank);
-  while (!queue.empty()) {
-    const i32 u = queue.front();
-    queue.pop_front();
+void LiveView::bfs(i32 rank, std::vector<i32>& row) const {
+  row.assign(live_.size(), -1);
+  std::vector<i32> queue{rank};
+  row[static_cast<size_t>(rank)] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const i32 u = queue[head];
     for (NodeId v : adj_[static_cast<size_t>(u)]) {
-      if (row[v] < 0) {
-        row[v] = row[u] + 1;
+      if (row[static_cast<size_t>(v)] < 0) {
+        row[static_cast<size_t>(v)] = row[static_cast<size_t>(u)] + 1;
         queue.push_back(v);
       }
     }
   }
-  for (size_t v = 0; v < n; ++v) {
-    RIPS_CHECK_MSG(row[v] >= 0, "LiveView must stay connected");
-  }
-  dist_done_[static_cast<size_t>(rank)] = 1;
+  RIPS_CHECK_MSG(queue.size() == live_.size(), "LiveView must stay connected");
 }
 
 i32 LiveView::distance(NodeId a, NodeId b) const {
   RIPS_CHECK(a >= 0 && a < size() && b >= 0 && b < size());
-  bfs_from(a);
-  return dist_[static_cast<size_t>(a) * live_.size() + static_cast<size_t>(b)];
+  std::vector<i32>& row = rows_[static_cast<size_t>(a)];
+  if (row.empty()) bfs(a, row);
+  return row[static_cast<size_t>(b)];
 }
 
 i32 LiveView::diameter() const {
+  if (diameter_ >= 0) return diameter_;
   i32 best = 0;
+  std::vector<i32> row;
   for (i32 r = 0; r < size(); ++r) {
-    bfs_from(r);
-    for (i32 v = 0; v < size(); ++v) {
-      best = std::max(best, dist_[static_cast<size_t>(r) * live_.size() +
-                                  static_cast<size_t>(v)]);
-    }
+    bfs(r, row);
+    best = std::max(best, *std::max_element(row.begin(), row.end()));
   }
+  diameter_ = best;
   return best;
 }
 

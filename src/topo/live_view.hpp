@@ -10,6 +10,10 @@
 // lookups, OptimalFlow) work on a LiveView directly; shape-specific
 // schedulers (MWA, TWA, RingScan) are rebuilt over a fresh machine of L
 // logical nodes and driven through the rank mapping.
+//
+// Memory stays linear in the machine: a source's distance row (L ints) is
+// built by BFS on its first distance() query — the engine asks only from
+// initiators — and diameter() runs one BFS per survivor once per view.
 #pragma once
 
 #include <vector>
@@ -47,11 +51,12 @@ class LiveView final : public Topology {
   std::vector<NodeId> live_;                 // rank -> physical, sorted
   std::vector<i32> rank_of_;                 // physical -> rank or -1
   std::vector<std::vector<NodeId>> adj_;     // per rank, relay adjacency
-  mutable std::vector<i32> dist_;            // all-pairs, lazily filled row
-  mutable std::vector<char> dist_done_;      // per-rank BFS done flag
+  mutable std::vector<std::vector<i32>> rows_;  // per rank, BFS on first use
+  mutable i32 diameter_ = -1;                // cached on first diameter()
   std::string base_name_;
 
-  void bfs_from(i32 rank) const;
+  /// Hop distances from `rank` to every rank, into `row`.
+  void bfs(i32 rank, std::vector<i32>& row) const;
 };
 
 }  // namespace rips::topo

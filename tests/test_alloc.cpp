@@ -12,6 +12,9 @@
 //     per-job breakdown allocates nothing.
 //   * DynamicEngine: the per-steal message path recycles task buffers, so
 //     a steady-state window of a repeat run is likewise allocation-free.
+//   * LiveView: a degraded machine's survivor view never asks for memory
+//     quadratic in its size; the shim also records the largest single
+//     request, which is what an all-pairs table would show up as.
 //
 // "Repeat run" matters: the first run grows the arenas to their high-water
 // marks; the contract is about the steady state those arenas enable, which
@@ -31,6 +34,7 @@
 #include "obs/telemetry.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
+#include "topo/live_view.hpp"
 #include "topo/topology.hpp"
 
 // ---------------------------------------------------------------------------
@@ -42,15 +46,28 @@
 
 namespace {
 std::atomic<unsigned long long> g_allocs{0};
+// Largest single request. The tests that read it run single-threaded, so a
+// plain load-compare-store is exact for them.
+std::atomic<std::size_t> g_largest_alloc{0};
+
+// Out of line so the operator new below stays small enough for GCC to
+// inline at -O2; when it is not inlined, -Wmismatched-new-delete misreads
+// the inlined free() in operator delete as a mismatch.
+[[gnu::noinline]] void count_alloc(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (size > g_largest_alloc.load(std::memory_order_relaxed)) {
+    g_largest_alloc.store(size, std::memory_order_relaxed);
+  }
+}
 
 void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   if (size == 0) size = 1;
   return std::malloc(size);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  count_alloc(size);
   if (size == 0) size = 1;
   // aligned_alloc requires size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
@@ -317,3 +334,26 @@ TEST(AllocFree, DynamicEngineSteadyWindowAllocatesNothing) {
 
 }  // namespace
 }  // namespace rips::balance
+
+namespace rips::topo {
+namespace {
+
+// A crash on a 64x64 machine: the survivor view and one distance row must
+// stay linear in the machine size. An all-pairs table would be one
+// 4095^2 x 4-byte request (64 MiB).
+TEST(AllocBound, LiveViewAfterOneCrashStaysLinear) {
+  const Mesh mesh(64, 64);
+  std::vector<NodeId> live;
+  for (NodeId p = 0; p < mesh.size(); ++p) {
+    if (p != 2080) live.push_back(p);
+  }
+  g_largest_alloc.store(0, std::memory_order_relaxed);
+  const LiveView view(mesh, live);
+  // Corner to corner: 126 hops, less the one the dead node relays.
+  EXPECT_EQ(view.distance(0, view.size() - 1), 125);
+  EXPECT_LE(g_largest_alloc.load(std::memory_order_relaxed),
+            std::size_t{1} << 20);
+}
+
+}  // namespace
+}  // namespace rips::topo

@@ -19,6 +19,8 @@
 #include "sim/fault.hpp"
 #include "topo/live_view.hpp"
 #include "topo/topology.hpp"
+#include "topo/torus.hpp"
+#include "util/rng.hpp"
 
 namespace rips {
 namespace {
@@ -216,6 +218,87 @@ TEST(LiveView, SingleSurvivorIsValid) {
   EXPECT_EQ(view.size(), 1);
   EXPECT_EQ(view.diameter(), 0);
   EXPECT_EQ(view.physical(0), 3);
+}
+
+/// All-pairs survivor distances computed the slow, obvious way: relay
+/// adjacency from a fresh BFS per survivor (through dead nodes only),
+/// then Floyd-Warshall. Indexed by rank (sorted survivor order).
+std::vector<std::vector<i32>> naive_live_distances(
+    const topo::Topology& base, const std::vector<NodeId>& live) {
+  const size_t n = live.size();
+  const auto rank_of = [&](NodeId p) -> i32 {
+    const auto it = std::find(live.begin(), live.end(), p);
+    return it == live.end() ? -1 : static_cast<i32>(it - live.begin());
+  };
+  constexpr i32 kFar = 1 << 20;
+  std::vector<std::vector<i32>> d(n, std::vector<i32>(n, kFar));
+  for (size_t r = 0; r < n; ++r) {
+    d[r][r] = 0;
+    std::vector<char> seen(static_cast<size_t>(base.size()), 0);
+    std::vector<NodeId> frontier{live[r]};
+    seen[static_cast<size_t>(live[r])] = 1;
+    while (!frontier.empty()) {
+      const NodeId u = frontier.back();
+      frontier.pop_back();
+      for (NodeId v : base.neighbors(u)) {
+        if (seen[static_cast<size_t>(v)]) continue;
+        seen[static_cast<size_t>(v)] = 1;
+        const i32 vr = rank_of(v);
+        if (vr < 0) {
+          frontier.push_back(v);
+        } else if (static_cast<size_t>(vr) != r) {
+          d[r][static_cast<size_t>(vr)] = 1;
+        }
+      }
+    }
+  }
+  for (size_t k = 0; k < n; ++k) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+      }
+    }
+  }
+  return d;
+}
+
+TEST(LiveView, DistancesAndDiameterMatchANaiveReference) {
+  const topo::Mesh mesh(5, 6);
+  const topo::Torus torus(4, 5);
+  const topo::Hypercube cube(5);
+  const topo::Topology* bases[] = {&mesh, &torus, &cube};
+  Rng rng(20261019);
+  for (const topo::Topology* base : bases) {
+    for (int trial = 0; trial < 12; ++trial) {
+      // Kill between none and most of the machine, at random.
+      const auto n = static_cast<u64>(base->size());
+      const u64 dead = rng.next_below(n);
+      std::vector<NodeId> live;
+      for (NodeId p = 0; p < base->size(); ++p) live.push_back(p);
+      for (u64 k = 0; k < dead; ++k) {
+        live.erase(live.begin() +
+                   static_cast<std::ptrdiff_t>(rng.next_below(live.size())));
+      }
+      const topo::LiveView view(*base, live);
+      const auto want = naive_live_distances(*base, live);
+      i32 diameter = 0;
+      // Ask rows last to first, so the lazily built rows are filled in the
+      // opposite order to their ranks.
+      for (size_t a = live.size(); a-- > 0;) {
+        for (size_t b = 0; b < live.size(); ++b) {
+          ASSERT_EQ(view.distance(static_cast<NodeId>(a),
+                                  static_cast<NodeId>(b)),
+                    want[a][b])
+              << base->name() << " trial " << trial << " pair " << a << ","
+              << b;
+          diameter = std::max(diameter, want[a][b]);
+        }
+      }
+      EXPECT_EQ(view.diameter(), diameter) << base->name() << " " << trial;
+      // A fresh view answers diameter() before any distance() call.
+      EXPECT_EQ(topo::LiveView(*base, live).diameter(), diameter);
+    }
+  }
 }
 
 // --- engine: crash recovery ----------------------------------------------

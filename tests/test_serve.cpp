@@ -10,7 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -675,6 +678,40 @@ TEST(JobServer, HandleLineCoversEveryOpAndShutdownIsIdempotent) {
   EXPECT_TRUE(
       reply_is_error(server.handle_line("{\"op\":\"submit\"}"), 409));
   EXPECT_EQ(server.jobs_done(), 1u);
+}
+
+// The flight recorder dumps only to a configured path: a server without
+// one never writes a black box, and one with a path leaves a time-series
+// document whose reason names the trigger.
+TEST(JobServer, BlackBoxDumpsOnlyToAConfiguredPath) {
+  serve::ServeOptions options;
+  options.nodes = 16;
+  {
+    serve::JobServer server(options);
+    server.start();
+    ASSERT_TRUE(server.submit(serve::SubmitParams{}).ok);
+    server.shutdown();
+    EXPECT_EQ(server.recorder().dumps_written(), 0u);
+  }
+  options.blackbox_path = ::testing::TempDir() + "rips_serve_bb.json";
+  serve::JobServer server(options);
+  server.start();
+  ASSERT_TRUE(server.submit(serve::SubmitParams{}).ok);
+  server.shutdown();
+  EXPECT_EQ(server.recorder().dumps_written(), 1u);
+
+  std::ifstream in(options.blackbox_path, std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::string error;
+  const auto doc = obs::json::parse(text, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->find("schema")->string, "rips-timeseries-v1");
+  EXPECT_EQ(doc->find("reason")->string, "shutdown");
+  const obs::json::Value* series = doc->find("series");
+  ASSERT_TRUE(series != nullptr && series->array.size() == 1u);
+  EXPECT_FALSE(series->array[0].find("samples")->array.empty());
+  std::remove(options.blackbox_path.c_str());
 }
 
 // --- socket transport ----------------------------------------------------

@@ -1,18 +1,19 @@
 // Live telemetry layer tests (docs/OBSERVABILITY.md, "Live telemetry"):
 // the TelemetryBus null-sink contract (attaching a bus never changes the
-// metrics), the TimeSeriesSampler (stride, caps, steady-state bands, JSON
-// and CSV export round-tripped through bench_diff's time-series loader,
-// and its band gate), the FlightRecorder black box (bounded rings,
-// auto-dump on faults, dump loading + phase attribution, signal-safe
-// path), the per-job breakdown (one callback per user phase, never extra
-// phase samples), and the histogram percentile derivation the snapshots
-// carry.
+// metrics), the TimeSeriesSampler (most-recent-N retention, steady-state
+// bands, JSON export round-tripped through bench_diff's time-series
+// loader, and its band gate), the FlightRecorder black box (a sampler with
+// a small ring: auto-dump on faults, both dump paths loading back as
+// rips-timeseries-v1 with every sample column intact, phase attribution),
+// the per-job breakdown (one callback per user phase, never extra phase
+// samples), and the histogram percentile derivation the snapshots carry.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,49 @@ TelemetryEvent crash_at(SimTime t, NodeId node) {
   e.node = node;
   e.detail = "test crash";
   return e;
+}
+
+/// A loaded series holds exactly what the sampler retained: the header,
+/// every column of every sample, and every event.
+void expect_series_matches(const analysis::Series& loaded,
+                           const TimeSeriesSampler& sampler) {
+  EXPECT_EQ(loaded.label, sampler.label());
+  EXPECT_EQ(loaded.engine, sampler.engine());
+  EXPECT_EQ(loaded.nodes, sampler.num_nodes());
+  EXPECT_EQ(loaded.seen, sampler.seen());
+  const std::vector<PhaseSample> samples = sampler.samples();
+  ASSERT_EQ(loaded.samples.size(), samples.size());
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(loaded.samples[i].kind, samples[i].kind) << "sample " << i;
+    EXPECT_EQ(sample_values(loaded.samples[i]), sample_values(samples[i]))
+        << "sample " << i;
+  }
+  const std::vector<TelemetryEvent> events = sampler.events();
+  ASSERT_EQ(loaded.events.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(loaded.events[i].kind, events[i].kind);
+    EXPECT_EQ(loaded.events[i].t, events[i].t);
+    EXPECT_EQ(loaded.events[i].node, events[i].node);
+    EXPECT_EQ(loaded.events[i].phase, events[i].phase);
+    EXPECT_EQ(loaded.events[i].arg, events[i].arg);
+    EXPECT_STREQ(loaded.events[i].detail, events[i].detail);
+  }
+}
+
+/// A sample with every column distinct and nonzero, so a dropped or
+/// swapped column cannot round-trip by accident.
+PhaseSample full_sample(int i, PhaseKind kind = PhaseKind::kSystem) {
+  PhaseSample s = sample_at(i * 100, i * 100 + 90, static_cast<u64>(i), kind);
+  s.tasks = 1000 + i;
+  s.moved = 2000 + i;
+  s.imbalance = 3000 + i;
+  s.comm_steps = 4000 + i;
+  s.rts_total = 5000 + i;
+  s.retries = 6000 + i;
+  s.live_nodes = 7000 + i;
+  s.drain_ns = -8000 - i;
+  s.executed_total = 9000 + i;
+  return s;
 }
 
 // ------------------------------------------------------------ TelemetryBus
@@ -100,19 +144,34 @@ TEST(TelemetryBus, FansOutToEverySubscriberAndUnsubscribes) {
 
 // ------------------------------------------------------ TimeSeriesSampler
 
-TEST(TimeSeriesSampler, StrideAndCapCountDropped) {
+TEST(TimeSeriesSampler, CapKeepsTheMostRecentSamplesAndCountsDropped) {
   TimeSeriesSampler::Options opts;
-  opts.stride = 2;
   opts.max_samples = 3;
+  opts.max_events = 2;
   TimeSeriesSampler sampler(opts);
   for (int i = 0; i < 10; ++i) {
     sampler.on_phase(sample_at(i * 10, i * 10 + 10, static_cast<u64>(i)));
+    sampler.on_event(crash_at(i * 10 + 5, i));
   }
-  // Samples 0, 2, 4 retained; 6 and 8 hit the cap; odd ones hit the stride.
-  EXPECT_EQ(sampler.samples().size(), 3u);
+  // Samples 7, 8, 9 retained, oldest first; 0..6 were overwritten.
+  const std::vector<PhaseSample> samples = sampler.samples();
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(samples[0].phase, 7u);
+  EXPECT_EQ(samples[2].phase, 9u);
   EXPECT_EQ(sampler.seen(), 10u);
   EXPECT_EQ(sampler.dropped(), 7u);
-  EXPECT_EQ(sampler.samples()[2].phase, 4u);
+  const std::vector<TelemetryEvent> events = sampler.events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].node, 8);
+  EXPECT_EQ(events[1].node, 9);
+  // The bands and the export see the retained window, in order.
+  EXPECT_EQ(sampler.steady_band("duration_ns").count, 3u);
+  std::string error;
+  const auto doc = analysis::load_timeseries_doc(sampler.to_json(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  ASSERT_EQ(doc->series[0].samples.size(), 3u);
+  EXPECT_EQ(doc->series[0].samples[0].phase, 7u);
+  EXPECT_EQ(doc->series[0].seen, 10u);
 }
 
 TEST(TimeSeriesSampler, SteadyBandUsesSecondHalfOfSystemPhases) {
@@ -205,32 +264,18 @@ TEST(TimeSeriesSampler, JsonRoundTripsThroughTheTsDiffLoader) {
   std::string error;
   const auto doc = analysis::load_timeseries_doc(sampler.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->reason, "");
   ASSERT_EQ(doc->series.size(), 1u);
-  const analysis::SeriesBands& s = doc->series[0];
+  const analysis::Series& s = doc->series[0];
   EXPECT_EQ(s.label, "unit/RIPS/n4");
   EXPECT_EQ(s.engine, "rips");
   EXPECT_EQ(s.nodes, 4);
+  EXPECT_EQ(s.tasks, 42u);
   EXPECT_TRUE(s.complete);
   const SeriesBand* band = s.find("imbalance");
   ASSERT_NE(band, nullptr);
   EXPECT_EQ(band->p50, 7);
-}
-
-TEST(TimeSeriesSampler, CsvHeaderMatchesRowShape) {
-  TimeSeriesSampler sampler;
-  sampler.set_label("x");
-  sampler.on_phase(sample_at(0, 10));
-  const std::string csv = sampler.to_csv();
-  const std::string header = csv.substr(0, csv.find('\n'));
-  EXPECT_EQ(header, timeseries_csv_header());
-  // Same number of columns in the header and in a data row.
-  const std::string row = csv.substr(csv.find('\n') + 1);
-  const auto commas = [](const std::string& line) {
-    size_t n = 0;
-    for (char c : line) n += c == ',';
-    return n;
-  };
-  EXPECT_EQ(commas(header), commas(row.substr(0, row.find('\n'))));
+  expect_series_matches(s, sampler);
 }
 
 TEST(TsDiff, GatesSteadyBandRegressionsAndMissingSeries) {
@@ -245,7 +290,7 @@ TEST(TsDiff, GatesSteadyBandRegressionsAndMissingSeries) {
     std::string error;
     auto doc = analysis::load_timeseries_doc(s.to_json(), &error);
     EXPECT_TRUE(doc.has_value()) << error;
-    return *doc;
+    return std::move(*doc);
   };
   const analysis::TimeSeriesDoc base = make_doc(20, 10.0);
   const analysis::TimeSeriesDoc same = make_doc(20, 10.0);
@@ -272,16 +317,13 @@ TEST(TsDiff, GatesSteadyBandRegressionsAndMissingSeries) {
 // --------------------------------------------------------- FlightRecorder
 
 TEST(FlightRecorder, RingsKeepTheMostRecentWindowInOrder) {
-  FlightRecorder::Options opts;
-  opts.sample_capacity = 4;
-  opts.event_capacity = 2;
-  opts.dump_on_event = false;
-  FlightRecorder rec(opts);
+  FlightRecorder rec("", {4, 2});
   for (int i = 0; i < 10; ++i) {
     rec.on_phase(sample_at(i * 10, i * 10 + 10, static_cast<u64>(i)));
     rec.on_event(crash_at(i * 10 + 5, i));
   }
-  EXPECT_EQ(rec.samples_seen(), 10u);
+  EXPECT_EQ(rec.seen(), 10u);
+  EXPECT_EQ(rec.dumps_written(), 0u);  // empty dump path: never dumps
   const auto samples = rec.samples();
   ASSERT_EQ(samples.size(), 4u);
   EXPECT_EQ(samples.front().phase, 6u);  // oldest retained
@@ -291,44 +333,59 @@ TEST(FlightRecorder, RingsKeepTheMostRecentWindowInOrder) {
   EXPECT_EQ(events.back().node, 9);
 }
 
+TEST(FlightRecorder, IgnoresThePerJobBreakdown) {
+  FlightRecorder rec;
+  const u64 executed[] = {3, 4, 5};
+  const PhaseSample u = sample_at(0, 10, 0, PhaseKind::kUser);
+  rec.on_phase(u);
+  rec.on_job_phase(u, executed);
+  EXPECT_EQ(rec.seen(), 1u);
+  ASSERT_EQ(rec.samples().size(), 1u);
+  EXPECT_EQ(rec.samples()[0].job, -1);
+}
+
 TEST(FlightRecorder, AutoDumpsOnCrashEventAndLoadsBack) {
   const std::string path = ::testing::TempDir() + "rips_bb_auto.json";
-  FlightRecorder::Options opts;
-  opts.dump_path = path;
-  FlightRecorder rec(opts);
+  FlightRecorder rec(path);
+  rec.set_label("unit/rips/n8");
   rec.on_run_begin(RunStart{"rips", 8, 1000});
-  rec.on_phase(sample_at(0, 100, 0));
+  rec.on_phase(full_sample(0));
   rec.on_phase(sample_at(100, 200, 0, PhaseKind::kUser));
   rec.on_event(crash_at(150, 3));  // kCrash: triggers the dump
   EXPECT_EQ(rec.dumps_written(), 1u);
 
   std::string error;
-  const auto doc = analysis::load_blackbox_file(path, &error);
+  const auto doc = analysis::load_timeseries_file(path, &error);
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->reason, "fault");
-  EXPECT_EQ(doc->engine, "rips");
-  EXPECT_EQ(doc->num_nodes, 8);
-  EXPECT_FALSE(doc->complete);
-  ASSERT_EQ(doc->samples.size(), 2u);
-  ASSERT_EQ(doc->events.size(), 1u);
-  EXPECT_STREQ(doc->events[0].detail, "test crash");
+  ASSERT_EQ(doc->series.size(), 1u);
+  const analysis::Series& s = doc->series[0];
+  EXPECT_EQ(s.nodes, 8);
+  EXPECT_FALSE(s.complete);
+  ASSERT_EQ(s.samples.size(), 2u);
+  ASSERT_EQ(s.events.size(), 1u);
+  expect_series_matches(s, rec);
+  EXPECT_NE(s.find("duration_ns"), nullptr);  // the writer's bands
 
   // Attribution: the crash at t=150 lands in the user phase [100, 200].
-  const auto attributed = analysis::attribute_events(*doc);
+  const auto attributed = analysis::attribute_events(s);
   ASSERT_EQ(attributed.size(), 1u);
   ASSERT_NE(attributed[0].sample_index, analysis::Attribution::kNoPhase);
-  EXPECT_EQ(doc->samples[attributed[0].sample_index].kind, PhaseKind::kUser);
-  EXPECT_NE(analysis::blackbox_report(*doc).find("user phase"),
-            std::string::npos);
+  EXPECT_EQ(s.samples[attributed[0].sample_index].kind, PhaseKind::kUser);
+  const std::string report = analysis::blackbox_report(*doc);
+  EXPECT_NE(report.find("reason=fault"), std::string::npos) << report;
+  EXPECT_NE(report.find("user phase"), std::string::npos) << report;
   std::remove(path.c_str());
 }
 
 TEST(FlightRecorder, SignalSafeDumpIsParseable) {
   const std::string path = ::testing::TempDir() + "rips_bb_signal.json";
-  FlightRecorder rec;
+  FlightRecorder rec("", {4, 64});
+  rec.set_label("label \"quoted\"");
   rec.on_run_begin(RunStart{"rips", 4, 10});
   for (int i = 0; i < 6; ++i) {
-    rec.on_phase(sample_at(i * 10, i * 10 + 10, static_cast<u64>(i)));
+    rec.on_phase(full_sample(i, i % 2 == 0 ? PhaseKind::kSystem
+                                           : PhaseKind::kUser));
   }
   rec.on_event(crash_at(33, 2));
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -337,12 +394,113 @@ TEST(FlightRecorder, SignalSafeDumpIsParseable) {
   ::close(fd);
 
   std::string error;
-  const auto doc = analysis::load_blackbox_file(path, &error);
+  const auto doc = analysis::load_timeseries_file(path, &error);
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->reason, "signal:SIGABRT");
-  EXPECT_EQ(doc->samples.size(), 6u);
-  EXPECT_EQ(doc->events.size(), 1u);
+  ASSERT_EQ(doc->series.size(), 1u);
+  const analysis::Series& s = doc->series[0];
+  EXPECT_EQ(s.engine, "rips");
+  ASSERT_EQ(s.samples.size(), 4u);  // the ring wrapped: phases 2..5
+  EXPECT_EQ(s.samples[0].phase, 2u);
+  EXPECT_EQ(s.samples[3].comm_steps, 4005);
+  EXPECT_EQ(s.samples[3].drain_ns, -8005);
+  EXPECT_EQ(s.events.size(), 1u);
+  EXPECT_TRUE(s.bands.empty());
+  expect_series_matches(s, rec);
   std::remove(path.c_str());
+}
+
+// The plain dump and the signal path write the same document apart from
+// the bands, which only the plain writer derives.
+TEST(FlightRecorder, BothDumpPathsAgreeOnEverythingButBands) {
+  const std::string plain = ::testing::TempDir() + "rips_bb_plain.json";
+  const std::string signal = ::testing::TempDir() + "rips_bb_sigpath.json";
+  FlightRecorder rec("", {8, 4});
+  rec.set_label("w/rips/n16");
+  rec.on_run_begin(RunStart{"rips", 16, 99});
+  for (int i = 0; i < 11; ++i) rec.on_phase(full_sample(i));
+  rec.on_event(crash_at(250, 5));
+  rec.on_run_end(1100);
+  ASSERT_TRUE(rec.dump("manual", plain));
+  const int fd = ::open(signal.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  rec.dump_signal_safe(fd, "manual");
+  ::close(fd);
+
+  const auto read = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    std::string text;
+    for (int c; f != nullptr && (c = std::fgetc(f)) != EOF;) {
+      text.push_back(static_cast<char>(c));
+    }
+    if (f != nullptr) std::fclose(f);
+    return text;
+  };
+  const auto strip_bands = [](std::string text) {
+    const size_t at = text.find(",\"bands\":{");
+    const size_t end = text.find("}}]}", at);
+    return at == std::string::npos || end == std::string::npos
+               ? text
+               : text.substr(0, at) + text.substr(end + 1);
+  };
+  const std::string a = read(plain);
+  const std::string b = read(signal);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(strip_bands(a), strip_bands(b));
+  EXPECT_NE(b.find("\"bands\":{}"), std::string::npos);
+  std::remove(plain.c_str());
+  std::remove(signal.c_str());
+}
+
+// std::terminate dumps once, under its own reason: the abort() that ends
+// the process must not overwrite the dump from the signal path.
+TEST(FlightRecorderDeathTest, TerminateDumpKeepsItsReason) {
+  const std::string path = ::testing::TempDir() + "rips_bb_terminate.json";
+  std::remove(path.c_str());
+  EXPECT_DEATH(
+      {
+        FlightRecorder rec(path);
+        rec.on_phase(full_sample(0));
+        rec.arm_process_hooks();
+        std::terminate();
+      },
+      "");
+  std::string error;
+  const auto doc = analysis::load_timeseries_file(path, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  EXPECT_EQ(doc->reason, "terminate");
+  ASSERT_EQ(doc->series.size(), 1u);
+  EXPECT_EQ(doc->series[0].samples.size(), 1u);
+  EXPECT_FALSE(doc->series[0].bands.empty());  // written by dump(), not the
+                                                // signal path
+  std::remove(path.c_str());
+}
+
+// A full sampler export with per-job rows: attribution lands on the
+// phase's own row, never on a per-job row that repeats its window.
+TEST(BlackBoxReport, AttributionSkipsPerJobRows) {
+  TimeSeriesSampler sampler;
+  sampler.set_label("jobs/rips/n4");
+  sampler.on_run_begin(RunStart{"rips", 4, 12});
+  const u64 executed[] = {5, 7};
+  sampler.on_phase(sample_at(0, 100, 0));
+  const PhaseSample u = sample_at(100, 200, 0, PhaseKind::kUser);
+  sampler.on_phase(u);
+  sampler.on_job_phase(u, executed);
+  sampler.on_event(crash_at(150, 1));
+
+  std::string error;
+  const auto doc = analysis::load_timeseries_doc(sampler.to_json(), &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const analysis::Series& s = doc->series[0];
+  ASSERT_EQ(s.samples.size(), 4u);
+  const auto attributed = analysis::attribute_events(s);
+  ASSERT_EQ(attributed.size(), 1u);
+  EXPECT_EQ(attributed[0].sample_index, 1u);
+  const std::string report = analysis::blackbox_report(*doc);
+  EXPECT_NE(report.find("reason=none"), std::string::npos) << report;
+  EXPECT_NE(report.find("series jobs/rips/n4"), std::string::npos) << report;
+  EXPECT_NE(report.find("in user phase 0"), std::string::npos) << report;
 }
 
 // ----------------------------------------------------- engine integration
@@ -425,9 +583,8 @@ TEST(TelemetryIntegration, FaultRunPublishesCrashAndRecoveryEvents) {
 
   TelemetryBus bus;
   TimeSeriesSampler sampler;
-  FlightRecorder::Options ropts;
-  ropts.dump_path = ::testing::TempDir() + "rips_bb_faultrun.json";
-  FlightRecorder recorder(ropts);
+  const std::string dump_path = ::testing::TempDir() + "rips_bb_faultrun.json";
+  FlightRecorder recorder(dump_path);
   bus.subscribe(&sampler);
   bus.subscribe(&recorder);
   Obs o;
@@ -448,10 +605,15 @@ TEST(TelemetryIntegration, FaultRunPublishesCrashAndRecoveryEvents) {
   // crash attributes to a phase window.
   EXPECT_GT(recorder.dumps_written(), 0u);
   std::string error;
-  const auto doc = analysis::load_blackbox_file(ropts.dump_path, &error);
+  const auto doc = analysis::load_timeseries_file(dump_path, &error);
   ASSERT_TRUE(doc.has_value()) << error;
   EXPECT_EQ(doc->reason, "fault");
-  std::remove(ropts.dump_path.c_str());
+  ASSERT_EQ(doc->series.size(), 1u);
+  EXPECT_EQ(doc->series[0].engine, "rips");
+  // The last dump (at the last crash) holds the last crash event.
+  ASSERT_FALSE(doc->series[0].events.empty());
+  EXPECT_EQ(doc->series[0].events.back().kind, TelemetryEvent::Kind::kCrash);
+  std::remove(dump_path.c_str());
 }
 
 TEST(TelemetryIntegration, DynamicEnginePublishesSegmentSamples) {
@@ -542,10 +704,8 @@ TEST(TelemetryIntegration, ManyJobsLeaveTheBlackBoxRingToPhases) {
   const sim::FaultPlan plan = sim::FaultPlan::generate(7, 16, spec);
   engine.set_fault_plan(&plan);
 
-  FlightRecorder::Options ropts;
-  ropts.dump_on_event = false;
-  FlightRecorder recorder(ropts);
-  const auto jobs = static_cast<i32>(ropts.sample_capacity + 44);
+  FlightRecorder recorder;
+  const auto jobs = static_cast<i32>(FlightRecorder::kRing.max_samples + 44);
   const std::vector<i32> job_of = round_robin_jobs(trace.size(), jobs);
   engine.set_job_map(&job_of, jobs);
   TelemetryBus bus;
@@ -555,7 +715,7 @@ TEST(TelemetryIntegration, ManyJobsLeaveTheBlackBoxRingToPhases) {
   engine.set_obs(o);
   const sim::RunMetrics m = engine.run(trace);
   ASSERT_GT(m.crashes, 0u);
-  ASSERT_LT(2 * m.system_phases, ropts.sample_capacity);
+  ASSERT_LT(2 * m.system_phases, FlightRecorder::kRing.max_samples);
 
   u64 system = 0;
   u64 user = 0;
@@ -570,15 +730,15 @@ TEST(TelemetryIntegration, ManyJobsLeaveTheBlackBoxRingToPhases) {
   EXPECT_EQ(user, m.system_phases - 1);
 
   std::string error;
-  const auto doc =
-      analysis::load_blackbox_doc(recorder.to_json("test"), &error);
+  const auto doc = analysis::load_timeseries_doc(recorder.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
   u64 crashes = 0;
-  for (const analysis::Attribution& a : analysis::attribute_events(*doc)) {
+  const analysis::Series& series = doc->series[0];
+  for (const analysis::Attribution& a : analysis::attribute_events(series)) {
     if (a.event->kind != TelemetryEvent::Kind::kCrash) continue;
     ++crashes;
     ASSERT_NE(a.sample_index, analysis::Attribution::kNoPhase);
-    const PhaseSample& s = doc->samples[a.sample_index];
+    const PhaseSample& s = series.samples[a.sample_index];
     EXPECT_LE(s.t0, a.event->t);
     EXPECT_GE(s.t1, a.event->t);
   }
