@@ -6,10 +6,12 @@
 //
 // Two rips-bench-v1 documents are gated run by run on their Table-I
 // columns; two rips-timeseries-v1 documents series by series on their
-// steady-state bands (the flags tune the bench gates only). Exit codes:
-// 0 = no regressions, 1 = regression (or baseline run/series missing from
-// the current document), 2 = usage / parse error or documents of
-// different schemas. The simulator is bit-deterministic, so an unchanged
+// steady-state bands (the flags tune the bench gates only). A
+// rips-bench-v1 document is validated as it loads, so `bench_diff X X` is
+// also the schema check. Exit codes: 0 = no regressions, 1 = regression
+// (or baseline run/series missing from the current document), 2 = usage
+// error, a document that breaks its schema, or documents of different
+// schemas. The simulator is bit-deterministic, so an unchanged
 // tree diffs clean against the committed baseline on any machine.
 #include <cstdio>
 #include <stdexcept>

@@ -1,9 +1,8 @@
 // harness — machine-readable bench driver (docs/OBSERVABILITY.md).
 //
 // Runs one suite and emits its JSON document ("rips-bench-v1",
-// sim::bench_doc_json) that CI diffing, notebooks, and the
-// bench/check_bench_json validator can consume, instead of scraping the
-// ASCII tables the fig*/table* benches print. Suites:
+// sim::bench_doc_json) that bench_diff and notebooks can consume, instead
+// of scraping the ASCII tables the fig*/table* benches print. Suites:
 //   core    the first paper workload of each application group;
 //   full    every paper workload;
 //   scale   the scaling frontier (docs/PERFORMANCE.md, Scaling): RIPS on
@@ -33,6 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,26 +48,6 @@
 namespace {
 
 using namespace rips;
-
-core::RipsConfig parse_policy(const std::string& policy) {
-  core::RipsConfig config;
-  if (policy == "any-lazy") {
-    config.global = core::GlobalPolicy::kAny;
-    config.local = core::LocalPolicy::kLazy;
-  } else if (policy == "any-eager") {
-    config.global = core::GlobalPolicy::kAny;
-    config.local = core::LocalPolicy::kEager;
-  } else if (policy == "all-lazy") {
-    config.global = core::GlobalPolicy::kAll;
-    config.local = core::LocalPolicy::kLazy;
-  } else if (policy == "all-eager") {
-    config.global = core::GlobalPolicy::kAll;
-    config.local = core::LocalPolicy::kEager;
-  } else {
-    RIPS_CHECK_MSG(false, "--policy must be {any,all}-{lazy,eager}");
-  }
-  return config;
-}
 
 std::vector<sweep::Kind> parse_strategies(const std::string& s) {
   if (s == "all") return sweep::table1_kinds();
@@ -197,7 +177,7 @@ int main(int argc, char** argv) {
         "  [--fault-seed=N] [--crash-mtbf-ms=N] [--drop-prob=P]\n"
         "  [--fault-horizon-ms=N]\n"
         "emits the rips-bench-v1 JSON document (see docs/OBSERVABILITY.md);\n"
-        "validate with bench/check_bench_json. --jobs=N parallelizes the\n"
+        "bench/bench_diff validates and gates it. --jobs=N parallelizes the\n"
         "sweep (0 = all hardware threads); output is identical for any N.\n"
         "--suite=scale runs RIPS on the scaling frontier at its own machine\n"
         "sizes (so it rejects --app, --nodes and other strategies) and is\n"
@@ -227,7 +207,10 @@ int main(int argc, char** argv) {
   const std::string suite = args.get("suite", "core");
   const std::string app_filter = args.get("app", "");
   const std::string policy_name = args.get("policy", "any-lazy");
-  const core::RipsConfig config = parse_policy(policy_name);
+  const std::optional<core::RipsConfig> config =
+      core::parse_policy(policy_name);
+  RIPS_CHECK_MSG(config.has_value(),
+                 "--policy must be {any,all}-{lazy,eager}");
   const double rid_u = args.get_double("rid-u", 0.4);
   const bool monitors = args.get_bool("monitors", true);
   const std::vector<sweep::Kind> kinds =
@@ -257,8 +240,8 @@ int main(int argc, char** argv) {
 
   // Deterministic fault injection, one plan per row (crash victims are
   // node ids, so a plan is only meaningful at its own machine size).
-  // Crash/message-fault plans keep the drain-sum fast measuring pass; the
-  // stderr measure= label below reports the pass the runs actually used.
+  // Fault runs keep the drain-sum fast measuring pass; the stderr
+  // measure= label below reports the pass the runs actually used.
   std::vector<sim::FaultPlan> fault_plans;
   if (inject_faults) {
     sim::FaultSpec spec;
@@ -289,7 +272,7 @@ int main(int argc, char** argv) {
     d.nodes = p.nodes;
     d.kind = p.kind;
     d.rid_u = rid_u;
-    d.config = config;
+    d.config = *config;
     d.config.weighted = p.weighted;
     d.monitor = monitors;
     d.tuning.phase_snapshots = !scale;

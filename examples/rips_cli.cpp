@@ -15,6 +15,7 @@
 //       --trace-out=faulty.trace.json          (crash/recovery spans)
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -116,23 +117,11 @@ std::string trace_cache_key(const Args& args) {
 }
 
 core::RipsConfig parse_policy(const Args& args) {
-  core::RipsConfig config;
-  const std::string policy = args.get("policy", "any-lazy");
-  if (policy == "any-lazy") {
-    config.global = core::GlobalPolicy::kAny;
-    config.local = core::LocalPolicy::kLazy;
-  } else if (policy == "any-eager") {
-    config.global = core::GlobalPolicy::kAny;
-    config.local = core::LocalPolicy::kEager;
-  } else if (policy == "all-lazy") {
-    config.global = core::GlobalPolicy::kAll;
-    config.local = core::LocalPolicy::kLazy;
-  } else if (policy == "all-eager") {
-    config.global = core::GlobalPolicy::kAll;
-    config.local = core::LocalPolicy::kEager;
-  } else {
-    RIPS_CHECK_MSG(false, "--policy must be {any,all}-{lazy,eager}");
-  }
+  const std::optional<core::RipsConfig> parsed =
+      core::parse_policy(args.get("policy", "any-lazy"));
+  RIPS_CHECK_MSG(parsed.has_value(),
+                 "--policy must be {any,all}-{lazy,eager}");
+  core::RipsConfig config = *parsed;
   if (args.has("periodic-us")) {
     config.detect = core::DetectMode::kPeriodic;
     config.periodic_interval_ns = args.get_int("periodic-us", 10000) * 1000;

@@ -4,8 +4,8 @@
 // (serve/protocol.hpp), runs every admitted job on ONE shared simulated
 // machine (RipsEngine::run_online — jobs submitted mid-run spawn tasks
 // dynamically), and on shutdown writes the whole serving session as a
-// rips-bench-v1 document so bench_diff and check_bench_json consume a
-// serving run exactly like a batch run.
+// rips-bench-v1 document so bench_diff reads a serving run exactly like a
+// batch run.
 //
 // Example session:
 //   ./rips_served --socket=/tmp/rips.sock --nodes=64
@@ -16,6 +16,7 @@
 //   ./rips_jobctl --socket=/tmp/rips.sock shutdown
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "serve/job_server.hpp"
 #include "serve/socket_server.hpp"
@@ -50,17 +51,13 @@ int main(int argc, char** argv) {
   serve::ServeOptions options;
   options.nodes = static_cast<i32>(args.get_int("nodes", 64));
   const std::string policy = args.get("policy", "any-lazy");
-  if (policy == "any-lazy" || policy == "any-eager") {
-    options.config.global = core::GlobalPolicy::kAny;
-  } else if (policy == "all-lazy" || policy == "all-eager") {
-    options.config.global = core::GlobalPolicy::kAll;
-  } else {
+  const std::optional<core::RipsConfig> config = core::parse_policy(policy);
+  if (!config.has_value()) {
     std::fprintf(stderr,
                  "rips_served: --policy must be {any,all}-{lazy,eager}\n");
     return 2;
   }
-  options.config.local = policy.ends_with("eager") ? core::LocalPolicy::kEager
-                                                   : core::LocalPolicy::kLazy;
+  options.config = *config;
   options.admission.max_pending =
       static_cast<i32>(args.get_int("max-pending", 16));
   options.admission.tenant_cap =

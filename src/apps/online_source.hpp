@@ -87,7 +87,6 @@ class ScriptedSource : public exec::TaskSource {
   }
   const std::vector<i32>* job_of() const override { return &jobs_.job_of(); }
   i32 num_jobs() const override { return jobs_.num_jobs(); }
-  std::string job_name(i32 job) const override { return jobs_.name(job); }
 
   /// Submission instant of (already injected) job `job` — jobs are
   /// injected in schedule order, so job indices follow the schedule.

@@ -212,51 +212,6 @@ i32 Collectives::or_barrier_steps_faulty(NodeId initiator,
   return down + up;
 }
 
-i64 Collectives::all_reduce_faulty(const std::vector<i64>& values,
-                                   const std::function<i64(i64, i64)>& combine,
-                                   const MessageFault& fault, i32 max_retries,
-                                   Ledger& ledger, FaultStats& stats) const {
-  const i32 n = topo_.size();
-  RIPS_CHECK(static_cast<i32>(values.size()) == n);
-  RIPS_CHECK(max_retries >= 0);
-  std::vector<i64> current = values;
-  std::vector<NodeId> nbr;
-  const i64 cap =
-      static_cast<i64>(topo_.diameter() + 1) * (max_retries + 2);
-  i64 round = 0;
-  auto converged = [&current, n] {
-    for (NodeId u = 1; u < n; ++u) {
-      if (current[static_cast<size_t>(u)] != current[0]) return false;
-    }
-    return true;
-  };
-  while (!converged()) {
-    if (round >= cap) {
-      stats.completed = false;  // retry budget exhausted: give up
-      break;
-    }
-    std::vector<i64> next = current;
-    for (NodeId u = 0; u < n; ++u) {
-      nbr.clear();
-      topo_.append_neighbors(u, nbr);
-      for (NodeId v : nbr) {
-        ledger.messages += 1;
-        if (fault(v, u, round)) {
-          stats.dropped += 1;
-          continue;
-        }
-        next[static_cast<size_t>(u)] = combine(next[static_cast<size_t>(u)],
-                                               current[static_cast<size_t>(v)]);
-      }
-    }
-    current = std::move(next);
-    ++round;
-    ledger.comm_steps += 1;
-  }
-  stats.retries += std::max<i64>(0, round - topo_.diameter());
-  return current[0];
-}
-
 std::vector<i64> mesh_row_scan(const topo::Mesh& mesh,
                                const std::vector<i64>& values,
                                Ledger& ledger) {

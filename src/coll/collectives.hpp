@@ -8,9 +8,11 @@
 // ALL-policy implementation) takes depth(tree) up + ecc down for the init
 // broadcast.
 //
-// The engine also executes data-carrying collectives (used by schedulers
-// and tests) while counting steps, so claimed costs are measured, not
-// asserted.
+// The data-carrying collectives (all_reduce, broadcast, the mesh scans)
+// execute while counting steps; tests check the step formulas and MWA's
+// information-step cost against them, so claimed costs are measured, not
+// asserted. The *_faulty signal protocols are what the RIPS engine runs to
+// detect phase ends under faults (docs/FAULTS.md).
 #pragma once
 
 #include <functional>
@@ -29,11 +31,6 @@ namespace rips::coll {
 struct Ledger {
   i64 comm_steps = 0;  ///< lock-step rounds
   i64 messages = 0;    ///< point-to-point messages sent
-
-  void merge(const Ledger& other) {
-    comm_steps += other.comm_steps;
-    messages += other.messages;
-  }
 };
 
 /// Decides whether attempt `attempt` of the (from -> to) message of the
@@ -54,28 +51,15 @@ struct RetryEvent {
 
 /// Outcome counters of one faulty collective execution.
 struct FaultStats {
-  i64 dropped = 0;       ///< messages lost on the wire
-  i64 retries = 0;       ///< retransmissions issued (sum over edges)
-  i64 timeouts = 0;      ///< timeout windows on the critical path
-  bool completed = true; ///< false when the retry budget ran out entirely
+  i64 dropped = 0;   ///< messages lost on the wire
+  i64 retries = 0;   ///< retransmissions issued (sum over edges)
+  i64 timeouts = 0;  ///< timeout windows on the critical path
   /// Nodes whose signal never arrived within the retry budget — the
   /// heartbeat piggyback: a silent node is suspected dead after
   /// max_retries + 1 missed windows, instead of stalling the protocol.
   std::vector<NodeId> suspected;
-  /// Per-edge retransmission bursts (tree collectives only; the flooding
-  /// all-reduce drops too many messages per round to log each).
+  /// Per-edge retransmission bursts.
   std::vector<RetryEvent> retry_log;
-
-  void merge(const FaultStats& other) {
-    dropped += other.dropped;
-    retries += other.retries;
-    timeouts += other.timeouts;
-    completed = completed && other.completed;
-    suspected.insert(suspected.end(), other.suspected.begin(),
-                     other.suspected.end());
-    retry_log.insert(retry_log.end(), other.retry_log.begin(),
-                     other.retry_log.end());
-  }
 };
 
 class Collectives {
@@ -147,14 +131,6 @@ class Collectives {
   i32 or_barrier_steps_faulty(NodeId initiator, const MessageFault& fault,
                               i32 max_retries, Ledger& ledger,
                               FaultStats& stats) const;
-
-  /// All-reduce by flooding with per-round message loss. Converges when
-  /// every node holds the combined value; gives up (stats.completed =
-  /// false) after (diameter + 1) * (max_retries + 2) rounds.
-  i64 all_reduce_faulty(const std::vector<i64>& values,
-                        const std::function<i64(i64, i64)>& combine,
-                        const MessageFault& fault, i32 max_retries,
-                        Ledger& ledger, FaultStats& stats) const;
 
  private:
   /// One tree phase (leaves-to-root when `upward`, root-to-leaves

@@ -84,11 +84,6 @@ class TaskSource {
   /// polls.
   virtual const std::vector<i32>* job_of() const { return nullptr; }
   virtual i32 num_jobs() const { return 0; }
-
-  /// Display name of job j (used to label RunMetrics::jobs rows).
-  virtual std::string job_name(i32 job) const {
-    return "job-" + std::to_string(job);
-  }
 };
 
 }  // namespace rips::exec

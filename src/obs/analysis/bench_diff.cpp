@@ -43,6 +43,128 @@ TelemetryEvent::Kind parse_event_kind(const std::string& name) {
   return TelemetryEvent::Kind::kCrash;
 }
 
+// --- rips-bench-v1 rules (docs/OBSERVABILITY.md) --------------------------
+
+/// The first rule a bench document breaks; load_bench_doc reports it.
+struct SchemaError {
+  std::string message;
+};
+
+void require(bool ok, const std::string& where, const std::string& what) {
+  if (!ok) throw SchemaError{where + ": " + what};
+}
+
+/// Member `key` of object `obj`, which must be present with type `type`.
+const json::Value& member(const json::Value& obj, const std::string& key,
+                          json::Value::Type type, const std::string& where) {
+  const json::Value* v = obj.find(key);
+  require(v != nullptr, where, "missing \"" + key + "\"");
+  require(v->type == type, where, "\"" + key + "\" has the wrong type");
+  return *v;
+}
+
+const std::string& string_member(const json::Value& obj,
+                                 const std::string& key,
+                                 const std::string& where) {
+  return member(obj, key, json::Value::Type::kString, where).string;
+}
+
+/// A number member that must not be negative.
+double count_member(const json::Value& obj, const std::string& key,
+                    const std::string& where) {
+  const double v = member(obj, key, json::Value::Type::kNumber, where).number;
+  require(v >= 0, where, "\"" + key + "\" < 0");
+  return v;
+}
+
+constexpr const char* kPct[3] = {"p50", "p95", "p99"};
+
+/// Per-job rows are optional (multi-job runs only), but "fairness" and
+/// "jobs" come together. Returns the fairness index, -1 without rows.
+double load_fairness(const json::Value& run, const std::string& where) {
+  const json::Value* fairness = run.find("fairness");
+  const json::Value* jobs = run.find("jobs");
+  require((fairness == nullptr) == (jobs == nullptr), where,
+          "\"fairness\" and \"jobs\" must appear together");
+  if (fairness == nullptr) return -1.0;
+  require(fairness->is_number() && fairness->number > 0.0 &&
+              fairness->number <= 1.0,
+          where, "fairness must be a number in (0, 1]");
+  require(jobs->is_array() && jobs->array.size() >= 2, where,
+          "jobs must be an array of at least two rows");
+  for (size_t j = 0; j < jobs->array.size(); ++j) {
+    const std::string jwhere = where + ".jobs[" + std::to_string(j) + "]";
+    const json::Value& job = jobs->array[j];
+    require(job.is_object(), jwhere, "must be an object");
+    string_member(job, "name", jwhere);
+    for (const char* key :
+         {"nonlocal_tasks", "tasks_migrated", "work_ns", "completion_ns"}) {
+      count_member(job, key, jwhere);
+    }
+    require(count_member(job, "tasks", jwhere) >= 1, jwhere,
+            "tasks must be positive");
+  }
+  return fairness->number;
+}
+
+BenchRun load_run(const json::Value& rv, const std::string& where) {
+  require(rv.is_object(), where, "must be an object");
+  BenchRun r;
+  r.workload = string_member(rv, "workload", where);
+  r.group = string_member(rv, "group", where);
+  r.scheduler = string_member(rv, "scheduler", where);
+  r.policy = string_member(rv, "policy", where);
+  r.monitors_ok =
+      member(rv, "monitors_ok", json::Value::Type::kBool, where).boolean;
+  r.measure_pass = string_member(rv, "measure_pass", where);
+  require(r.measure_pass == "drain-sum" || r.measure_pass == "full", where,
+          "measure_pass must be \"drain-sum\" or \"full\"");
+  r.nodes = static_cast<i64>(count_member(rv, "nodes", where));
+  require(r.nodes > 0, where, "nodes must be positive");
+  r.tasks = static_cast<i64>(count_member(rv, "tasks", where));
+  r.makespan_ns = count_member(rv, "makespan_ns", where);
+  require(static_cast<i64>(r.makespan_ns) > 0, where,
+          "makespan_ns must be positive");
+  r.sequential_ns = count_member(rv, "sequential_ns", where);
+  r.nonlocal_tasks =
+      static_cast<i64>(count_member(rv, "nonlocal_tasks", where));
+  r.system_phases = static_cast<i64>(count_member(rv, "system_phases", where));
+  r.efficiency =
+      member(rv, "efficiency", json::Value::Type::kNumber, where).number;
+  require(r.efficiency > 0.0 && r.efficiency <= 1.5, where,
+          "efficiency out of range (0, 1.5]");
+  r.speedup = count_member(rv, "speedup", where);
+  r.overhead_s = count_member(rv, "overhead_s", where);
+  r.idle_s = count_member(rv, "idle_s", where);
+  r.fairness = load_fairness(rv, where);
+
+  // The embedded registry: the run executed something, and every
+  // histogram carries non-decreasing tails for the percentile gate.
+  const json::Value& metrics =
+      member(rv, "metrics", json::Value::Type::kObject, where);
+  const std::string mwhere = where + ".metrics";
+  const json::Value* executed =
+      member(metrics, "counters", json::Value::Type::kObject, mwhere)
+          .find("tasks.executed");
+  require(executed != nullptr && executed->is_number() &&
+              executed->as_i64() > 0,
+          where, "metrics.counters[\"tasks.executed\"] must be > 0");
+  for (const auto& [name, h] :
+       member(metrics, "histograms", json::Value::Type::kObject, mwhere)
+           .object) {
+    const std::string hwhere = mwhere + ".histograms." + name;
+    require(h.is_object(), hwhere, "must be an object");
+    std::array<i64, 3> pct{};
+    for (size_t i = 0; i < pct.size(); ++i) {
+      pct[i] = member(h, kPct[i], json::Value::Type::kNumber, hwhere).as_i64();
+    }
+    require(pct[0] <= pct[1] && pct[1] <= pct[2], hwhere,
+            "percentiles must be non-decreasing");
+    r.hist_pcts.emplace_back(name, pct);
+  }
+  return r;
+}
+
 std::optional<std::string> read_file(const std::string& path,
                                      std::string* error) {
   std::ifstream in(path, std::ios::binary);
@@ -72,61 +194,24 @@ std::optional<BenchDoc> load_bench_doc(std::string_view text,
       schema->string != "rips-bench-v1") {
     return fail("schema is not rips-bench-v1");
   }
-  const json::Value* runs = doc->find("runs");
-  if (runs == nullptr || !runs->is_array()) {
-    return fail("missing runs array");
-  }
-  BenchDoc out;
-  out.suite = str_field(*doc, "suite");
-  const json::Value* quick = doc->find("quick");
-  out.quick = quick != nullptr && quick->boolean;
-  out.nodes = static_cast<i64>(num_field(*doc, "nodes"));
-  for (const json::Value& rv : runs->array) {
-    if (!rv.is_object()) return fail("run entry is not an object");
-    BenchRun r;
-    r.workload = str_field(rv, "workload");
-    r.group = str_field(rv, "group");
-    r.scheduler = str_field(rv, "scheduler");
-    r.policy = str_field(rv, "policy");
-    r.nodes = static_cast<i64>(num_field(rv, "nodes"));
-    r.tasks = static_cast<i64>(num_field(rv, "tasks"));
-    r.makespan_ns = num_field(rv, "makespan_ns");
-    r.sequential_ns = num_field(rv, "sequential_ns");
-    r.efficiency = num_field(rv, "efficiency");
-    r.speedup = num_field(rv, "speedup");
-    r.overhead_s = num_field(rv, "overhead_s");
-    r.idle_s = num_field(rv, "idle_s");
-    r.nonlocal_tasks = static_cast<i64>(num_field(rv, "nonlocal_tasks"));
-    r.system_phases = static_cast<i64>(num_field(rv, "system_phases"));
-    const json::Value* mon = rv.find("monitors_ok");
-    r.monitors_ok = mon == nullptr || !mon->is_bool() || mon->boolean;
-    r.measure_pass = str_field(rv, "measure_pass");
-    r.fairness = num_field(rv, "fairness", -1.0);
-    // Histogram tails live inside the embedded registry object. Older
-    // documents lack the p50/p95/p99 fields; those histograms are skipped
-    // so a fresh run still diffs cleanly against a pre-percentile baseline.
-    const json::Value* metrics = rv.find("metrics");
-    const json::Value* hists =
-        metrics != nullptr && metrics->is_object() ? metrics->find("histograms")
-                                                   : nullptr;
-    if (hists != nullptr && hists->is_object()) {
-      for (const auto& [name, hv] : hists->object) {
-        if (!hv.is_object()) continue;
-        const json::Value* p50 = hv.find("p50");
-        const json::Value* p95 = hv.find("p95");
-        const json::Value* p99 = hv.find("p99");
-        if (p50 == nullptr || p95 == nullptr || p99 == nullptr) continue;
-        r.hist_pcts.emplace_back(
-            name, std::array<i64, 3>{p50->as_i64(), p95->as_i64(),
-                                     p99->as_i64()});
-      }
+  try {
+    const std::string where = "document";
+    BenchDoc out;
+    out.suite = string_member(*doc, "suite", where);
+    out.quick = member(*doc, "quick", json::Value::Type::kBool, where).boolean;
+    out.nodes = member(*doc, "nodes", json::Value::Type::kNumber, where)
+                    .as_i64();
+    const json::Value& runs =
+        member(*doc, "runs", json::Value::Type::kArray, where);
+    require(!runs.array.empty(), where, "runs must not be empty");
+    for (size_t i = 0; i < runs.array.size(); ++i) {
+      out.runs.push_back(
+          load_run(runs.array[i], "runs[" + std::to_string(i) + "]"));
     }
-    if (r.workload.empty() || r.makespan_ns <= 0) {
-      return fail("run entry missing workload/makespan_ns");
-    }
-    out.runs.push_back(std::move(r));
+    return out;
+  } catch (const SchemaError& e) {
+    return fail(e.message);
   }
-  return out;
 }
 
 std::optional<BenchDoc> load_bench_file(const std::string& path,
@@ -306,8 +391,8 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
     }
 
     // Per-job fairness: a multi-job run starving one tenant shows up as a
-    // drop in the Jain index. Skipped when either document predates the
-    // per-job rows (fairness < 0).
+    // drop in the Jain index. Skipped when either run has no per-job rows
+    // (fairness < 0).
     if (b->fairness >= 0.0 && c.fairness >= 0.0 &&
         b->fairness - c.fairness > opts.fairness_abs_tol) {
       char note[64];
@@ -318,8 +403,7 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
     }
 
     // Losing the drain-sum fast path is a perf regression even though the
-    // simulated metrics are bit-identical either way. Skipped when either
-    // document predates the field.
+    // simulated metrics are bit-identical either way.
     if (b->measure_pass == "drain-sum" && c.measure_pass == "full") {
       out.regressions.push_back({key, "measure_pass", 1, 0,
                                  "drain-sum fast path lost to the full "
@@ -328,8 +412,8 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
 
     // Histogram tails (p95/p99 only — p50 is covered transitively by the
     // makespan gate and too coarse to gate on its own). Multiplicative,
-    // and skipped whenever the baseline lacks percentiles or the baseline
-    // tail is zero.
+    // and skipped for histograms only one side has or whose baseline tail
+    // is zero.
     for (const auto& [hname, bp] : b->hist_pcts) {
       const std::array<i64, 3>* cp = nullptr;
       for (const auto& [cname, cpct] : c.hist_pcts) {
@@ -339,7 +423,6 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
         }
       }
       if (cp == nullptr) continue;
-      static constexpr const char* kPct[3] = {"p50", "p95", "p99"};
       for (size_t pi = 1; pi < 3; ++pi) {
         if (bp[pi] <= 0) continue;
         const double factor = static_cast<double>((*cp)[pi]) /

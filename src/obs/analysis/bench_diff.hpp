@@ -42,16 +42,13 @@ struct BenchRun {
   i64 system_phases = 0;
   bool monitors_ok = true;
   /// Which drain-measuring pass the engine used: "drain-sum" | "full".
-  /// Empty for documents written before the field existed.
   std::string measure_pass;
   /// Jain fairness index over per-job progress rates — multi-job runs
-  /// only. Negative when the run has no per-job rows (single-job runs and
-  /// documents written before the field existed), in which case diff()
+  /// only. Negative when the run has no per-job rows, in which case diff()
   /// skips the fairness gate.
   double fairness = -1.0;
   /// Histogram tails from the run's embedded metrics registry:
-  /// name -> {p50, p95, p99}. Empty for pre-percentile baselines, in which
-  /// case diff() skips the percentile gate entirely.
+  /// name -> {p50, p95, p99}.
   std::vector<std::pair<std::string, std::array<i64, 3>>> hist_pcts;
 
   /// Identity of the configuration the run measures.
@@ -65,7 +62,9 @@ struct BenchDoc {
   std::vector<BenchRun> runs;
 };
 
-/// Parses a rips-bench-v1 document; nullopt + `error` on schema mismatch.
+/// Parses and validates a rips-bench-v1 document: every member the schema
+/// requires, with its type and range (docs/OBSERVABILITY.md). nullopt +
+/// `error` naming the first broken rule otherwise.
 std::optional<BenchDoc> load_bench_doc(std::string_view text,
                                        std::string* error = nullptr);
 

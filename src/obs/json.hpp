@@ -1,7 +1,7 @@
 // Minimal JSON support for the observability layer: a writer used by the
 // trace / metrics / bench exporters and a small recursive-descent parser
-// used by tests (schema round-trips) and by bench/check_bench_json (CI
-// validation of BENCH_core.json). Not a general-purpose library: numbers
+// used by tests (schema round-trips) and by the document loaders behind
+// bench_diff and trace_tool. Not a general-purpose library: numbers
 // are doubles, \uXXXX escapes outside the BMP are not recombined, and the
 // parser keeps the whole document in memory — all fine for machine-sized
 // telemetry files.

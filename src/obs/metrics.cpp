@@ -113,17 +113,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 void MetricsRegistry::reset() {
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
@@ -133,7 +122,7 @@ void MetricsRegistry::reset() {
 }
 
 void MetricsRegistry::snapshot(const std::string& label) {
-  if (snapshots_.size() >= max_snapshots_) {
+  if (snapshots_.size() >= kMaxSnapshots) {
     snapshots_dropped_ += 1;
     return;
   }

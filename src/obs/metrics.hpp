@@ -97,8 +97,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<i64> bounds);
 
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
 
   /// Zeroes every instrument and drops all snapshots. Instruments stay
   /// registered so cached references survive across runs.
@@ -117,12 +115,14 @@ class MetricsRegistry {
     std::vector<std::pair<std::string, std::array<i64, 3>>> hists;
   };
 
+  /// Snapshots a registry keeps; later ones are only counted.
+  static constexpr size_t kMaxSnapshots = 256;
+
   /// Records a snapshot unless the cap was reached (then it only counts
-  /// the overflow — long runs keep the first `max_snapshots` phases).
+  /// the overflow — long runs keep the first kMaxSnapshots phases).
   void snapshot(const std::string& label);
   const std::vector<Snapshot>& snapshots() const { return snapshots_; }
   u64 snapshots_dropped() const { return snapshots_dropped_; }
-  void set_max_snapshots(size_t cap) { max_snapshots_ = cap; }
 
   /// Stable JSON: {"counters":{...},"gauges":{...},"histograms":{...},
   /// "snapshots":[...]} with keys in sorted order.
@@ -134,7 +134,6 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::vector<Snapshot> snapshots_;
-  size_t max_snapshots_ = 256;
   u64 snapshots_dropped_ = 0;
 };
 

@@ -1,7 +1,9 @@
 // RIPS policy configuration (Section 2 of the paper).
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/types.hpp"
 
@@ -47,17 +49,6 @@ struct RipsConfig {
   /// bench/ablation_weighted quantifies what that estimation would buy.
   bool weighted = false;
 
-  // --- fault tolerance ---------------------------------------------------
-
-  /// Heartbeat / acknowledgement timeout: survivors declare a silent node
-  /// dead after this long without its expected signal. Also the cost of
-  /// each retransmission window in the collective retry protocol.
-  SimTime fault_timeout_ns = 2'000'000;
-
-  /// Retransmissions per collective message before the peer is suspected
-  /// dead (bounded retry; see docs/FAULTS.md).
-  i32 fault_max_retries = 3;
-
   std::string name() const {
     std::string s = global == GlobalPolicy::kAll ? "ALL" : "ANY";
     s += local == LocalPolicy::kEager ? "-Eager" : "-Lazy";
@@ -65,5 +56,28 @@ struct RipsConfig {
     return s;
   }
 };
+
+/// The `--policy` spelling of a configuration's global and local policies
+/// ("any-lazy", "all-eager", ...), as the tools take it and as rips-bench-v1
+/// rows record it. name() is the display form ("ANY-Lazy").
+inline std::string policy_flag(const RipsConfig& config) {
+  std::string s = config.global == GlobalPolicy::kAll ? "all" : "any";
+  s += config.local == LocalPolicy::kEager ? "-eager" : "-lazy";
+  return s;
+}
+
+/// Inverse of policy_flag: the default configuration with the policies
+/// `flag` names, or nullopt when `flag` is not {any,all}-{lazy,eager}.
+inline std::optional<RipsConfig> parse_policy(std::string_view flag) {
+  for (const GlobalPolicy global : {GlobalPolicy::kAny, GlobalPolicy::kAll}) {
+    for (const LocalPolicy local : {LocalPolicy::kLazy, LocalPolicy::kEager}) {
+      RipsConfig config;
+      config.global = global;
+      config.local = local;
+      if (policy_flag(config) == flag) return config;
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace rips::core

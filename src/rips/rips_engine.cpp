@@ -12,6 +12,14 @@ namespace rips::core {
 namespace {
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max() / 4;
 
+// Fault tolerance (docs/FAULTS.md). Heartbeat / acknowledgement timeout:
+// survivors declare a silent node dead after this long without its
+// expected signal; also the cost of each retransmission window of the
+// detection collectives.
+constexpr SimTime kFaultTimeoutNs = 2'000'000;
+// Retransmissions per collective message before the peer is suspected dead.
+constexpr i32 kFaultMaxRetries = 3;
+
 // Fixed histogram buckets (powers of two): coarse enough to stay O(16)
 // per observation, fine enough to separate "balanced" from "skewed".
 std::vector<i64> pow2_bounds(i64 max_bound) {
@@ -544,8 +552,7 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
   while (!queue->empty() && now < stop_t) {
     const TaskId task =
         config_.lifo_execution ? queue->pop_back() : queue->pop_front();
-    SimTime work = work_ns_[static_cast<size_t>(task)];
-    if (injector_.has_value()) work = injector_->scaled_work(node, now, work);
+    const SimTime work = work_ns_[static_cast<size_t>(task)];
     now += work;
     if (apply) {
       n.busy_ns += work;
@@ -590,18 +597,21 @@ SimTime RipsEngine::user_phase(SimTime t) {
   const i32 n = static_cast<i32>(live_.size());
   const u64 executed_before = executed_total_;
   const SimTime user_start = t;
-  const u64 op_base = coll_op_counter_;
-  coll_op_counter_ += 2;  // one id for notify delays, one for detection
+  // Two collective operation ids per user phase; the detection collective
+  // uses the second. Drop decisions hash the id, so the stride is part of
+  // every fault run's result.
+  const u64 coll_op = coll_op_counter_ + 1;
+  coll_op_counter_ += 2;
   i64 phase_retries = 0;  // detection-collective retransmissions, for telemetry
   if (job_accounting_ && obs_.bus != nullptr) {
     job_exec_.assign(static_cast<size_t>(num_jobs_), 0);
   }
 
-  // Measuring pass: when would each node drain its RTE, undisturbed? With
-  // no fault injector the simulated instruction stream is position-free, so
-  // the drain time is the exact sum of precomputed per-task drain costs —
-  // O(queue) instead of a full O(subtree) dry-run simulation. Fault runs
-  // (slowdowns make work position-dependent) keep the full pass.
+  // Measuring pass: when would each node drain its RTE, undisturbed? The
+  // simulated instruction stream is position-free, so the drain time is
+  // the exact sum of precomputed per-task drain costs — O(queue) instead of
+  // a full O(subtree) dry-run simulation, which stays as the test
+  // reference (set_full_measure_pass).
   std::vector<SimTime>& drain = drain_;
   drain.assign(nodes_.size(), kNever);
   if (fast_measure_) {
@@ -736,11 +746,9 @@ SimTime RipsEngine::user_phase(SimTime t) {
         commit_doomed(phys);
         continue;
       }
-      SimTime delay = cost_.send_overhead_ns + cost_.recv_overhead_ns +
-                      cost_.network_time(machine_distance(initiator, phys));
-      if (injector_.has_value()) {
-        delay += injector_->message_delay(op_base, initiator, phys);
-      }
+      const SimTime delay =
+          cost_.send_overhead_ns + cost_.recv_overhead_ns +
+          cost_.network_time(machine_distance(initiator, phys));
       const SimTime stop = t_detect + (phys == initiator ? 0 : delay);
       const SimTime quiesce =
           simulate_user_phase(phys, t, stop, PhaseMode::kCommit);
@@ -778,7 +786,6 @@ SimTime RipsEngine::user_phase(SimTime t) {
     coll.set_telemetry(obs_.bus, phase_end);
     coll::Ledger ledger;
     coll::FaultStats stats;
-    const u64 coll_op = op_base + 1;
     const coll::MessageFault fault_fn = [&](NodeId from, NodeId to,
                                             i64 attempt) {
       const NodeId pf = live_view_ != nullptr ? live_view_->physical(from)
@@ -798,15 +805,15 @@ SimTime RipsEngine::user_phase(SimTime t) {
                                    : initiator;
       base_steps = coll.or_barrier_steps(init_rank);
       faulty_steps = coll.or_barrier_steps_faulty(
-          init_rank, fault_fn, config_.fault_max_retries, ledger, stats);
+          init_rank, fault_fn, kFaultMaxRetries, ledger, stats);
     } else {
       base_steps = coll.ready_signal_steps();
       faulty_steps = coll.ready_signal_steps_faulty(
-          fault_fn, config_.fault_max_retries, ledger, stats);
+          fault_fn, kFaultMaxRetries, ledger, stats);
     }
     const SimTime extra =
         static_cast<SimTime>(faulty_steps - base_steps) * cost_.info_step_ns +
-        static_cast<SimTime>(stats.timeouts) * config_.fault_timeout_ns;
+        static_cast<SimTime>(stats.timeouts) * kFaultTimeoutNs;
     c_dropped_msgs_->add(static_cast<u64>(stats.dropped));
     c_msg_retries_->add(static_cast<u64>(stats.retries));
     phase_retries = stats.retries;
@@ -831,7 +838,7 @@ SimTime RipsEngine::user_phase(SimTime t) {
   if (doomed_count > 0) {
     // Survivors cannot close the phase before the heartbeat timeout of the
     // last death has expired.
-    phase_end = std::max(phase_end, max_death + config_.fault_timeout_ns);
+    phase_end = std::max(phase_end, max_death + kFaultTimeoutNs);
   }
 
   const u64 executed = executed_total_ - executed_before;
@@ -905,16 +912,11 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
 
   // Drain-sum fast path: the per-task measure cost is a fixed function of
   // the task (lazy drains the whole spawned subtree; eager only charges the
-  // spawn overhead — children land in RTS, not the queue) unless the fault
-  // plan contains slowdown windows, which make work position-dependent.
-  // Crash- and message-fault-only plans keep the fast pass: neither fault
-  // class changes the undisturbed drain times the measuring pass computes
-  // (crashes are admitted against the measured drains afterwards, and
-  // message faults only stretch the detection collectives), so the two
-  // passes stay bit-identical.
-  const bool position_dependent =
-      injector_.has_value() && !injector_->plan().slowdowns.empty();
-  fast_measure_ = !full_measure_ && !position_dependent;
+  // spawn overhead — children land in RTS, not the queue). Fault plans
+  // keep it too: crashes are admitted against the measured drains
+  // afterwards and message drops only stretch the detection collectives,
+  // so neither changes the undisturbed drain times.
+  fast_measure_ = !full_measure_;
   if (fast_measure_) {
     drain_cost_.resize(trace.size());
     extend_drain_cost(0);

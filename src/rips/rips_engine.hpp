@@ -22,10 +22,10 @@
 // segment (data affinity) and are scheduled in that same phase.
 //
 // FAULT TOLERANCE (docs/FAULTS.md). With a sim::FaultPlan attached the
-// engine survives fail-stop crashes, slowdown windows and lost collective
-// messages. System phases double as recovery lines: each one snapshots the
-// per-node RTE assignment (origin-replicated task descriptors =
-// phase-granularity checkpointing); when survivors detect a dead node —
+// engine survives fail-stop crashes and lost collective messages. System
+// phases double as recovery lines: each one snapshots the per-node RTE
+// assignment (origin-replicated task descriptors = phase-granularity
+// checkpointing); when survivors detect a dead node —
 // heartbeat piggybacked on the ready/init signals, one timeout instead of
 // a hung barrier — the next system phase rebuilds the live-node set, a
 // survivor adopts and re-injects the dead node's checkpointed tasks, and
@@ -103,8 +103,8 @@ class RipsEngine {
   /// moved, phase durations). Always maintained; reset at run start.
   const obs::MetricsRegistry& metrics_registry() const { return registry_; }
 
-  /// Optional fault injection: subsequent runs replay the plan's crashes,
-  /// slowdowns and message faults. Pass nullptr to detach. The plan is
+  /// Optional fault injection: subsequent runs replay the plan's crashes
+  /// and message drops. Pass nullptr to detach. The plan is
   /// read-only; re-running with the same plan reproduces identical
   /// metrics.
   void set_fault_plan(const sim::FaultPlan* plan) { fault_plan_ = plan; }
@@ -116,21 +116,12 @@ class RipsEngine {
   void set_phase_snapshots(bool on) { phase_snapshots_ = on; }
 
   /// Test hook for the reference measuring pass, which re-simulates every
-  /// node's full RTE drain (O(subtree) per phase). Runs use precomputed
-  /// per-task drain costs (O(queue length) per phase) instead; in normal
-  /// runs only a fault plan with slowdown windows selects the full pass.
-  /// Both passes produce bit-identical results, which is what the tests
-  /// that set this check.
+  /// node's full RTE drain (O(subtree) per phase). Every run uses the
+  /// drain-sum pass over precomputed per-task drain costs (O(queue length)
+  /// per phase) unless this is set. Both passes produce bit-identical
+  /// results, which is what the tests that set this check; the pass a run
+  /// used is recorded in RunMetrics::used_fast_measure.
   void set_full_measure_pass(bool on) { full_measure_ = on; }
-
-  /// Which measuring pass the last run actually used (a fault plan with
-  /// slowdown windows forces the full pass even when the fast one was
-  /// requested — crash- and message-fault-only plans keep the drain-sum
-  /// path, which stays bit-identical because neither fault class changes
-  /// the undisturbed drain times the measuring pass computes). Also
-  /// recorded in RunMetrics::used_fast_measure and the rips-bench-v1
-  /// output.
-  bool used_fast_measure() const { return fast_measure_; }
 
   /// Optional per-task job ownership for multi-job runs
   /// (apps::MergedJobs::owner, values in [0, num_jobs)). While attached,
@@ -339,9 +330,8 @@ class RipsEngine {
   // have larger ids than their parent, so one backward sweep fills it.
   // The measuring pass then reduces to summing queue entries: exact i64
   // arithmetic and order independence make it bit-identical to the full
-  // simulation. Invalid (and unused) only when the attached fault plan
-  // contains slowdown windows — those make work position-dependent;
-  // crashes and message faults never touch the undisturbed drain times.
+  // simulation. Crashes and message drops never touch the undisturbed
+  // drain times, so fault runs use it too.
   std::vector<SimTime> drain_cost_;
   bool fast_measure_ = false;  // valid for the current run
   bool full_measure_ = false;

@@ -32,7 +32,6 @@ class JobServer::QueueSource final : public exec::TaskSource {
   }
   const std::vector<i32>* job_of() const override { return &jobs_.job_of(); }
   i32 num_jobs() const override { return jobs_.num_jobs(); }
-  std::string job_name(i32 job) const override { return jobs_.name(job); }
 
   apps::OnlineJobs jobs_;  // engine thread only (inside poll and retire)
 
@@ -412,11 +411,7 @@ std::string JobServer::bench_json() const {
     row.workload = "served";
     row.group = "serve";
     row.scheduler = "RIPS";
-    row.policy = options_.config.global == core::GlobalPolicy::kAll ? "all"
-                                                                    : "any";
-    row.policy += options_.config.local == core::LocalPolicy::kEager
-                      ? "-eager"
-                      : "-lazy";
+    row.policy = core::policy_flag(options_.config);
     row.nodes = options_.nodes;
     row.metrics = result_;
     row.monitors_ok = monitors_ok_;

@@ -25,6 +25,15 @@ u64 mix(u64 seed, u64 op_id, NodeId from, NodeId to, i64 attempt) {
 
 double to_unit(u64 x) { return static_cast<double>(x >> 11) * 0x1.0p-53; }
 
+/// Crash order: by time, ties broken by node id.
+void sort_by_time(std::vector<CrashFault>& crashes) {
+  std::sort(crashes.begin(), crashes.end(),
+            [](const CrashFault& a, const CrashFault& b) {
+              return a.time_ns != b.time_ns ? a.time_ns < b.time_ns
+                                            : a.node < b.node;
+            });
+}
+
 }  // namespace
 
 FaultPlan FaultPlan::generate(u64 seed, i32 num_nodes, const FaultSpec& spec) {
@@ -32,12 +41,10 @@ FaultPlan FaultPlan::generate(u64 seed, i32 num_nodes, const FaultSpec& spec) {
   FaultPlan plan;
   plan.seed = seed;
   plan.drop_prob = spec.drop_prob;
-  plan.delay_prob = spec.delay_prob;
-  plan.delay_ns = spec.delay_ns;
 
   Rng rng(seed ^ 0xFA117ULL);
   if (spec.crash_mtbf_ns > 0.0 && spec.horizon_ns > 0) {
-    const i32 cap = std::min(spec.max_crashes, num_nodes - 1);
+    const i32 cap = num_nodes - 1;
     std::vector<char> crashed(static_cast<size_t>(num_nodes), 0);
     double t = 0.0;
     while (static_cast<i32>(plan.crashes.size()) < cap) {
@@ -50,92 +57,34 @@ FaultPlan FaultPlan::generate(u64 seed, i32 num_nodes, const FaultSpec& spec) {
       plan.crashes.push_back({victim, static_cast<SimTime>(t)});
     }
   }
-  if (spec.slowdown_mtbf_ns > 0.0 && spec.horizon_ns > 0 &&
-      spec.slowdown_duration_ns > 0) {
-    double t = 0.0;
-    while (true) {
-      t += rng.next_exponential(spec.slowdown_mtbf_ns);
-      if (t >= static_cast<double>(spec.horizon_ns)) break;
-      const NodeId victim =
-          static_cast<NodeId>(rng.next_below(static_cast<u64>(num_nodes)));
-      const auto start = static_cast<SimTime>(t);
-      plan.slowdowns.push_back({victim, start,
-                                start + spec.slowdown_duration_ns,
-                                std::max(1.0, spec.slowdown_factor)});
-    }
-  }
-  std::sort(plan.crashes.begin(), plan.crashes.end(),
-            [](const CrashFault& a, const CrashFault& b) {
-              return a.time_ns != b.time_ns ? a.time_ns < b.time_ns
-                                            : a.node < b.node;
-            });
+  sort_by_time(plan.crashes);
   return plan;
 }
 
 std::string FaultPlan::summary() const {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "faults[seed=%llu crashes=%zu slowdowns=%zu drop=%.3f "
-                "delay=%.3f/%lldns]",
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "faults[seed=%llu crashes=%zu drop=%.3f]",
                 static_cast<unsigned long long>(seed), crashes.size(),
-                slowdowns.size(), drop_prob, delay_prob,
-                static_cast<long long>(delay_ns));
+                drop_prob);
   return buf;
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, i32 num_nodes)
-    : plan_(plan), num_nodes_(num_nodes) {
+    : plan_(plan) {
   RIPS_CHECK(num_nodes >= 1);
   RIPS_CHECK_MSG(plan_.drop_prob >= 0.0 && plan_.drop_prob < 1.0,
                  "drop probability must be in [0, 1)");
-  RIPS_CHECK_MSG(plan_.delay_prob >= 0.0 && plan_.delay_prob <= 1.0,
-                 "delay probability must be in [0, 1]");
   for (const CrashFault& c : plan_.crashes) {
     RIPS_CHECK_MSG(c.node >= 0 && c.node < num_nodes,
                    "crash fault names a node outside the machine");
   }
-  for (const SlowdownFault& s : plan_.slowdowns) {
-    RIPS_CHECK_MSG(s.node >= 0 && s.node < num_nodes,
-                   "slowdown fault names a node outside the machine");
-    RIPS_CHECK_MSG(s.end_ns > s.start_ns && s.factor >= 1.0,
-                   "slowdown window must be non-empty with factor >= 1");
-  }
-  std::sort(plan_.crashes.begin(), plan_.crashes.end(),
-            [](const CrashFault& a, const CrashFault& b) {
-              return a.time_ns != b.time_ns ? a.time_ns < b.time_ns
-                                            : a.node < b.node;
-            });
-}
-
-double FaultInjector::slowdown_factor(NodeId node, SimTime t) const {
-  double factor = 1.0;
-  for (const SlowdownFault& s : plan_.slowdowns) {
-    if (s.node == node && t >= s.start_ns && t < s.end_ns) {
-      factor = std::max(factor, s.factor);
-    }
-  }
-  return factor;
-}
-
-SimTime FaultInjector::scaled_work(NodeId node, SimTime t,
-                                   SimTime base_ns) const {
-  if (plan_.slowdowns.empty()) return base_ns;
-  const double factor = slowdown_factor(node, t);
-  if (factor == 1.0) return base_ns;
-  return static_cast<SimTime>(static_cast<double>(base_ns) * factor);
+  sort_by_time(plan_.crashes);
 }
 
 bool FaultInjector::drop_message(u64 op_id, NodeId from, NodeId to,
                                  i64 attempt) const {
   if (plan_.drop_prob <= 0.0) return false;
   return to_unit(mix(plan_.seed, op_id, from, to, attempt)) < plan_.drop_prob;
-}
-
-SimTime FaultInjector::message_delay(u64 op_id, NodeId from, NodeId to) const {
-  if (plan_.delay_prob <= 0.0 || plan_.delay_ns <= 0) return 0;
-  // Salt distinguishes the delay draw from the drop draw of attempt 0.
-  const u64 x = mix(plan_.seed ^ 0xDE1A7ULL, op_id, from, to, 0);
-  return to_unit(x) < plan_.delay_prob ? plan_.delay_ns : 0;
 }
 
 }  // namespace rips::sim

@@ -1,17 +1,16 @@
 // Deterministic fault injection for the simulated machine.
 //
-// A FaultPlan is a fully materialized schedule of misbehaviour — fail-stop
-// node crashes at fixed sim-times, transient per-node slowdown windows, and
-// per-message drop/delay probabilities for collective steps. Plans are
-// either written out by hand (targeted tests) or expanded from a seed +
-// FaultSpec (MTBF sweeps); either way every run against the same plan is
-// bit-reproducible: all message-level randomness is a pure hash of
-// (plan seed, operation id, endpoints, attempt), never of wall time or of
-// iteration order.
+// A FaultPlan is a fully materialized schedule of misbehaviour: fail-stop
+// node crashes at fixed sim-times and a per-message drop probability for
+// collective steps. Plans are either written out by hand (targeted tests)
+// or expanded from a seed + FaultSpec (MTBF sweeps); either way every run
+// against the same plan is bit-reproducible: every drop decision is a pure
+// hash of (plan seed, operation id, endpoints, attempt), never of wall
+// time or of iteration order.
 //
-// The FaultInjector is the read-only query interface the engine and the
-// collective layer consult during a run. It holds no mutable state, so one
-// injector can serve repeated runs and concurrent what-if passes.
+// The FaultInjector is the read-only query interface the engine consults
+// during a run. It holds no mutable state, so one injector can serve
+// repeated runs and concurrent what-if passes.
 #pragma once
 
 #include <string>
@@ -30,42 +29,21 @@ struct CrashFault {
   SimTime time_ns = 0;
 };
 
-/// Transient degradation: tasks *starting* inside [start_ns, end_ns) on
-/// `node` run `factor` times slower (factor >= 1).
-struct SlowdownFault {
-  NodeId node = kInvalidNode;
-  SimTime start_ns = 0;
-  SimTime end_ns = 0;
-  double factor = 1.0;
-};
-
-/// Knobs for FaultPlan::generate. MTBFs are whole-machine means: crash
+/// Knobs for FaultPlan::generate. The MTBF is a whole-machine mean: crash
 /// inter-arrival times are exponential with mean `crash_mtbf_ns` and each
 /// event picks a victim node uniformly.
 struct FaultSpec {
-  SimTime horizon_ns = 0;          ///< generate events in [0, horizon)
-  double crash_mtbf_ns = 0.0;      ///< 0 = no crashes
-  i32 max_crashes = 1 << 30;       ///< cap (also capped at num_nodes - 1)
-  double slowdown_mtbf_ns = 0.0;   ///< 0 = no slowdowns
-  double slowdown_factor = 4.0;
-  SimTime slowdown_duration_ns = 0;
-  double drop_prob = 0.0;          ///< per collective message
-  double delay_prob = 0.0;         ///< per collective message
-  SimTime delay_ns = 0;            ///< extra latency when delayed
+  SimTime horizon_ns = 0;      ///< generate crashes in [0, horizon)
+  double crash_mtbf_ns = 0.0;  ///< 0 = no crashes
+  double drop_prob = 0.0;      ///< per collective message
 };
 
 struct FaultPlan {
   u64 seed = 0;
   double drop_prob = 0.0;
-  double delay_prob = 0.0;
-  SimTime delay_ns = 0;
-  std::vector<CrashFault> crashes;      ///< kept sorted by time
-  std::vector<SlowdownFault> slowdowns;
+  std::vector<CrashFault> crashes;  ///< kept sorted by time
 
-  bool empty() const {
-    return crashes.empty() && slowdowns.empty() && drop_prob == 0.0 &&
-           delay_prob == 0.0;
-  }
+  bool empty() const { return crashes.empty() && drop_prob == 0.0; }
 
   /// Expands a seed + spec into a concrete plan. Never schedules more than
   /// num_nodes - 1 crashes (the machine keeps at least one survivor) and
@@ -79,33 +57,17 @@ class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, i32 num_nodes);
 
-  const FaultPlan& plan() const { return plan_; }
-  i32 num_nodes() const { return num_nodes_; }
-
-  bool has_message_faults() const {
-    return plan_.drop_prob > 0.0 || plan_.delay_prob > 0.0;
-  }
+  bool has_message_faults() const { return plan_.drop_prob > 0.0; }
 
   /// Crash events, sorted by time (ties broken by node id).
   const std::vector<CrashFault>& crashes() const { return plan_.crashes; }
-
-  /// Work-time multiplier for a task starting at `t` on `node` (>= 1).
-  double slowdown_factor(NodeId node, SimTime t) const;
-
-  /// `base_ns` stretched by the slowdown window active at `t`, if any.
-  SimTime scaled_work(NodeId node, SimTime t, SimTime base_ns) const;
 
   /// Deterministic per-message drop decision for attempt `attempt` of the
   /// (from -> to) message of collective operation `op_id`.
   bool drop_message(u64 op_id, NodeId from, NodeId to, i64 attempt) const;
 
-  /// Deterministic extra latency for the (from -> to) message of `op_id`
-  /// (0 when the message is not delayed).
-  SimTime message_delay(u64 op_id, NodeId from, NodeId to) const;
-
  private:
   FaultPlan plan_;
-  i32 num_nodes_ = 0;
 };
 
 }  // namespace rips::sim

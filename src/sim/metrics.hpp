@@ -57,11 +57,11 @@ struct RunMetrics {
   // --- fault tolerance (all zero on a fault-free run) -------------------
 
   /// Which drain-measuring pass the RIPS engine used: true = the O(queue)
-  /// drain-sum fast path, false = the legacy full O(subtree) re-simulation
-  /// (forced only when the fault plan contains slowdown windows, which
-  /// make work position-dependent — crash/message-fault plans keep the
-  /// fast path; always false for dynamic strategies).
-  /// Exported as rips-bench-v1's "measure_pass" ("drain-sum" | "full").
+  /// drain-sum fast path every run takes, false = the full O(subtree)
+  /// re-simulation, which only tests select
+  /// (RipsEngine::set_full_measure_pass); always false for dynamic
+  /// strategies. Exported as rips-bench-v1's "measure_pass"
+  /// ("drain-sum" | "full").
   bool used_fast_measure = false;
 
   u64 crashes = 0;            ///< fail-stop nodes lost during the run
@@ -159,7 +159,7 @@ struct BenchRow {
 /// The rips-bench-v1 document: the one writer behind every suite's --json
 /// and rips_served's session export. It owns the member order and number
 /// formats, and writes "fairness" and "jobs" only for rows with at least
-/// two jobs (check_bench_json requires as much).
+/// two jobs (the loader, obs::analysis::load_bench_doc, requires as much).
 std::string bench_doc_json(std::string_view suite, bool quick, i32 nodes,
                            const std::vector<BenchRow>& rows);
 

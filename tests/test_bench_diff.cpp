@@ -1,17 +1,16 @@
 // Bench-diff engine tests (src/obs/analysis/bench_diff): rips-bench-v1
-// parsing, the per-metric regression gates, and the acceptance scenario —
-// a synthetic 20% makespan regression (injected with a slowdown FaultPlan)
-// is flagged, while diffing a deterministic run against itself passes.
+// parsing and validation, the per-metric regression gates, and the
+// acceptance scenario — a synthetic makespan regression (injected through
+// the cost model's ns_per_work) is flagged, while diffing a deterministic
+// run against itself passes.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 
 #include "apps/nqueens.hpp"
 #include "obs/analysis/bench_diff.hpp"
 #include "rips/rips_engine.hpp"
 #include "sched/mwa.hpp"
-#include "sim/fault.hpp"
 #include "topo/topology.hpp"
 
 namespace rips::obs::analysis {
@@ -53,7 +52,9 @@ TEST(BenchDiff, ParsesRipsBenchV1) {
              "makespan_ns":123456789,"sequential_ns":999999999,
              "efficiency":0.81,"speedup":12.9,"overhead_s":0.01,
              "idle_s":0.002,"nonlocal_tasks":37,"system_phases":9,
-             "monitors_ok":true}]})";
+             "monitors_ok":true,"measure_pass":"drain-sum",
+             "metrics":{"counters":{"tasks.executed":5180},
+                        "histograms":{}}}]})";
   std::string error;
   const auto doc = load_bench_doc(text, &error);
   ASSERT_TRUE(doc.has_value()) << error;
@@ -66,18 +67,63 @@ TEST(BenchDiff, ParsesRipsBenchV1) {
   EXPECT_EQ(r.key(), "queens13|rips|mwa|ANY-Lazy|n16");
 }
 
-TEST(BenchDiff, RejectsWrongSchemaAndBrokenDocs) {
+TEST(BenchDiff, RejectsDocumentsThatBreakTheSchema) {
+  const std::string valid = R"({
+    "schema":"rips-bench-v1","suite":"core","quick":false,"nodes":16,
+    "runs":[{"workload":"q","group":"g","scheduler":"s","policy":"p",
+             "nodes":16,"tasks":10,"makespan_ns":100,"sequential_ns":800,
+             "efficiency":0.5,"speedup":8,"overhead_s":0.01,"idle_s":0.001,
+             "nonlocal_tasks":0,"system_phases":1,"monitors_ok":true,
+             "measure_pass":"drain-sum",
+             "metrics":{"counters":{"tasks.executed":10},"histograms":{
+               "h":{"p50":1,"p95":2,"p99":4}}}}]})";
+  ASSERT_TRUE(load_bench_doc(valid).has_value());
+  // Each edit breaks one rule; the error names it.
+  struct Edit {
+    std::string from, to, error;
+  };
+  const Edit edits[] = {
+      {R"("measure_pass":"drain-sum",)", "", R"(missing "measure_pass")"},
+      {"drain-sum", "fast", "measure_pass must be"},
+      {R"("monitors_ok":true)", R"("monitors_ok":1)",
+       R"("monitors_ok" has the wrong type)"},
+      {R"("efficiency":0.5)", R"("efficiency":2)", "efficiency out of range"},
+      {R"("idle_s":0.001)", R"("idle_s":-1)", R"("idle_s" < 0)"},
+      {R"("tasks.executed":10)", R"("tasks.executed":0)", "tasks.executed"},
+      {R"("p95":2)", R"("p95":8)", "percentiles must be non-decreasing"},
+      {R"("monitors_ok":true,)", R"("monitors_ok":true,"fairness":0.9,)",
+       R"("fairness" and "jobs" must appear together)"},
+  };
+  for (const Edit& e : edits) {
+    std::string text = valid;
+    const size_t at = text.find(e.from);
+    ASSERT_NE(at, std::string::npos) << e.from;
+    text.replace(at, e.from.size(), e.to);
+    std::string error;
+    EXPECT_FALSE(load_bench_doc(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(e.error), std::string::npos)
+        << e.error << " not in: " << error;
+  }
   std::string error;
-  EXPECT_FALSE(load_bench_doc("{\"schema\":\"other\",\"runs\":[]}", &error)
+  EXPECT_FALSE(load_bench_doc(R"({"schema":"rips-bench-v1","suite":"core",)"
+                              R"("quick":false,"nodes":16,"runs":[]})",
+                              &error)
                    .has_value());
-  EXPECT_NE(error.find("rips-bench-v1"), std::string::npos);
-  EXPECT_FALSE(load_bench_doc("{\"schema\":\"rips-bench-v1\"}").has_value());
-  EXPECT_FALSE(load_bench_doc("not json").has_value());
-  EXPECT_FALSE(
-      load_bench_doc(
-          "{\"schema\":\"rips-bench-v1\",\"runs\":[{\"workload\":\"w\"}]}")
-          .has_value());
-  EXPECT_FALSE(load_bench_file("/nonexistent/path.json").has_value());
+  EXPECT_NE(error.find("runs must not be empty"), std::string::npos) << error;
+
+  // Another schema, bare documents, text that is not JSON, and a file that
+  // is not there.
+  EXPECT_FALSE(load_bench_doc(R"({"schema":"other","runs":[]})", &error)
+                   .has_value());
+  EXPECT_NE(error.find("rips-bench-v1"), std::string::npos) << error;
+  EXPECT_FALSE(load_bench_doc(R"({"schema":"rips-bench-v1"})").has_value());
+  EXPECT_FALSE(load_bench_doc(
+                   R"({"schema":"rips-bench-v1","runs":[{"workload":"w"}]})")
+                   .has_value());
+  EXPECT_FALSE(load_bench_doc("not json", &error).has_value());
+  EXPECT_NE(error.find("invalid JSON"), std::string::npos) << error;
+  EXPECT_FALSE(load_bench_file("/nonexistent/path.json", &error).has_value());
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------- gates
@@ -178,7 +224,7 @@ TEST(BenchDiff, ParsesMeasurePassAndPercentiles) {
              "efficiency":0.5,"speedup":8,"overhead_s":0.01,"idle_s":0.001,
              "nonlocal_tasks":0,"system_phases":1,"monitors_ok":true,
              "measure_pass":"drain-sum",
-             "metrics":{"histograms":{
+             "metrics":{"counters":{"tasks.executed":10},"histograms":{
                "phase.duration_us":{"count":4,"sum":100,"min":10,"max":40,
                  "p50":16,"p95":32,"p99":32,
                  "buckets":[{"le":16,"count":2},{"le":32,"count":2}]}}}}]})";
@@ -225,16 +271,15 @@ TEST(BenchDiff, CustomTolerancesApply) {
 
 // ------------------------------------------------- acceptance scenario
 
-/// Runs RIPS on queens with an optional fault plan and rolls the metrics
-/// into a one-run bench document, like bench/harness does.
-BenchDoc measure(const sim::FaultPlan* plan) {
+/// Runs RIPS on queens at `ns_per_work` and rolls the metrics into a
+/// one-run bench document, like bench/harness does.
+BenchDoc measure(double ns_per_work) {
   const apps::TaskTrace trace = apps::build_nqueens_trace(9, 4);
   topo::Mesh mesh(4, 4);
   sched::Mwa mwa(mesh);
   sim::CostModel cost;
-  cost.ns_per_work = 2000.0;
+  cost.ns_per_work = ns_per_work;
   core::RipsEngine engine(mwa, cost, core::RipsConfig{});
-  if (plan != nullptr) engine.set_fault_plan(plan);
   const sim::RunMetrics m = engine.run(trace);
 
   BenchRun r;
@@ -257,23 +302,18 @@ BenchDoc measure(const sim::FaultPlan* plan) {
   return d;
 }
 
-TEST(BenchDiff, DetectsSlowdownInjectedRegressionAndPassesOnRerun) {
-  const BenchDoc clean = measure(nullptr);
+TEST(BenchDiff, DetectsWorkCostInjectedRegressionAndPassesOnRerun) {
+  const BenchDoc clean = measure(2000.0);
 
   // Determinism: an identical re-run diffs clean against itself.
-  const BenchDoc rerun = measure(nullptr);
+  const BenchDoc rerun = measure(2000.0);
   EXPECT_EQ(clean.runs[0].makespan_ns, rerun.runs[0].makespan_ns);
   EXPECT_TRUE(diff(clean, rerun).ok());
 
-  // Inject a whole-machine 8x slowdown. Compute is a modest fraction of
-  // this small run's makespan (scheduling phases dominate), so the factor
-  // must be large enough to push the makespan well past the 10% gate.
-  sim::FaultPlan plan;
-  for (NodeId v = 0; v < 16; ++v) {
-    plan.slowdowns.push_back({v, 0, std::numeric_limits<SimTime>::max() / 8,
-                              8.0});
-  }
-  const BenchDoc slow = measure(&plan);
+  // Make every task 8x as expensive. Compute is a modest fraction of this
+  // small run's makespan (scheduling phases dominate), so the factor must
+  // be large enough to push the makespan well past the 10% gate.
+  const BenchDoc slow = measure(8 * 2000.0);
   EXPECT_GT(slow.runs[0].makespan_ns, clean.runs[0].makespan_ns * 1.2);
   const DiffResult r = diff(clean, slow);
   EXPECT_FALSE(r.ok());

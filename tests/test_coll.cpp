@@ -83,14 +83,6 @@ TEST(Collectives, BroadcastReachesEveryoneWithinEccentricity) {
   }
 }
 
-TEST(Collectives, LedgerMerges) {
-  Ledger a{3, 10};
-  Ledger b{2, 5};
-  a.merge(b);
-  EXPECT_EQ(a.comm_steps, 5);
-  EXPECT_EQ(a.messages, 15);
-}
-
 TEST(MeshScan, RowScanComputesPrefixesAndSteps) {
   topo::Mesh mesh(2, 4);
   Ledger ledger;

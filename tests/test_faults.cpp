@@ -36,8 +36,6 @@ TEST(FaultPlan, GenerateIsDeterministic) {
   sim::FaultSpec spec;
   spec.horizon_ns = 1'000'000'000;
   spec.crash_mtbf_ns = 100'000'000;
-  spec.slowdown_mtbf_ns = 200'000'000;
-  spec.slowdown_duration_ns = 50'000'000;
   spec.drop_prob = 0.1;
   const auto a = sim::FaultPlan::generate(42, 16, spec);
   const auto b = sim::FaultPlan::generate(42, 16, spec);
@@ -46,7 +44,6 @@ TEST(FaultPlan, GenerateIsDeterministic) {
     EXPECT_EQ(a.crashes[i].node, b.crashes[i].node);
     EXPECT_EQ(a.crashes[i].time_ns, b.crashes[i].time_ns);
   }
-  ASSERT_EQ(a.slowdowns.size(), b.slowdowns.size());
   const auto c = sim::FaultPlan::generate(43, 16, spec);
   // A different seed produces a different schedule (overwhelmingly).
   bool same = a.crashes.size() == c.crashes.size();
@@ -110,16 +107,6 @@ TEST(FaultInjector, DropDecisionsAreDeterministicAndCalibrated) {
   EXPECT_TRUE(differs);
 }
 
-TEST(FaultInjector, SlowdownWindowsScaleWork) {
-  sim::FaultPlan plan;
-  plan.slowdowns.push_back({2, 1000, 2000, 3.0});
-  sim::FaultInjector inj(plan, 4);
-  EXPECT_EQ(inj.scaled_work(2, 1500, 100), 300);
-  EXPECT_EQ(inj.scaled_work(2, 2000, 100), 100);  // window is half-open
-  EXPECT_EQ(inj.scaled_work(2, 500, 100), 100);
-  EXPECT_EQ(inj.scaled_work(1, 1500, 100), 100);  // other nodes unaffected
-}
-
 // --- faulty collectives --------------------------------------------------
 
 TEST(FaultyCollectives, NoFaultsMatchesFaultFreeCost) {
@@ -135,7 +122,6 @@ TEST(FaultyCollectives, NoFaultsMatchesFaultFreeCost) {
   EXPECT_EQ(stats.dropped, 0);
   EXPECT_EQ(stats.retries, 0);
   EXPECT_EQ(stats.timeouts, 0);
-  EXPECT_TRUE(stats.completed);
   EXPECT_TRUE(stats.suspected.empty());
 }
 
@@ -153,38 +139,6 @@ TEST(FaultyCollectives, DeadLeafIsSuspectedNotFatal) {
   EXPECT_GT(stats.timeouts, 0);
   EXPECT_TRUE(std::find(stats.suspected.begin(), stats.suspected.end(),
                         dead) != stats.suspected.end());
-}
-
-TEST(FaultyCollectives, AllReduceConvergesUnderLightLoss) {
-  topo::Mesh mesh(4, 4);
-  coll::Collectives coll(mesh);
-  sim::FaultPlan plan;
-  plan.seed = 5;
-  plan.drop_prob = 0.2;
-  sim::FaultInjector inj(plan, 16);
-  const coll::MessageFault fault = [&](NodeId from, NodeId to, i64 attempt) {
-    return inj.drop_message(77, from, to, attempt);
-  };
-  std::vector<i64> values(16);
-  for (i32 i = 0; i < 16; ++i) values[static_cast<size_t>(i)] = i;
-  coll::Ledger ledger;
-  coll::FaultStats stats;
-  const auto combine = [](i64 a, i64 b) { return std::max(a, b); };
-  EXPECT_EQ(coll.all_reduce_faulty(values, combine, fault, 3, ledger, stats),
-            15);
-  EXPECT_TRUE(stats.completed);
-}
-
-TEST(FaultyCollectives, AllReduceGivesUpWhenEverythingDrops) {
-  topo::Mesh mesh(2, 2);
-  coll::Collectives coll(mesh);
-  const coll::MessageFault all = [](NodeId, NodeId, i64) { return true; };
-  std::vector<i64> values{1, 2, 3, 4};
-  coll::Ledger ledger;
-  coll::FaultStats stats;
-  const auto combine = [](i64 a, i64 b) { return a + b; };
-  coll.all_reduce_faulty(values, combine, all, 2, ledger, stats);
-  EXPECT_FALSE(stats.completed);
 }
 
 // --- LiveView ------------------------------------------------------------
@@ -327,9 +281,8 @@ TEST(RipsFaults, PlanThatNeverFiresIsBitIdenticalToFaultFree) {
   engine.set_fault_plan(&plan);
   auto with_plan = engine.run(trace);
   // A crash-only plan keeps the drain-sum measuring pass — crashes never
-  // change the undisturbed drain times the pass computes (only slowdown
-  // windows make work position-dependent). Every simulated bit must match,
-  // including the recorded pass.
+  // change the undisturbed drain times the pass computes. Every simulated
+  // bit must match, including the recorded pass.
   EXPECT_TRUE(base.used_fast_measure);
   EXPECT_TRUE(with_plan.used_fast_measure);
   EXPECT_TRUE(base == with_plan);
@@ -349,7 +302,7 @@ TEST(RipsFaults, CrashOnlyPlanKeepsDrainSumAndMatchesFullPass) {
 
   // A crash that actually fires mid-run: the drain-sum pass must survive
   // it (crash admission reads the measured drains, it never changes them)
-  // and stay bit-identical to the legacy full pass on the same plan.
+  // and stay bit-identical to the reference full pass on the same plan.
   sim::FaultPlan plan;
   plan.seed = 7;
   plan.crashes.push_back({5, base.makespan_ns / 2});
@@ -379,21 +332,6 @@ TEST(RipsFaults, MessageFaultOnlyPlanKeepsDrainSum) {
   engine.set_fault_plan(&plan);
   const auto m = engine.run(trace);
   EXPECT_TRUE(m.used_fast_measure);
-}
-
-TEST(RipsFaults, SlowdownPlanForcesFullMeasuringPass) {
-  const auto trace = medium_trace(11);
-  auto sched = sched::make_scheduler("mwa", 16);
-  sim::CostModel cost;
-  cost.ns_per_work = 500.0;
-  RipsEngine engine(*sched, cost, RipsConfig{});
-
-  sim::FaultPlan plan;
-  plan.seed = 9;
-  plan.slowdowns.push_back({2, 0, 1'000'000'000, 3.0});
-  engine.set_fault_plan(&plan);
-  const auto m = engine.run(trace);
-  EXPECT_FALSE(m.used_fast_measure);
 }
 
 TEST(RipsFaults, SingleCrashRecoversAndCountsReexecution) {
@@ -460,28 +398,6 @@ TEST(RipsFaults, AllPolicyDetectsCrashWithoutDeadlock) {
   // Detection is not free: the run must be charged for it.
   EXPECT_GT(m.recovery_time_ns, 0);
   EXPECT_GT(m.makespan_ns, 0);
-}
-
-TEST(RipsFaults, SlowdownStretchesMakespanDeterministically) {
-  const auto trace = medium_trace(14);
-  auto sched = sched::make_scheduler("mwa", 16);
-  sim::CostModel cost;
-  cost.ns_per_work = 500.0;
-  RipsEngine engine(*sched, cost, RipsConfig{});
-  const auto base = engine.run(trace);
-
-  sim::FaultPlan plan;
-  plan.seed = 4;
-  for (NodeId p = 0; p < 8; ++p) {
-    plan.slowdowns.push_back({p, 0, base.makespan_ns * 2, 4.0});
-  }
-  engine.set_fault_plan(&plan);
-  const auto slow = engine.run(trace);
-  EXPECT_GT(slow.makespan_ns, base.makespan_ns);
-  EXPECT_EQ(slow.num_tasks, trace.size());
-  EXPECT_EQ(slow.crashes, 0u);
-  const auto again = engine.run(trace);
-  EXPECT_TRUE(slow == again);
 }
 
 TEST(RipsFaults, MessageDropsAreChargedAndDeterministic) {
@@ -557,30 +473,21 @@ TEST_P(RipsFaultSweep, ConservationAndDeterminismUnderRandomFaults) {
   RipsEngine engine(*sched, cost, config);
   const auto base = engine.run(trace);
 
-  // Random but seeded mix of everything the injector supports.
+  // Random but seeded crashes plus message loss: everything the injector
+  // supports.
   sim::FaultSpec spec;
   spec.horizon_ns = base.makespan_ns * 2;
   spec.crash_mtbf_ns = static_cast<double>(base.makespan_ns) / 2.0;
-  spec.max_crashes = 5;
-  spec.slowdown_mtbf_ns = static_cast<double>(base.makespan_ns) / 2.0;
-  spec.slowdown_factor = 3.0;
-  spec.slowdown_duration_ns = base.makespan_ns / 8;
   spec.drop_prob = 0.05;
-  spec.delay_prob = 0.1;
-  spec.delay_ns = 50'000;
   const auto plan =
       sim::FaultPlan::generate(static_cast<u64>(seed) * 7919 + 1, 16, spec);
   engine.set_fault_plan(&plan);
 
   const auto m = engine.run(trace);
-  // Terminated (we got here), conserved, and every extra execution counted.
+  // Terminated (we got here), conserved, and every extra execution counted:
+  // doomed executions commit nothing, so busy time is exactly the work.
   EXPECT_EQ(m.num_tasks, trace.size());
-  // Committed work is slowdown-scaled, so busy can only exceed the
-  // unscaled sequential total; they match exactly without slowdowns.
-  EXPECT_GE(m.total_busy_ns, m.sequential_ns);
-  if (plan.slowdowns.empty()) {
-    EXPECT_EQ(m.total_busy_ns, m.sequential_ns);
-  }
+  EXPECT_EQ(m.total_busy_ns, m.sequential_ns);
   EXPECT_EQ(m.crashes + engine.live_nodes().size(), 16u);
   if (m.crashes > 0) {
     EXPECT_GE(m.recovery_phases, 1u);

@@ -430,12 +430,11 @@ TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
 
 TEST(MetricsRegistry, SnapshotCapCountsOverflow) {
   MetricsRegistry registry;
-  registry.set_max_snapshots(3);
   registry.counter("c").add(1);
-  for (int i = 0; i < 5; ++i) {
+  for (size_t i = 0; i < MetricsRegistry::kMaxSnapshots + 2; ++i) {
     registry.snapshot("phase=" + std::to_string(i));
   }
-  EXPECT_EQ(registry.snapshots().size(), 3u);
+  EXPECT_EQ(registry.snapshots().size(), MetricsRegistry::kMaxSnapshots);
   EXPECT_EQ(registry.snapshots_dropped(), 2u);
   EXPECT_EQ(registry.snapshots().front().label, "phase=0");
 }

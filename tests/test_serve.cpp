@@ -329,9 +329,6 @@ class KeepingSource final : public exec::TaskSource {
   }
   const std::vector<i32>* job_of() const override { return inner_.job_of(); }
   i32 num_jobs() const override { return inner_.num_jobs(); }
-  std::string job_name(i32 job) const override {
-    return inner_.job_name(job);
-  }
 
  private:
   apps::ScriptedSource inner_;
