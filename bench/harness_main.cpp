@@ -240,8 +240,6 @@ int main(int argc, char** argv) {
 
   // Deterministic fault injection, one plan per row (crash victims are
   // node ids, so a plan is only meaningful at its own machine size).
-  // Fault runs keep the drain-sum fast measuring pass; the stderr
-  // measure= label below reports the pass the runs actually used.
   std::vector<sim::FaultPlan> fault_plans;
   if (inject_faults) {
     sim::FaultSpec spec;
@@ -302,8 +300,6 @@ int main(int argc, char** argv) {
   std::vector<sim::BenchRow> rows;
   bool all_monitors_ok = true;
   u64 total_tasks = 0;
-  bool saw_fast = false;
-  bool saw_full = false;
   for (size_t i = 0; i < results.size(); ++i) {
     const sweep::RunDescriptor& d = descriptors[i];
     const sweep::RunResult& r = results[i];
@@ -323,9 +319,6 @@ int main(int argc, char** argv) {
     row.registry_json = r.run.registry.to_json();
     rows.push_back(std::move(row));
     total_tasks += m.num_tasks;
-    if (d.kind == sweep::Kind::kRips) {
-      (m.used_fast_measure ? saw_fast : saw_full) = true;
-    }
     if (scale) {
       std::printf("%-14s %-14s nodes=%-5d tasks=%-8llu eff=%.3f "
                   "makespan=%.3fs phases=%llu%s\n",
@@ -386,24 +379,18 @@ int main(int argc, char** argv) {
   // CI parses the `harness: wall_ms=` prefix. Throughput counts every
   // simulated task execution against the sweep's wall time (workload
   // construction excluded — it is cacheable and the same for every engine
-  // path); measure= is derived from the RIPS rows' used_fast_measure, the
-  // same flags as the JSON rows' measure_pass.
+  // path).
   const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - wall_start)
                            .count();
   const double sweep_s =
       std::chrono::duration<double>(sweep_end - sweep_start).count();
-  const char* measure = saw_fast && saw_full ? "mixed"
-                        : saw_fast           ? "fast"
-                        : saw_full           ? "full"
-                                             : "none";
   std::fprintf(stderr,
                "harness: wall_ms=%lld jobs=%d runs=%zu tasks=%llu "
-               "throughput=%.0f tasks/s measure=%s\n",
+               "throughput=%.0f tasks/s\n",
                static_cast<long long>(wall_ms), jobs, rows.size(),
                static_cast<unsigned long long>(total_tasks),
                sweep_s > 0.0 ? static_cast<double>(total_tasks) / sweep_s
-                             : 0.0,
-               measure);
+                             : 0.0);
   return all_monitors_ok ? 0 : 1;
 }

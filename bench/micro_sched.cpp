@@ -151,25 +151,6 @@ BENCHMARK(BM_TaskQueueFifoChurn)
     ->Range(16, 4096)
     ->Complexity();
 
-// The RIPS measuring pass clones every RTE ready queue once per user
-// phase; assign() must reuse the scratch queue's storage after the first
-// clone (zero steady-state allocation).
-void BM_TaskQueueAssignClone(benchmark::State& state) {
-  const auto depth = static_cast<size_t>(state.range(0));
-  sim::TaskQueue source;
-  for (size_t i = 0; i < depth; ++i) source.push_back(static_cast<TaskId>(i));
-  sim::TaskQueue scratch;
-  for (auto _ : state) {
-    scratch.assign(source);
-    benchmark::DoNotOptimize(scratch.front());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_TaskQueueAssignClone)
-    ->RangeMultiplier(4)
-    ->Range(16, 4096)
-    ->Complexity();
-
 // End-of-phase checkpoint snapshot, CSR layout (what RipsEngine ships):
 // one offsets array + one flat task array, both reused across phases, so
 // the steady-state rebuild is two assigns and a bulk copy — zero

@@ -402,14 +402,6 @@ DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
           {key, "fairness", b->fairness, c.fairness, note});
     }
 
-    // Losing the drain-sum fast path is a perf regression even though the
-    // simulated metrics are bit-identical either way.
-    if (b->measure_pass == "drain-sum" && c.measure_pass == "full") {
-      out.regressions.push_back({key, "measure_pass", 1, 0,
-                                 "drain-sum fast path lost to the full "
-                                 "measuring pass"});
-    }
-
     // Histogram tails (p95/p99 only — p50 is covered transitively by the
     // makespan gate and too coarse to gate on its own). Multiplicative,
     // and skipped for histograms only one side has or whose baseline tail

@@ -1,6 +1,7 @@
 #include "rips/rips_engine.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "exec/task_source.hpp"
@@ -136,8 +137,9 @@ SimTime RipsEngine::recover(SimTime t) {
     c_crashes_->add();
     c_reexecuted_->add(d.lost_execs);
     c_lost_work_ns_->add(static_cast<u64>(d.lost_work_ns));
-    nodes_[static_cast<size_t>(d.node)].rte.clear();
-    nodes_[static_cast<size_t>(d.node)].rts.clear();
+    NodeRt& dead = nodes_[static_cast<size_t>(d.node)];
+    dead.rte_begin = dead.rte_len = dead.rte_local = dead.rte_spawned = 0;
+    dead.rts.clear();
   }
 
   // Rebuild the degraded machine first: adopters are chosen among the
@@ -204,15 +206,14 @@ SimTime RipsEngine::system_phase(SimTime t) {
   if (!dead_pending_.empty()) recovery_extra = recover(t);
   const i32 n = static_cast<i32>(live_.size());
 
-  // Collect: leftover RTE tasks are moved back to RTS and rescheduled
-  // together with the newly generated ones (Section 2).
-  for (NodeId phys : live_) {
-    auto& node = nodes_[static_cast<size_t>(phys)];
-    node.rts.insert(node.rts.end(), node.rte.begin(), node.rte.end());
-    node.rte.clear();
-  }
+  // Collect: leftover RTE tasks are rescheduled together with the newly
+  // generated ones (Section 2). A node holds its RTS followed by its
+  // leftover span, and every pass below reads both in place.
   u64 total = 0;
-  for (NodeId phys : live_) total += nodes_[static_cast<size_t>(phys)].rts.size();
+  for (NodeId phys : live_) {
+    const NodeRt& node = nodes_[static_cast<size_t>(phys)];
+    total += node.rts.size() + node.rte_len;
+  }
 
   if (total == 0 && released_segments_ < trace_->num_segments()) {
     // Segment barrier: this same system phase schedules the next segment.
@@ -227,13 +228,17 @@ SimTime RipsEngine::system_phase(SimTime t) {
   // perfect grain estimation would let the scheduler balance). Loads are
   // indexed by logical rank; rank r is physical node live_[r]. Weighted
   // loads are a flat gather over the per-task weight array.
-  load_.assign(static_cast<size_t>(n), 0);
+  load_.resize(static_cast<size_t>(n));
   for (i32 r = 0; r < n; ++r) {
-    const auto& rts = nodes_[static_cast<size_t>(live_[r])].rts;
+    const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
     load_[static_cast<size_t>(r)] =
         config_.weighted
-            ? simd::gather_sum_i64(task_weight_.data(), rts.data(), rts.size())
-            : static_cast<i64>(rts.size());
+            ? simd::gather_sum_i64(task_weight_.data(), node.rts.data(),
+                                   node.rts.size()) +
+                  simd::gather_sum_i64(task_weight_.data(),
+                                       rte_.data() + node.rte_begin,
+                                       node.rte_len)
+            : static_cast<i64>(node.rts.size() + node.rte_len);
   }
   // The plan is borrowed from the scheduler's pooled result; it stays valid
   // until the next schedule() call, which only happens next phase.
@@ -250,123 +255,16 @@ SimTime RipsEngine::system_phase(SimTime t) {
     before_tasks_.clear();
     before_offsets_[0] = 0;
     for (i32 r = 0; r < n; ++r) {
-      const auto& rts = nodes_[static_cast<size_t>(live_[r])].rts;
-      before_tasks_.insert(before_tasks_.end(), rts.begin(), rts.end());
+      const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      const TaskId* span = rte_.data() + node.rte_begin;
+      before_tasks_.insert(before_tasks_.end(), node.rts.begin(),
+                           node.rts.end());
+      before_tasks_.insert(before_tasks_.end(), span, span + node.rte_len);
       before_offsets_[static_cast<size_t>(r) + 1] = before_tasks_.size();
     }
   }
 
-  // Replay the transfer plan on the actual task ids. Nodes forward tasks
-  // that are already non-local before giving up their own (locality).
-  if (pools_.size() < static_cast<size_t>(n)) pools_.resize(static_cast<size_t>(n));
-  for (i32 r = 0; r < n; ++r) {
-    pools_[static_cast<size_t>(r)].local.clear();
-    pools_[static_cast<size_t>(r)].foreign.clear();
-  }
-  for (i32 r = 0; r < n; ++r) {
-    const NodeId phys = live_[static_cast<size_t>(r)];
-    for (TaskId task : nodes_[static_cast<size_t>(phys)].rts) {
-      if (origin_[static_cast<size_t>(task)] == phys) {
-        pools_[static_cast<size_t>(r)].local.push_back(task);
-      } else {
-        pools_[static_cast<size_t>(r)].foreign.push_back(task);
-      }
-    }
-    nodes_[static_cast<size_t>(phys)].rts.clear();
-  }
-  migration_.assign(static_cast<size_t>(n), 0);
-  u64 moved = 0;
-  // Per-transfer payloads, kept only while tracing so the send/recv
-  // instants below can carry matching correlation ids.
-  traced_.clear();
-  for (const sched::Transfer& tr : plan.transfers) {
-    Pool& src = pools_[static_cast<size_t>(tr.from)];
-    Pool& dst = pools_[static_cast<size_t>(tr.to)];
-    const NodeId to_phys = live_[static_cast<size_t>(tr.to)];
-    if (!config_.weighted) {
-      RIPS_CHECK_MSG(
-          static_cast<i64>(src.local.size() + src.foreign.size()) >= tr.count,
-          "scheduler transfer exceeds node holdings");
-    }
-    // Count mode: move exactly tr.count tasks. Weighted mode: tr.count is
-    // an amount of WORK; move tasks greedily until the planned amount is
-    // matched as closely as task granularity allows (stop early rather
-    // than overshoot by more than the final task's better half).
-    i64 sent = 0;     // tasks moved for this transfer
-    i64 sent_work = 0;
-    if (!config_.weighted) {
-      // Bulk commit: the whole transfer is decided up front (foreign tail
-      // first, then local tail — identical order to popping one task at a
-      // time), so each source vector is truncated once instead of
-      // re-checking emptiness and mode per task.
-      const auto move_tail = [&](std::vector<TaskId>& from, i64 take) {
-        const size_t cut = from.size() - static_cast<size_t>(take);
-        for (size_t i = from.size(); i-- > cut;) {
-          const TaskId task = from[i];
-          if (origin_[static_cast<size_t>(task)] == to_phys) {
-            dst.local.push_back(task);
-          } else {
-            dst.foreign.push_back(task);
-          }
-          if (job_accounting_) {
-            job_migrated_[static_cast<size_t>(
-                (*job_of_)[static_cast<size_t>(task)])] += 1;
-          }
-        }
-        from.resize(cut);
-        sent += take;
-      };
-      const i64 from_foreign =
-          std::min(tr.count, static_cast<i64>(src.foreign.size()));
-      move_tail(src.foreign, from_foreign);
-      move_tail(src.local,
-                std::min(tr.count - from_foreign,
-                         static_cast<i64>(src.local.size())));
-    } else {
-      while (!src.local.empty() || !src.foreign.empty()) {
-        const bool from_foreign = !src.foreign.empty();
-        const TaskId task =
-            from_foreign ? src.foreign.back() : src.local.back();
-        const i64 w = task_weight_[static_cast<size_t>(task)];
-        const i64 undershoot = tr.count - sent_work;
-        if (undershoot <= 0) break;
-        if (sent > 0 && sent_work + w - tr.count > undershoot) break;
-        sent_work += w;
-        if (from_foreign) {
-          src.foreign.pop_back();
-        } else {
-          src.local.pop_back();
-        }
-        if (origin_[static_cast<size_t>(task)] == to_phys) {
-          dst.local.push_back(task);
-        } else {
-          dst.foreign.push_back(task);
-        }
-        ++sent;
-        if (job_accounting_) {
-          job_migrated_[static_cast<size_t>(
-              (*job_of_)[static_cast<size_t>(task)])] += 1;
-        }
-      }
-    }
-    moved += static_cast<u64>(sent);
-    migration_[static_cast<size_t>(tr.from)] += cost_.send_time(sent);
-    migration_[static_cast<size_t>(tr.to)] += cost_.recv_time(sent);
-    c_msg_sent_->add();
-    if (obs_.trace != nullptr && sent > 0) {
-      traced_.push_back({live_[static_cast<size_t>(tr.from)],
-                         live_[static_cast<size_t>(tr.to)], sent});
-    }
-  }
-  c_tasks_migrated_->add(moved);
-
-  // Scheduled tasks enter the RTE queues (own tasks first, then received).
-  for (i32 r = 0; r < n; ++r) {
-    auto& rte = nodes_[static_cast<size_t>(live_[r])].rte;
-    const Pool& pool = pools_[static_cast<size_t>(r)];
-    rte.append(pool.local.data(), pool.local.size());
-    rte.append(pool.foreign.data(), pool.foreign.size());
-  }
+  const u64 moved = replay_plan(plan);
 
   // Cost: lock-step scheduling rounds (cheap scalar-only information steps
   // plus full task-payload steps — the paper's "each communication step to
@@ -393,8 +291,8 @@ SimTime RipsEngine::system_phase(SimTime t) {
     ckpt_offsets_[0] = 0;
     for (size_t p = 0; p < n_phys; ++p) {
       if (alive_[p]) {
-        const auto& rte = nodes_[p].rte;
-        ckpt_tasks_.insert(ckpt_tasks_.end(), rte.begin(), rte.end());
+        const TaskId* span = rte_.data() + nodes_[p].rte_begin;
+        ckpt_tasks_.insert(ckpt_tasks_.end(), span, span + nodes_[p].rte_len);
       }
       ckpt_offsets_[p + 1] = ckpt_tasks_.size();
     }
@@ -472,6 +370,218 @@ SimTime RipsEngine::system_phase(SimTime t) {
   return t + duration;
 }
 
+void RipsEngine::size_regions(const sched::ScheduleResult& plan) {
+  const size_t n = live_.size();
+  regions_.resize(n);
+  hold_.assign(load_.begin(), load_.end());
+  // Count mode sizes every region to its rank's peak holdings, exactly, so
+  // no region ever fills; following the holdings also checks the plan
+  // before any task moves. Weighted mode knows a transfer's task count
+  // only while it runs: its regions start at the peak work over the mean
+  // task weight and grow on demand (grow_region).
+  if (!config_.weighted) {
+    for (size_t r = 0; r < n; ++r) {
+      regions_[r].cap = static_cast<size_t>(load_[r]);
+    }
+    for (const sched::Transfer& tr : plan.transfers) {
+      i64& from = hold_[static_cast<size_t>(tr.from)];
+      i64& to = hold_[static_cast<size_t>(tr.to)];
+      RIPS_CHECK_MSG(from >= tr.count,
+                     "scheduler transfer exceeds node holdings");
+      from -= tr.count;
+      to += tr.count;
+      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+      cap = std::max(cap, static_cast<size_t>(to));
+    }
+  } else {
+    size_t tasks = 0;
+    for (size_t r = 0; r < n; ++r) {
+      const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      regions_[r].cap = node.rts.size() + node.rte_len;
+      tasks += regions_[r].cap;
+    }
+    const i64 work = simd::sum_i64(load_.data(), n);
+    const double tasks_per_work =
+        work > 0 ? static_cast<double>(tasks) / static_cast<double>(work)
+                 : 0.0;
+    for (const sched::Transfer& tr : plan.transfers) {
+      hold_[static_cast<size_t>(tr.from)] -= tr.count;
+      const i64 to = hold_[static_cast<size_t>(tr.to)] += tr.count;
+      const double tasks = static_cast<double>(std::max<i64>(to, 0)) *
+                           tasks_per_work;
+      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+      cap = std::max(cap, static_cast<size_t>(tasks) + 1);
+    }
+  }
+  size_t base = 0;
+  for (Region& region : regions_) {
+    region.base = base;
+    base += region.cap;
+  }
+  arena_used_ = base;
+  reserve_arena(0);
+}
+
+void RipsEngine::reserve_arena(size_t keep) {
+  if (arena_used_ <= arena_cap_) return;
+  // Left uninitialized: the replay writes every slot before reading it.
+  const size_t cap = std::max(arena_used_, 2 * arena_cap_);
+  auto grown = std::make_unique_for_overwrite<TaskId[]>(cap);
+  std::copy(arena_.get(), arena_.get() + keep, grown.get());
+  arena_ = std::move(grown);
+  arena_cap_ = cap;
+}
+
+void RipsEngine::grow_region(Region& region, size_t need) {
+  const size_t cap = std::max(2 * region.cap, need);
+  const size_t base = arena_used_;
+  arena_used_ += cap;
+  reserve_arena(base);
+  ++grown_regions_;
+  TaskId* old = arena_.get() + region.base;
+  TaskId* now = arena_.get() + base;
+  std::copy(old, old + region.local, now);
+  std::copy(old + region.cap - region.foreign, old + region.cap,
+            now + cap - region.foreign);
+  region.base = base;
+  region.cap = cap;
+}
+
+void RipsEngine::move_tasks(Region& src, Region& dst, NodeId to_phys,
+                            size_t count) {
+  if (dst.local + dst.foreign + count > dst.cap) {
+    grow_region(dst, dst.local + dst.foreign + count);  // weighted mode only
+  }
+  TaskId* arena = arena_.get();
+  const size_t from_foreign = std::min(count, src.foreign);
+  const TaskId* foreign_top = arena + src.base + src.cap - src.foreign;
+  const TaskId* local_top = arena + src.base + src.local;
+  if (job_accounting_) {
+    const auto tally = [&](TaskId task) {
+      job_migrated_[static_cast<size_t>(
+          (*job_of_)[static_cast<size_t>(task)])] += 1;
+    };
+    std::for_each(foreign_top, foreign_top + from_foreign, tally);
+    std::for_each(local_top - (count - from_foreign), local_top, tally);
+  }
+  // Each task lands on dst's local stack when dst is its origin, on the
+  // foreign stack otherwise.
+  const NodeId* origin = origin_.data();
+  TaskId* up = arena + dst.base + dst.local;
+  TaskId* down = arena + dst.base + dst.cap - dst.foreign;
+  const auto land = [&](TaskId task) {
+    if (origin[task] == to_phys) {
+      *up++ = task;
+    } else {
+      *--down = task;
+    }
+  };
+  for (size_t k = 0; k < from_foreign; ++k) land(foreign_top[k]);
+  for (size_t k = from_foreign; k < count; ++k) land(*--local_top);
+  src.foreign -= from_foreign;
+  src.local -= count - from_foreign;
+  dst.local = static_cast<size_t>(up - (arena + dst.base));
+  dst.foreign = static_cast<size_t>(arena + dst.base + dst.cap - down);
+}
+
+u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan) {
+  const i32 n = static_cast<i32>(live_.size());
+  size_regions(plan);
+
+  // Partition: RTS entries by origin; the leftover span by position — its
+  // local front and spawned tail go to the local stack, its foreign middle
+  // to the foreign one (pushed in span order, so the first ends on top of
+  // the region's end). Every region fits its rank's holdings.
+  for (i32 r = 0; r < n; ++r) {
+    const NodeId phys = live_[static_cast<size_t>(r)];
+    NodeRt& node = nodes_[static_cast<size_t>(phys)];
+    Region& region = regions_[static_cast<size_t>(r)];
+    TaskId* up = arena_.get() + region.base;
+    TaskId* down = up + region.cap;
+    for (const TaskId task : node.rts) {
+      if (origin_[static_cast<size_t>(task)] == phys) {
+        *up++ = task;
+      } else {
+        *--down = task;
+      }
+    }
+    node.rts.clear();
+    const TaskId* span = rte_.data() + node.rte_begin;
+    const TaskId* foreign_end = span + node.rte_len - node.rte_spawned;
+    up = std::copy(span, span + node.rte_local, up);
+    up = std::copy(foreign_end, span + node.rte_len, up);
+    down -= foreign_end - (span + node.rte_local);
+    std::reverse_copy(span + node.rte_local, foreign_end, down);
+    region.local = static_cast<size_t>(up - (arena_.get() + region.base));
+    region.foreign =
+        static_cast<size_t>(arena_.get() + region.base + region.cap - down);
+  }
+
+  // Replay the transfer plan on the actual task ids. Nodes forward tasks
+  // that are already non-local before giving up their own (locality): a
+  // transfer pops the source's foreign stack first, then its local one.
+  migration_.assign(static_cast<size_t>(n), 0);
+  u64 moved = 0;
+  // Per-transfer payloads, kept only while tracing so the send/recv
+  // instants can carry matching correlation ids.
+  traced_.clear();
+  for (const sched::Transfer& tr : plan.transfers) {
+    Region& src = regions_[static_cast<size_t>(tr.from)];
+    // Count mode: move exactly tr.count tasks (size_regions checked the
+    // holdings). Weighted mode: tr.count is an amount of WORK; take tasks
+    // in pop order until the planned amount is matched as closely as task
+    // granularity allows (stop early rather than overshoot by more than
+    // the final task's better half).
+    size_t take = static_cast<size_t>(tr.count);
+    if (config_.weighted) {
+      take = 0;
+      i64 sent_work = 0;
+      const TaskId* foreign_top =
+          arena_.get() + src.base + src.cap - src.foreign;
+      const TaskId* local_top = arena_.get() + src.base + src.local;
+      for (; take < src.local + src.foreign; ++take) {
+        const TaskId task = take < src.foreign
+                                ? foreign_top[take]
+                                : *(local_top - 1 - (take - src.foreign));
+        const i64 w = task_weight_[static_cast<size_t>(task)];
+        const i64 undershoot = tr.count - sent_work;
+        if (undershoot <= 0) break;
+        if (take > 0 && sent_work + w - tr.count > undershoot) break;
+        sent_work += w;
+      }
+    }
+    const NodeId to_phys = live_[static_cast<size_t>(tr.to)];
+    move_tasks(src, regions_[static_cast<size_t>(tr.to)], to_phys, take);
+    const auto sent = static_cast<i64>(take);
+    moved += take;
+    migration_[static_cast<size_t>(tr.from)] += cost_.send_time(sent);
+    migration_[static_cast<size_t>(tr.to)] += cost_.recv_time(sent);
+    c_msg_sent_->add();
+    if (obs_.trace != nullptr && sent > 0) {
+      traced_.push_back({live_[static_cast<size_t>(tr.from)], to_phys, sent});
+    }
+  }
+  c_tasks_migrated_->add(moved);
+
+  // Scheduled tasks enter the RTE (own tasks first, then received ones in
+  // arrival order), written once per phase in rank order.
+  rte_.clear();
+  for (i32 r = 0; r < n; ++r) {
+    NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+    const Region& region = regions_[static_cast<size_t>(r)];
+    const TaskId* base = arena_.get() + region.base;
+    node.rte_begin = static_cast<u32>(rte_.size());
+    node.rte_len = static_cast<u32>(region.local + region.foreign);
+    node.rte_local = static_cast<u32>(region.local);
+    node.rte_spawned = 0;
+    rte_.insert(rte_.end(), base, base + region.local);
+    rte_.insert(rte_.end(),
+                std::make_reverse_iterator(base + region.cap),
+                std::make_reverse_iterator(base + region.cap - region.foreign));
+  }
+  return moved;
+}
+
 void RipsEngine::check_phase_invariants(u64 phase,
                                         const std::vector<i64>& load,
                                         const sched::ScheduleResult& plan,
@@ -506,7 +616,10 @@ void RipsEngine::check_phase_invariants(u64 phase,
   i64 relocated = 0;
   i64 seen = 0;
   for (i32 r = 0; r < n; ++r) {
-    for (TaskId task : nodes_[static_cast<size_t>(live_[r])].rte) {
+    const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+    const TaskId* span = rte_.data() + node.rte_begin;
+    for (u32 i = 0; i < node.rte_len; ++i) {
+      const TaskId task = span[i];
       ++seen;
       i32& slot = start_rank_[static_cast<size_t>(task)];
       if (slot < 0) {
@@ -539,26 +652,55 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
                                         SimTime* lost_work_ns) {
   NodeRt& n = nodes_[static_cast<size_t>(node)];
   const bool apply = mode == PhaseMode::kCommit;
-  sim::TaskQueue* queue;
-  if (apply) {
-    queue = &n.rte;
-  } else {
-    scratch_rte_.assign(n.rte);
-    queue = &scratch_rte_;
+  if (n.rte_len == 0) {
+    if (apply) n.rte_begin = 0;  // an empty leftover
+    return start_t;
   }
   const bool lazy = config_.local == LocalPolicy::kLazy;
+  const bool lifo = config_.lifo_execution;
 
+  // The node's queue is its span followed by the tasks it spawns (lazy
+  // policy). FIFO takes the span front, then the spawned tasks in order;
+  // LIFO takes the spawned stack first, then the span back.
+  const TaskId* span = rte_.data() + n.rte_begin;
+  u32 head = 0;
+  u32 tail = n.rte_len;
+  std::vector<TaskId>& spawned = spawned_;
+  spawned.clear();
+  size_t spawned_head = 0;
+  u64 executed = 0;
+  SimTime busy = 0;
+  SimTime spawn_ovh = 0;
   SimTime now = start_t;
-  while (!queue->empty() && now < stop_t) {
-    const TaskId task =
-        config_.lifo_execution ? queue->pop_back() : queue->pop_front();
-    const SimTime work = work_ns_[static_cast<size_t>(task)];
+  while (now < stop_t) {
+    TaskId task;
+    if (lifo) {
+      if (!spawned.empty()) {
+        task = spawned.back();
+        spawned.pop_back();
+      } else if (head < tail) {
+        task = span[--tail];
+      } else {
+        break;
+      }
+    } else if (head < tail) {
+      task = span[head++];
+    } else if (spawned_head < spawned.size()) {
+      task = spawned[spawned_head++];
+      if (spawned_head == spawned.size()) {
+        spawned.clear();
+        spawned_head = 0;
+      }
+    } else {
+      break;
+    }
+    const apps::TraceTask& info = trace_->task(task);
+    const SimTime work = cost_.work_time(info.work);
     now += work;
     if (apply) {
-      n.busy_ns += work;
+      busy += work;
       exec_node_[static_cast<size_t>(task)] = node;
-      executed_total_ += 1;
-      c_tasks_executed_->add();
+      ++executed;
       if (job_accounting_) {
         const auto j =
             static_cast<size_t>((*job_of_)[static_cast<size_t>(task)]);
@@ -575,20 +717,37 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
       if (lost_execs != nullptr) *lost_execs += 1;
       if (lost_work_ns != nullptr) *lost_work_ns += work;
     }
-    const u32 kids = trace_->num_children(task);
+    const u32 kids = info.num_children;
     const TaskId* child = trace_->children_begin(task);
     for (u32 c = 0; c < kids; ++c) {
       now += cost_.spawn_ns;
       if (apply) {
-        n.ovh_ns += cost_.spawn_ns;
+        spawn_ovh += cost_.spawn_ns;
         origin_[static_cast<size_t>(child[c])] = node;
       }
       if (lazy) {
-        queue->push_back(child[c]);
+        spawned.push_back(child[c]);
       } else if (apply) {
         n.rts.push_back(child[c]);
       }
     }
+  }
+  if (apply) {
+    n.busy_ns += busy;
+    n.ovh_ns += spawn_ovh;
+    executed_total_ += executed;
+    c_tasks_executed_->add(executed);
+    // The leftover keeps the span's layout: [unexecuted local][unexecuted
+    // foreign][spawned], appended to the next buffer in rank order.
+    const u32 local_left = std::clamp(n.rte_local, head, tail) - head;
+    const size_t spawned_left = spawned.size() - spawned_head;
+    n.rte_begin = static_cast<u32>(rte_next_.size());
+    n.rte_len = tail - head + static_cast<u32>(spawned_left);
+    n.rte_local = local_left;
+    n.rte_spawned = static_cast<u32>(spawned_left);
+    rte_next_.insert(rte_next_.end(), span + head, span + tail);
+    rte_next_.insert(rte_next_.end(), spawned.data() + spawned_head,
+                     spawned.data() + spawned.size());
   }
   return now;
 }
@@ -614,14 +773,15 @@ SimTime RipsEngine::user_phase(SimTime t) {
   // reference (set_full_measure_pass).
   std::vector<SimTime>& drain = drain_;
   drain.assign(nodes_.size(), kNever);
-  if (fast_measure_) {
-    // Gather-sum kernel over the queue's contiguous id span: the whole
-    // measuring pass is one linear read of drain_cost_ per node.
+  if (!full_measure_) {
+    // Gather-sum kernel over each node's RTE span: the whole measuring
+    // pass is one linear read of drain_cost_ per node.
     for (NodeId phys : live_) {
-      const sim::TaskQueue& rte = nodes_[static_cast<size_t>(phys)].rte;
+      const NodeRt& node = nodes_[static_cast<size_t>(phys)];
       drain[static_cast<size_t>(phys)] =
-          t + simd::gather_sum_i64(drain_cost_.data(), rte.begin(),
-                                   rte.size());
+          t + simd::gather_sum_i64(drain_cost_.data(),
+                                   rte_.data() + node.rte_begin,
+                                   node.rte_len);
     }
   } else {
     for (NodeId phys : live_) {
@@ -720,15 +880,20 @@ SimTime RipsEngine::user_phase(SimTime t) {
     }
   }
 
-  // Commit pass with per-node stop times. Doomed nodes run until their
-  // crash instead: everything they executed this phase dies with them.
+  // Commit pass with per-node stop times, writing each node's leftover to
+  // rte_next_ in rank order. Doomed nodes run until their crash instead:
+  // everything they executed this phase dies with them, and so does their
+  // queue (recover() re-injects their checkpoint).
   SimTime phase_end = t;
   SimTime max_death = 0;
+  rte_next_.clear();
   const auto commit_doomed = [&](NodeId phys) {
     const SimTime death = crash_eff[static_cast<size_t>(phys)];
     u64 lost = 0;
     SimTime lost_work = 0;
     simulate_user_phase(phys, t, death, PhaseMode::kDoomed, &lost, &lost_work);
+    NodeRt& node = nodes_[static_cast<size_t>(phys)];
+    node.rte_begin = node.rte_len = node.rte_local = node.rte_spawned = 0;
     dead_pending_.push_back({phys, death, lost, lost_work});
     max_death = std::max(max_death, death);
     obs::TelemetryEvent ev;
@@ -773,6 +938,7 @@ SimTime RipsEngine::user_phase(SimTime t) {
     phase_end = std::max(phase_end, t_detect) +
                 2 * cost_.network_time(machine_diameter());
   }
+  rte_.swap(rte_next_);
   phase_end += periodic_penalty;
 
   // Faulty detection collective: the ready/init signals carry the
@@ -864,6 +1030,9 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   trace_ = &trace;
   const i32 n = scheduler_.topology().size();
   nodes_.assign(static_cast<size_t>(n), NodeRt{});
+  rte_.clear();
+  rte_next_.clear();
+  grown_regions_ = 0;
   origin_.assign(trace.size(), kInvalidNode);
   exec_node_.assign(trace.size(), kInvalidNode);
   executed_total_ = 0;
@@ -878,11 +1047,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   metrics_.num_nodes = n;
   registry_.reset();
   g_live_nodes_->set(n);
-  work_ns_.clear();
-  task_weight_.clear();
   start_rank_.clear();
-  extend_task_costs(0);
-  metrics_.sequential_ns = simd::sum_i64(work_ns_.data(), work_ns_.size());
 
   // Fault state is rebuilt from the plan every run: re-running with the
   // same plan is bit-identical.
@@ -916,13 +1081,8 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   // keep it too: crashes are admitted against the measured drains
   // afterwards and message drops only stretch the detection collectives,
   // so neither changes the undisturbed drain times.
-  fast_measure_ = !full_measure_;
-  if (fast_measure_) {
-    drain_cost_.resize(trace.size());
-    extend_drain_cost(0);
-  }
-
-  metrics_.used_fast_measure = fast_measure_;
+  metrics_.sequential_ns = extend_task_costs(0);
+  metrics_.used_fast_measure = !full_measure_;
   job_exec_.clear();
   job_accounting_ = job_of_ != nullptr && num_jobs_ > 0;
   if (job_accounting_) {
@@ -947,42 +1107,38 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   obs_.run_begin({"rips", n, trace.size()});
 }
 
-void RipsEngine::extend_drain_cost(size_t from) {
+SimTime RipsEngine::extend_task_costs(size_t from) {
   const size_t m = trace_->size();
-  drain_cost_.resize(m, 0);
+  const bool drain = !full_measure_;
   const bool lazy = config_.local == LocalPolicy::kLazy;
+  if (drain) drain_cost_.resize(m);
+  if (config_.weighted) task_weight_.resize(m);
+  SimTime work_sum = 0;
+  // Backward, so that a task's children (larger ids) are done first.
   for (size_t i = m; i-- > from;) {
     const auto task = static_cast<TaskId>(i);
-    SimTime c = work_ns_[i];
-    const u32 kids = trace_->num_children(task);
-    c += static_cast<SimTime>(kids) * cost_.spawn_ns;
-    if (lazy) {
-      const TaskId* child = trace_->children_begin(task);
-      c += simd::gather_sum_i64(drain_cost_.data(), child, kids);
-    }
-    drain_cost_[i] = c;
-  }
-}
-
-void RipsEngine::extend_task_costs(size_t from) {
-  const size_t m = trace_->size();
-  work_ns_.resize(m);
-  for (size_t i = from; i < m; ++i) {
-    work_ns_[i] = cost_.work_time(trace_->task(static_cast<TaskId>(i)).work);
-  }
-  if (config_.weighted) {
-    task_weight_.resize(m);
-    for (size_t i = from; i < m; ++i) {
-      task_weight_[i] =
-          static_cast<i64>(trace_->task(static_cast<TaskId>(i)).work);
+    const apps::TraceTask& info = trace_->task(task);
+    const SimTime work = cost_.work_time(info.work);
+    work_sum += work;
+    if (config_.weighted) task_weight_[i] = static_cast<i64>(info.work);
+    if (drain) {
+      SimTime c =
+          work + static_cast<SimTime>(info.num_children) * cost_.spawn_ns;
+      if (lazy) {
+        c += simd::gather_sum_i64(drain_cost_.data(),
+                                  trace_->children_begin(task),
+                                  info.num_children);
+      }
+      drain_cost_[i] = c;
     }
   }
+  return work_sum;
 }
 
 bool RipsEngine::machine_empty() const {
   for (NodeId phys : live_) {
     const auto& node = nodes_[static_cast<size_t>(phys)];
-    if (!node.rte.empty() || !node.rts.empty()) return false;
+    if (node.rte_len != 0 || !node.rts.empty()) return false;
   }
   return true;
 }
@@ -1082,10 +1238,7 @@ void RipsEngine::grow_online_state(const exec::TaskSource& source) {
                  "online task sources must keep a single segment");
   origin_.resize(m, kInvalidNode);
   exec_node_.resize(m, kInvalidNode);
-  extend_task_costs(online_synced_);
-  metrics_.sequential_ns += simd::sum_i64(work_ns_.data() + online_synced_,
-                                          m - online_synced_);
-  if (fast_measure_) extend_drain_cost(online_synced_);
+  metrics_.sequential_ns += extend_task_costs(online_synced_);
   online_synced_ = m;
 
   // Late-arriving tenants: the job map and the per-job accumulators grow
@@ -1139,7 +1292,6 @@ void RipsEngine::retire_online(exec::TaskSource& source) {
   // so far grows these arrays without allocating.
   origin_.clear();
   exec_node_.clear();
-  work_ns_.clear();
   task_weight_.clear();
   drain_cost_.clear();
   start_rank_.clear();

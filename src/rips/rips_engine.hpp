@@ -50,7 +50,6 @@
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
 #include "sim/metrics.hpp"
-#include "sim/task_queue.hpp"
 #include "topo/live_view.hpp"
 #include "util/types.hpp"
 
@@ -145,6 +144,10 @@ class RipsEngine {
   /// it; monitor-less runs must never pay for it).
   bool built_monitor_snapshots() const { return !before_offsets_.empty(); }
 
+  /// Test introspection: how many times the last run's weighted replay
+  /// moved a full region to the arena's end (always 0 in count mode).
+  u64 grown_regions() const { return grown_regions_; }
+
   /// Test hook: invoked at the end of every system phase with the phase
   /// index. The allocation regression test uses it to bracket a
   /// steady-state window; a plain function pointer so attaching and
@@ -166,10 +169,30 @@ class RipsEngine {
 
  private:
   struct NodeRt {
-    sim::TaskQueue rte;        // ready to execute
-    std::vector<TaskId> rts;   // ready to schedule (eager policy)
+    // The node's RTE (ready to execute) is the span [rte_begin, rte_begin +
+    // rte_len) of rte_. A system phase writes it as [local tasks][foreign
+    // tasks]; the commit pass leaves [unexecuted local][unexecuted
+    // foreign][tasks spawned this phase], and spawned tasks are local. So
+    // the next system phase splits the leftover by position.
+    u32 rte_begin = 0;
+    u32 rte_len = 0;
+    u32 rte_local = 0;    // leading local tasks of the span
+    u32 rte_spawned = 0;  // trailing spawned tasks of the span
+    // Ready to schedule: eager children, released or injected roots and
+    // recovery re-injections; the one queue that needs origin lookups.
+    std::vector<TaskId> rts;
     SimTime busy_ns = 0;
     SimTime ovh_ns = 0;
+  };
+
+  /// One rank's replay stacks, a region [base, base + cap) of arena_: the
+  /// local stack grows up from `base`, the foreign stack down from
+  /// `base + cap`. The top of each is its most recently pushed task.
+  struct Region {
+    size_t base = 0;
+    size_t cap = 0;
+    size_t local = 0;
+    size_t foreign = 0;
   };
 
   /// How simulate_user_phase treats the node's state.
@@ -180,13 +203,32 @@ class RipsEngine {
                ///< executions are tallied as lost, nothing is committed
   };
 
-  /// Simulates one node's user phase. `stop_t` is the time the node learns
-  /// of the phase transfer — or dies (kDoomed): it finishes the task in
-  /// flight, then stops. In kDoomed mode `lost_execs` / `lost_work_ns`
-  /// receive the executions whose results die with the node.
+  /// Simulates one node's user phase over its RTE span plus the tasks it
+  /// spawns. `stop_t` is the time the node learns of the phase transfer —
+  /// or dies (kDoomed): it finishes the task in flight, then stops. kCommit
+  /// appends the node's leftover to rte_next_ and points its span there. In
+  /// kDoomed mode `lost_execs` / `lost_work_ns` receive the executions
+  /// whose results die with the node.
   SimTime simulate_user_phase(NodeId node, SimTime start_t, SimTime stop_t,
                               PhaseMode mode, u64* lost_execs = nullptr,
                               SimTime* lost_work_ns = nullptr);
+
+  /// System-phase replay: moves every rank's RTS and leftover RTE into its
+  /// arena region, replays the plan's transfers there and writes each
+  /// rank's new RTE span. Returns the number of task moves.
+  u64 replay_plan(const sched::ScheduleResult& plan);
+  /// Sizes one arena region per rank from the plan (count mode: each
+  /// rank's peak holdings, exactly; weighted mode: its peak work at the
+  /// phase's mean task weight).
+  void size_regions(const sched::ScheduleResult& plan);
+  /// Moves the top `count` tasks of src (foreign stack first, then local)
+  /// onto dst's stacks by origin, growing dst first when they do not fit.
+  void move_tasks(Region& src, Region& dst, NodeId to_phys, size_t count);
+  /// Moves a region to the arena's end with at least double capacity and
+  /// room for `need` tasks (weighted mode only).
+  void grow_region(Region& region, size_t need);
+  /// Grows the arena to hold arena_used_ tasks, keeping its first `keep`.
+  void reserve_arena(size_t keep);
 
   void release_segment_roots(u32 segment);
   SimTime system_phase(SimTime t);
@@ -196,14 +238,13 @@ class RipsEngine {
   /// derivation of the final RunMetrics once the phase loop terminated.
   void init_run_state(const apps::TaskTrace& trace);
   sim::RunMetrics finalize_run(SimTime t);
-  /// Extends the drain-cost fast path over tasks [from, trace size): one
-  /// backward sweep, valid incrementally because children always carry
-  /// larger ids than their parent (so a new task's subtree is entirely
-  /// inside the new range or already computed).
-  void extend_drain_cost(size_t from);
-  /// Extends the flat per-task cost arrays (work_ns_, and task_weight_ in
-  /// weighted mode) over tasks [from, trace size).
-  void extend_task_costs(size_t from);
+  /// Extends the per-task state over tasks [from, trace size) — the
+  /// drain-cost fast path (unless full_measure_) and task_weight_
+  /// (weighted mode) — and returns their summed work time, for
+  /// RunMetrics::sequential_ns. One backward sweep, valid incrementally
+  /// because children always carry larger ids than their parent (so a new
+  /// task's subtree is entirely inside the new range or already computed).
+  SimTime extend_task_costs(size_t from);
   bool machine_empty() const;
 
   /// One TaskSource poll (online mode): advances the clock by the source's
@@ -243,7 +284,13 @@ class RipsEngine {
 
   const apps::TaskTrace* trace_ = nullptr;
   std::vector<NodeRt> nodes_;
-  sim::TaskQueue scratch_rte_;  // measuring-pass clone, reused across calls
+  // The RTE of every node, one span each (NodeRt::rte_begin), in rank
+  // order. A system phase writes rte_ once; the commit pass reads it and
+  // appends each node's leftover to rte_next_, and the two swap at the end
+  // of every user phase.
+  std::vector<TaskId> rte_;
+  std::vector<TaskId> rte_next_;
+  std::vector<TaskId> spawned_;  // user-phase scratch: one node's spawns
   std::vector<NodeId> origin_;
   std::vector<NodeId> exec_node_;
   u64 executed_total_ = 0;
@@ -284,11 +331,6 @@ class RipsEngine {
   // what lets the engine scale to thousands of simulated nodes. Enforced
   // by the allocation-counter regression test (tests/test_alloc.cpp).
 
-  /// Replay pools: per-rank task ids split by origin (locality order).
-  struct Pool {
-    std::vector<TaskId> local;
-    std::vector<TaskId> foreign;
-  };
   /// Per-transfer payloads, kept only while tracing so the send/recv
   /// instants can carry matching correlation ids.
   struct TracedTransfer {
@@ -297,7 +339,18 @@ class RipsEngine {
     i64 sent;
   };
   std::vector<i64> load_;            // per-rank loads (system phase)
-  std::vector<Pool> pools_;          // replay pools; inner vectors reused
+  // Replay arena: one region per rank (regions_), laid out by
+  // size_regions; weighted mode moves a region that fills to arena_used_
+  // (grow_region). Addressed by index, never shrunk (a warm run reuses
+  // it) and never zeroed: a count-mode region is sized to its rank's peak
+  // holdings, so a phase of many relays needs an arena many times its task
+  // count.
+  std::unique_ptr<TaskId[]> arena_;
+  size_t arena_cap_ = 0;
+  size_t arena_used_ = 0;
+  u64 grown_regions_ = 0;  // grow_region calls this run
+  std::vector<Region> regions_;
+  std::vector<i64> hold_;            // size_regions: running holdings
   std::vector<SimTime> migration_;   // per-rank migration CPU time
   std::vector<TracedTransfer> traced_;
   std::vector<SimTime> drain_;       // user phase: per-node drain times
@@ -314,13 +367,11 @@ class RipsEngine {
   // hashing (replaces the per-phase unordered_map).
   std::vector<i32> start_rank_;
 
-  // --- flat per-task cost state (structure-of-arrays) ---------------------
-  // The hot sweeps (measuring pass, load collection, weighted migration)
-  // index these flat arrays by TaskId instead of chasing trace nodes, so
-  // each pass is a pure gather the data-level kernels (util/simd.hpp) can
-  // stream. Filled by extend_task_costs; task_weight_ only in weighted
-  // mode.
-  std::vector<SimTime> work_ns_;   // cost_.work_time(task.work) per task
+  // --- weighted mode ------------------------------------------------------
+  // Weighted load collection is a gather-sum over this flat per-task array
+  // (util/simd.hpp), and the weighted replay reads it per moved task.
+  // Filled by extend_task_costs. Work times are not stored: the commit
+  // loop reads the trace's TraceTask anyway and calls cost_.work_time.
   std::vector<i64> task_weight_;   // task.work per task (weighted mode)
 
   // --- drain-cost fast path ----------------------------------------------
@@ -333,7 +384,6 @@ class RipsEngine {
   // simulation. Crashes and message drops never touch the undisturbed
   // drain times, so fault runs use it too.
   std::vector<SimTime> drain_cost_;
-  bool fast_measure_ = false;  // valid for the current run
   bool full_measure_ = false;
   bool phase_snapshots_ = true;
   PhaseProbe phase_probe_ = nullptr;
@@ -391,8 +441,8 @@ class RipsEngine {
   // RTE assignment at the last system phase as flat CSR over ALL physical
   // nodes (dead nodes own empty spans): ckpt_tasks_[ckpt_offsets_[p] ..
   // ckpt_offsets_[p+1]) is node p's checkpointed queue. Rebuilt in place
-  // at the end of every system phase — no per-node vectors, no
-  // steady-state allocation.
+  // from the RTE spans at the end of every system phase — no steady-state
+  // allocation.
   std::vector<size_t> ckpt_offsets_;
   std::vector<TaskId> ckpt_tasks_;
   std::vector<PendingDeath> dead_pending_;

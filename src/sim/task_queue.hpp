@@ -1,9 +1,8 @@
-// TaskQueue — a deque of TaskIds backed by one contiguous vector, for the
-// engines' per-node ready queues. std::deque allocates a new block every
-// few hundred entries and copies block-by-block; the simulators' queues
-// are push_back/pop_front/pop_back only, so a vector plus a head cursor
-// gives the same semantics with flat storage, reserve(), and an O(n) copy
-// (the RIPS measuring pass clones every RTE queue once per user phase).
+// TaskQueue — a deque of TaskIds backed by one contiguous vector, for
+// DynamicEngine's per-node ready queues. std::deque allocates a new block
+// every few hundred entries and copies block-by-block; these queues are
+// push_back/pop_front/pop_back only, so a vector plus a head cursor gives
+// the same semantics with flat storage and reserve().
 //
 // pop_front advances the cursor instead of erasing; the dead prefix is
 // compacted once it outgrows the live part, keeping pop_front amortized
@@ -60,17 +59,6 @@ class TaskQueue {
   }
 
   void reserve(size_t n) { buf_.reserve(n); }
-
-  /// Becomes a copy of `other`'s live contents, reusing this queue's
-  /// storage (the measuring-pass scratch clone).
-  void assign(const TaskQueue& other) {
-    buf_.assign(other.begin(), other.end());
-    head_ = 0;
-  }
-
-  /// Contiguous view of the live entries, oldest first.
-  const TaskId* begin() const { return buf_.data() + head_; }
-  const TaskId* end() const { return buf_.data() + buf_.size(); }
 
  private:
   std::vector<TaskId> buf_;

@@ -159,20 +159,23 @@ struct PhaseMarks {
 /// Subscribes to everything and does nothing: every publish walks the bus.
 class NullSubscriber final : public obs::TelemetrySubscriber {};
 
-// The acceptance test of the scaling PR: with monitors detached and phase
-// snapshots off, a warm RipsEngine performs ZERO heap allocations across
-// every steady-state window (user phase + following system phase) of a
-// repeat run. The first and last windows are excluded: the first includes
-// segment-root release, the last includes end-of-run accounting.
-// `with_bus_and_jobs` attaches a no-op subscriber's bus and a 3-job map.
-void expect_steady_state_allocates_nothing(bool with_bus_and_jobs) {
+// With monitors detached and phase snapshots off, a warm RipsEngine
+// performs ZERO heap allocations across every steady-state window (user
+// phase + following system phase) of a repeat run. The first and last
+// windows are excluded: the first includes segment-root release, the last
+// includes end-of-run accounting. `with_bus_and_jobs` attaches a no-op
+// subscriber's bus and a 3-job map. `grown_regions` receives the measured
+// run's RipsEngine::grown_regions().
+void expect_steady_state_allocates_nothing(const RipsConfig& config,
+                                           bool with_bus_and_jobs,
+                                           u64* grown_regions = nullptr) {
   // Many nodes relative to the trace: frequent drains mean frequent
   // system phases, which is what gives the test its windows (~19 with
   // this trace/mesh pairing).
   const apps::TaskTrace trace = alloc_trace(20000);
   topo::Mesh mesh(16, 16);
   sched::Mwa mwa(mesh);
-  RipsEngine engine(mwa, test_cost(), RipsConfig{});
+  RipsEngine engine(mwa, test_cost(), config);
   engine.set_phase_snapshots(false);
 
   NullSubscriber subscriber;
@@ -209,14 +212,38 @@ void expect_steady_state_allocates_nothing(bool with_bus_and_jobs) {
     EXPECT_EQ(probe.marks[i] - probe.marks[i - 1], 0u)
         << "heap allocation in steady-state window ending at phase " << i;
   }
+  if (grown_regions != nullptr) *grown_regions = engine.grown_regions();
 }
 
 TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
-  expect_steady_state_allocates_nothing(/*with_bus_and_jobs=*/false);
+  expect_steady_state_allocates_nothing(RipsConfig{},
+                                        /*with_bus_and_jobs=*/false);
 }
 
 TEST(AllocFree, BusAndJobMapKeepSteadyStatePhasesAllocationFree) {
-  expect_steady_state_allocates_nothing(/*with_bus_and_jobs=*/true);
+  expect_steady_state_allocates_nothing(RipsConfig{},
+                                        /*with_bus_and_jobs=*/true);
+}
+
+// Weighted mode sizes its replay regions from an estimate and moves a
+// region that fills to the arena's end; a warm repeat run must find the
+// arena, moved regions included, already large enough.
+TEST(AllocFree, WeightedReplayReusesTheArenaOnAWarmRun) {
+  RipsConfig config;
+  config.weighted = true;
+  u64 grown = 0;
+  expect_steady_state_allocates_nothing(config, /*with_bus_and_jobs=*/false,
+                                        &grown);
+  EXPECT_GT(grown, 0u)
+      << "no region filled: the test no longer covers grown regions";
+}
+
+// LIFO execution takes the spawned stack before the span's back; its
+// leftovers go through the same two RTE buffers.
+TEST(AllocFree, LifoSteadyStatePhasesAllocateNothing) {
+  RipsConfig config;
+  config.lifo_execution = true;
+  expect_steady_state_allocates_nothing(config, /*with_bus_and_jobs=*/true);
 }
 
 // Monitor `before` snapshots are the one per-phase structure the engine

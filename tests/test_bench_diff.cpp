@@ -170,26 +170,6 @@ TEST(BenchDiff, OverheadGateHasAnAbsoluteFloor) {
   EXPECT_TRUE(diff(doc_of(tiny_base), doc_of(tiny_worse)).ok());
 }
 
-TEST(BenchDiff, FlagsMeasurePassFallbackToTheFullPass) {
-  BenchRun fast = make_run(1e9);
-  fast.measure_pass = "drain-sum";
-  BenchRun full = make_run(1e9);
-  full.measure_pass = "full";
-
-  // Losing the fast path is a regression even with identical timings.
-  const DiffResult lost = diff(doc_of(fast), doc_of(full));
-  EXPECT_FALSE(lost.ok());
-  ASSERT_EQ(lost.regressions.size(), 1u);
-  EXPECT_EQ(lost.regressions[0].metric, "measure_pass");
-
-  // Gaining it (full -> drain-sum) is fine, as is a pre-v7 baseline with
-  // no measure_pass field at all.
-  EXPECT_TRUE(diff(doc_of(full), doc_of(fast)).ok());
-  BenchRun legacy = make_run(1e9);
-  legacy.measure_pass = "";
-  EXPECT_TRUE(diff(doc_of(legacy), doc_of(full)).ok());
-}
-
 TEST(BenchDiff, GatesHistogramTailPercentiles) {
   BenchRun base = make_run(1e9);
   base.hist_pcts.push_back({"phase.duration_us", {100, 400, 800}});

@@ -2,6 +2,8 @@
 // Lemma 2 enforced over thousands of randomized load distributions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <numeric>
 
 #include "flow/mincost_flow.hpp"
@@ -206,6 +208,232 @@ TEST(Mwa, DeterministicAcrossCalls) {
     EXPECT_EQ(a.transfers[i].from, b.transfers[i].from);
     EXPECT_EQ(a.transfers[i].to, b.transfers[i].to);
     EXPECT_EQ(a.transfers[i].count, b.transfers[i].count);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact-plan oracle. `dense_reference_schedule` is Figure 3 written plainly:
+// fresh vectors, and a step 5 whose every round scans every boundary of the
+// row. Mwa::schedule must produce the very same ScheduleResult — the same
+// transfers in the same order with the same steps — because the RIPS engine
+// replays that plan task by task, so any reordering changes the simulation.
+// ---------------------------------------------------------------------------
+
+/// eta/gamma recurrence of Figure 3 (per-column sends summing to `amount`).
+std::vector<i64> reference_sends(const std::vector<i64>& delta, i64 amount) {
+  std::vector<i64> send(delta.size(), 0);
+  i64 eta = amount;
+  i64 gamma = 0;
+  for (size_t k = 0; k < delta.size(); ++k) {
+    const i64 d = std::clamp(delta[k] - gamma, i64{0}, eta);
+    send[k] = d;
+    gamma -= delta[k] - d;
+    eta -= d;
+  }
+  EXPECT_EQ(eta, 0);
+  return send;
+}
+
+ScheduleResult dense_reference_schedule(const topo::Mesh& mesh,
+                                        const std::vector<i64>& load) {
+  const i32 n1 = mesh.rows();
+  const i32 n2 = mesh.cols();
+  const i32 n = n1 * n2;
+  ScheduleResult out;
+  out.new_load = load;
+  auto w = [&](i32 i, i32 j) -> i64& {
+    return out.new_load[static_cast<size_t>(i * n2 + j)];
+  };
+  const i64 total = sum_of(load);
+  out.info_steps += 2 * (n1 + n2);
+  const std::vector<i64> quota = quota_for(total, n);
+  auto q = [&](i32 i, i32 j) { return quota[static_cast<size_t>(i * n2 + j)]; };
+  std::vector<i64> y(static_cast<size_t>(n1));
+  i64 rows_total = 0;
+  i64 rows_quota = 0;
+  for (i32 i = 0; i < n1; ++i) {
+    for (i32 j = 0; j < n2; ++j) {
+      rows_total += w(i, j);
+      rows_quota += q(i, j);
+    }
+    y[static_cast<size_t>(i)] = rows_total - rows_quota;
+  }
+  const auto row_delta = [&](i32 i) {
+    std::vector<i64> delta(static_cast<size_t>(n2));
+    for (i32 j = 0; j < n2; ++j) {
+      delta[static_cast<size_t>(j)] = w(i, j) - q(i, j);
+    }
+    return delta;
+  };
+
+  // Step 4: the downward cascade, then the upward one.
+  i32 down = 0;
+  for (i32 i = 0, chain = 0; i + 1 < n1; ++i) {
+    if (y[static_cast<size_t>(i)] <= 0) {
+      chain = 0;
+      continue;
+    }
+    ++chain;
+    const auto d = reference_sends(row_delta(i), y[static_cast<size_t>(i)]);
+    for (i32 j = 0; j < n2; ++j) {
+      const i64 amount = d[static_cast<size_t>(j)];
+      if (amount == 0) continue;
+      w(i, j) -= amount;
+      w(i + 1, j) += amount;
+      out.transfers.push_back(
+          {mesh.at(i, j), mesh.at(i + 1, j), amount, chain});
+    }
+    down = std::max(down, chain);
+  }
+  i32 up = 0;
+  for (i32 i = n1 - 1, chain = 0; i >= 1; --i) {
+    if (y[static_cast<size_t>(i - 1)] >= 0) {
+      chain = 0;
+      continue;
+    }
+    ++chain;
+    const auto u =
+        reference_sends(row_delta(i), -y[static_cast<size_t>(i - 1)]);
+    for (i32 j = 0; j < n2; ++j) {
+      const i64 amount = u[static_cast<size_t>(j)];
+      if (amount == 0) continue;
+      w(i, j) -= amount;
+      w(i - 1, j) += amount;
+      out.transfers.push_back(
+          {mesh.at(i, j), mesh.at(i - 1, j), amount, chain});
+    }
+    up = std::max(up, chain);
+  }
+  const i32 step4 = std::max(down, up);
+  out.transfer_steps += step4;
+
+  // Step 5: every round decides all sends against start-of-round holdings
+  // and scans every boundary of the row.
+  i32 step5 = 0;
+  for (i32 i = 0; i < n1; ++i) {
+    std::vector<i64> flow(static_cast<size_t>(n2), 0);
+    i64 prefix = 0;
+    for (i32 b = 1; b < n2; ++b) {
+      prefix += w(i, b - 1) - q(i, b - 1);
+      flow[static_cast<size_t>(b)] = prefix;
+    }
+    std::vector<i64> hold(&w(i, 0), &w(i, 0) + n2);
+    i32 round = 0;
+    for (bool pending = true; pending;) {
+      pending = false;
+      ++round;
+      std::vector<i64> reserved(static_cast<size_t>(n2), 0);
+      std::vector<Transfer> batch;
+      for (i32 b = 1; b < n2; ++b) {
+        i64& f = flow[static_cast<size_t>(b)];
+        if (f == 0) continue;
+        const i32 sender = f > 0 ? b - 1 : b;
+        const i32 receiver = f > 0 ? b : b - 1;
+        const i64 avail = std::max<i64>(
+            0, hold[static_cast<size_t>(sender)] -
+                   reserved[static_cast<size_t>(sender)] - q(i, sender));
+        const i64 amount = std::min(std::abs(f), avail);
+        if (amount > 0) {
+          reserved[static_cast<size_t>(sender)] += amount;
+          batch.push_back({mesh.at(i, sender), mesh.at(i, receiver), amount,
+                           step4 + round});
+          f -= f > 0 ? amount : -amount;
+        }
+        if (f != 0) pending = true;
+      }
+      for (const Transfer& tr : batch) {
+        hold[static_cast<size_t>(mesh.col_of(tr.from))] -= tr.count;
+        hold[static_cast<size_t>(mesh.col_of(tr.to))] += tr.count;
+        out.transfers.push_back(tr);
+      }
+    }
+    step5 = std::max(step5, round - 1);
+    std::copy(hold.begin(), hold.end(), &w(i, 0));
+  }
+  out.transfer_steps += step5;
+  for (const Transfer& tr : out.transfers) out.task_hops += tr.count;
+  out.comm_steps = out.info_steps + out.transfer_steps;
+  return out;
+}
+
+void expect_same_plan(const ScheduleResult& got, const ScheduleResult& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.transfers.size(), want.transfers.size()) << where;
+  for (size_t k = 0; k < got.transfers.size(); ++k) {
+    const Transfer& a = got.transfers[k];
+    const Transfer& b = want.transfers[k];
+    ASSERT_TRUE(a.from == b.from && a.to == b.to && a.count == b.count &&
+                a.step == b.step)
+        << where << " transfer " << k << ": got " << a.from << "->" << a.to
+        << " x" << a.count << " @" << a.step << ", want " << b.from << "->"
+        << b.to << " x" << b.count << " @" << b.step;
+  }
+  EXPECT_EQ(got.info_steps, want.info_steps) << where;
+  EXPECT_EQ(got.transfer_steps, want.transfer_steps) << where;
+  EXPECT_EQ(got.comm_steps, want.comm_steps) << where;
+  EXPECT_EQ(got.task_hops, want.task_hops) << where;
+  EXPECT_EQ(got.new_load, want.new_load) << where;
+}
+
+/// Seeded loads in three regimes: mostly idle nodes (the engine's late
+/// phases), task counts, and work totals up to 10^6 per node (weighted
+/// mode).
+std::vector<i64> oracle_load(i32 n, int regime, Rng& rng) {
+  std::vector<i64> load(static_cast<size_t>(n), 0);
+  for (i64& v : load) {
+    switch (regime) {
+      case 0:
+        v = rng.next_below(8) == 0 ? static_cast<i64>(rng.next_below(40)) : 0;
+        break;
+      case 1:
+        v = static_cast<i64>(rng.next_below(60));
+        break;
+      default:
+        v = static_cast<i64>(rng.next_below(1'000'001));
+        break;
+    }
+  }
+  return load;
+}
+
+TEST(MwaOracle, PlanEqualsTheDenseStep5Reference) {
+  const std::vector<std::pair<i32, i32>> shapes{
+      {1, 1},  {1, 2},  {1, 7},  {1, 32}, {2, 1},  {9, 1},  {32, 1},
+      {2, 2},  {4, 4},  {8, 8},  {16, 16}, {32, 32}, {2, 16}, {16, 2},
+      {3, 5},  {5, 3},  {4, 8},  {8, 4},  {7, 13}, {32, 8}, {8, 32}};
+  Rng rng(0x5EED5);
+  for (const auto& [rows, cols] : shapes) {
+    const topo::Mesh mesh{rows, cols};
+    Mwa mwa(mesh);  // reused across trials, as the engine reuses it
+    for (int regime = 0; regime < 3; ++regime) {
+      for (int trial = 0; trial < 12; ++trial) {
+        const auto load = oracle_load(mesh.size(), regime, rng);
+        expect_same_plan(mwa.schedule(load),
+                         dense_reference_schedule(mesh, load),
+                         mesh.name() + " regime " + std::to_string(regime) +
+                             " trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+// Known undercount of step-5 rounds: Mwa::schedule leaves each row's last
+// round uncounted, so these plans report one transfer step fewer than
+// they take ([2,0,1] moves one task in one round; [5,0,0,0] needs three
+// rounds). Fixing it changes every simulated system-phase duration; these
+// cases pin today's figures until a change that regenerates the
+// baselines fixes it.
+TEST(MwaOracle, PinsTheKnownStep5RoundUndercount) {
+  {
+    Mwa mwa(topo::Mesh{1, 3});
+    const auto& plan = mwa.schedule({2, 0, 1});
+    EXPECT_EQ(plan.transfers.size(), 1u);
+    EXPECT_EQ(plan.transfer_steps, 0);
+  }
+  {
+    Mwa mwa(topo::Mesh{1, 4});
+    const auto& plan = mwa.schedule({5, 0, 0, 0});
+    EXPECT_EQ(plan.transfer_steps, 2);
   }
 }
 

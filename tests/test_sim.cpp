@@ -167,30 +167,6 @@ TEST(TaskQueue, CompactionPreservesFifoOrder) {
   EXPECT_EQ(next_out, next_in);
 }
 
-TEST(TaskQueue, IterationSeesExactlyTheQueuedTasks) {
-  TaskQueue q;
-  for (TaskId t = 0; t < 50; ++t) q.push_back(t);
-  for (int i = 0; i < 20; ++i) q.pop_front();
-  std::vector<TaskId> seen(q.begin(), q.end());
-  ASSERT_EQ(seen.size(), 30u);
-  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 20 + i);
-}
-
-TEST(TaskQueue, AssignClonesContentReusingStorage) {
-  TaskQueue source;
-  for (TaskId t = 100; t < 110; ++t) source.push_back(t);
-  source.pop_front();  // head offset must not leak into the clone
-
-  TaskQueue scratch;
-  for (int reuse = 0; reuse < 3; ++reuse) {
-    scratch.assign(source);
-    ASSERT_EQ(scratch.size(), source.size());
-    EXPECT_EQ(scratch.pop_front(), 101u);
-    EXPECT_EQ(scratch.pop_back(), 109u);
-  }
-  EXPECT_EQ(source.size(), 9u);  // source untouched
-}
-
 // ----------------------------------------------------------- metrics
 
 TEST(RunMetrics, DerivedQuantities) {
