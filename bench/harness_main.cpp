@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
         "  [--fault-seed=N] [--crash-mtbf-ms=N] [--drop-prob=P]\n"
         "  [--fault-horizon-ms=N]\n"
         "emits the rips-bench-v1 JSON document (see docs/OBSERVABILITY.md);\n"
-        "bench/bench_diff validates and gates it. --jobs=N parallelizes the\n"
+        "bench/bench_diff validates and diffs it. --jobs=N parallelizes the\n"
         "sweep (0 = all hardware threads); output is identical for any N.\n"
         "--suite=scale runs RIPS on the scaling frontier at its own machine\n"
         "sizes (so it rejects --app, --nodes and other strategies) and is\n"
@@ -188,8 +188,9 @@ int main(int argc, char** argv) {
         "bench JSON byte-identical). --trace-cache=DIR caches the expensive\n"
         "application traces under DIR across invocations (overrides the\n"
         "RIPS_TRACE_CACHE env var). stderr ends with one line: wall clock,\n"
-        "simulated tasks per wall-second of the sweep, and the measuring\n"
-        "pass the RIPS rows used (fast | full | mixed | none).\n");
+        "job count, runs, simulated tasks and simulated tasks per\n"
+        "wall-second of the sweep (harness: wall_ms= jobs= runs= tasks=\n"
+        "throughput=).\n");
     return 0;
   }
   args.check_known({"help", "suite", "app", "nodes", "strategy", "policy",

@@ -3,10 +3,10 @@
 // Drives RipsEngine::run_online through an apps::ScriptedSource: M jobs
 // across T tenants arriving on a fixed simulated-time schedule, so the
 // whole soak is bit-reproducible (same flags => byte-identical JSON) and
-// can be regression-gated by bench_diff --fairness-tol like every other
-// suite. This is the nightly stand-in for hours of real rips_served
-// uptime: the multiplexing, per-job accounting and latency distribution
-// under sustained multi-tenant load, without sockets or wall clocks.
+// is gated by bench_diff's exact diff like every other suite. This is
+// the nightly stand-in for hours of real rips_served uptime: the
+// multiplexing, per-job accounting and latency distribution under
+// sustained multi-tenant load, without sockets or wall clocks.
 //
 //   ./serve_soak --json=BENCH_serve.json          # committed baseline
 //   ./serve_soak --jobs-total=48 --tenants=6 --nodes=128

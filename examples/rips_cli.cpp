@@ -27,10 +27,6 @@
 #include "apps/trace_io.hpp"
 #include "exec/sweep/runner.hpp"
 #include "balance/engine.hpp"
-#include "balance/gradient.hpp"
-#include "balance/random_alloc.hpp"
-#include "balance/rid.hpp"
-#include "balance/sender_initiated.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/live_status.hpp"
 #include "obs/monitors.hpp"
@@ -131,6 +127,16 @@ core::RipsConfig parse_policy(const Args& args) {
   return config;
 }
 
+/// The strategy a --strategy name selects; nullopt for an unknown name.
+std::optional<sweep::Kind> parse_kind(const std::string& name) {
+  if (name == "rips") return sweep::Kind::kRips;
+  if (name == "random") return sweep::Kind::kRandom;
+  if (name == "gradient") return sweep::Kind::kGradient;
+  if (name == "rid") return sweep::Kind::kRid;
+  if (name == "sid") return sweep::Kind::kSid;
+  return std::nullopt;
+}
+
 /// --strategy=all or a comma list (e.g. rips,rid): run every named
 /// strategy over the same trace through the sweep executor and print a
 /// comparison table. Output is identical for any --jobs value.
@@ -147,15 +153,11 @@ int run_compare(const Args& args, const apps::TaskTrace& trace,
       const size_t comma = rest.find(',');
       const std::string name = rest.substr(0, comma);
       rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-      if (name == "rips") kinds.push_back(sweep::Kind::kRips);
-      else if (name == "random") kinds.push_back(sweep::Kind::kRandom);
-      else if (name == "gradient") kinds.push_back(sweep::Kind::kGradient);
-      else if (name == "rid") kinds.push_back(sweep::Kind::kRid);
-      else if (name == "sid") kinds.push_back(sweep::Kind::kSid);
-      else
-        RIPS_CHECK_MSG(false,
-                       "--strategy list entries must be "
-                       "rips|random|gradient|rid|sid");
+      const std::optional<sweep::Kind> kind = parse_kind(name);
+      RIPS_CHECK_MSG(kind.has_value(),
+                     "--strategy list entries must be "
+                     "rips|random|gradient|rid|sid");
+      kinds.push_back(*kind);
     }
   }
 
@@ -327,23 +329,14 @@ int run_cli(const Args& args) {
       std::printf("wrote %s\n", path.c_str());
     }
   } else {
+    // The comparison sweep's strategy (Random's seed included), on any
+    // --topo.
+    const std::optional<sweep::Kind> kind = parse_kind(strategy);
+    RIPS_CHECK_MSG(kind.has_value(),
+                   "--strategy must be rips|random|gradient|rid|sid");
     const auto topo = topo::make_topology(args.get("topo", "mesh"), nodes);
-    std::unique_ptr<balance::Strategy> impl;
-    if (strategy == "random") {
-      impl = std::make_unique<balance::RandomAlloc>(
-          static_cast<u64>(args.get_int("seed", 42)));
-    } else if (strategy == "gradient") {
-      impl = std::make_unique<balance::Gradient>();
-    } else if (strategy == "rid") {
-      balance::Rid::Params params;
-      params.u = args.get_double("rid-u", 0.4);
-      impl = std::make_unique<balance::Rid>(params);
-    } else if (strategy == "sid") {
-      impl = std::make_unique<balance::SenderInitiated>();
-    } else {
-      RIPS_CHECK_MSG(false,
-                     "--strategy must be rips|random|gradient|rid|sid");
-    }
+    const std::unique_ptr<balance::Strategy> impl =
+        sweep::make_dynamic_strategy(*kind, args.get_double("rid-u", 0.4));
     balance::DynamicEngine engine(*topo, cost, *impl);
     engine.set_obs(o);
     metrics = engine.run(trace);

@@ -6,14 +6,6 @@
 
 namespace rips::balance {
 
-namespace {
-std::vector<i64> pow2_bounds(i64 max_bound) {
-  std::vector<i64> b{0};
-  for (i64 v = 1; v <= max_bound; v *= 2) b.push_back(v);
-  return b;
-}
-}  // namespace
-
 DynamicEngine::DynamicEngine(const topo::Topology& topo,
                              const sim::CostModel& cost, Strategy& strategy)
     : topo_(topo),
@@ -24,10 +16,10 @@ DynamicEngine::DynamicEngine(const topo::Topology& topo,
       c_tasks_nonlocal_(&registry_.counter("tasks.nonlocal")),
       c_tasks_migrated_(&registry_.counter("tasks.migrated")),
       c_msg_sent_(&registry_.counter("msg.sent")),
-      h_msg_latency_ns_(
-          &registry_.histogram("msg.latency_ns", pow2_bounds(1LL << 30))),
+      h_msg_latency_ns_(&registry_.histogram("msg.latency_ns",
+                                             obs::pow2_bounds(1LL << 30))),
       h_queue_depth_(
-          &registry_.histogram("queue.depth", pow2_bounds(1 << 20))) {}
+          &registry_.histogram("queue.depth", obs::pow2_bounds(1 << 20))) {}
 
 i64 DynamicEngine::load_of(NodeId node) const {
   const NodeRt& n = nodes_[static_cast<size_t>(node)];

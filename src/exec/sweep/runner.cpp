@@ -78,41 +78,36 @@ StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
   }
 
   // Dynamic strategies share the event-driven engine.
-  const auto run_dynamic = [&](balance::Strategy& strategy) {
-    balance::DynamicEngine engine(mesh, workload.cost, strategy);
-    engine.set_obs(o);
-    engine.set_job_map(job_of, num_jobs);
-    out.metrics = engine.run(workload.trace);
-    out.registry = engine.metrics_registry();
-    name_jobs(workload, out.metrics);
-  };
+  const std::unique_ptr<balance::Strategy> strategy =
+      make_dynamic_strategy(kind, rid_u);
+  balance::DynamicEngine engine(mesh, workload.cost, *strategy);
+  engine.set_obs(o);
+  engine.set_job_map(job_of, num_jobs);
+  out.metrics = engine.run(workload.trace);
+  out.registry = engine.metrics_registry();
+  name_jobs(workload, out.metrics);
+  return out;
+}
+
+std::unique_ptr<balance::Strategy> make_dynamic_strategy(Kind kind,
+                                                         double rid_u) {
   switch (kind) {
-    case Kind::kRandom: {
-      balance::RandomAlloc strategy(/*seed=*/0xC0FFEE);
-      run_dynamic(strategy);
-      break;
-    }
-    case Kind::kGradient: {
-      balance::Gradient strategy;
-      run_dynamic(strategy);
-      break;
-    }
+    case Kind::kRandom:
+      return std::make_unique<balance::RandomAlloc>(/*seed=*/0xC0FFEE);
+    case Kind::kGradient:
+      return std::make_unique<balance::Gradient>();
     case Kind::kRid: {
       balance::Rid::Params params;
       params.u = rid_u;
-      balance::Rid strategy(params);
-      run_dynamic(strategy);
-      break;
+      return std::make_unique<balance::Rid>(params);
     }
-    case Kind::kSid: {
-      balance::SenderInitiated strategy;
-      run_dynamic(strategy);
-      break;
-    }
+    case Kind::kSid:
+      return std::make_unique<balance::SenderInitiated>();
     case Kind::kRips:
-      RIPS_CHECK(false);
+      break;
   }
-  return out;
+  RIPS_CHECK_MSG(false, "RIPS is not a dynamic strategy");
+  return nullptr;
 }
 
 std::vector<Kind> table1_kinds() {

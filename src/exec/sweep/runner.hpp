@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/paper_workloads.hpp"
+#include "balance/strategy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitors.hpp"
 #include "obs/obs.hpp"
@@ -65,6 +66,11 @@ StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
                          const obs::Obs& o = obs::Obs{},
                          const sim::FaultPlan* fault_plan = nullptr,
                          const EngineTuning& tuning = EngineTuning{});
+
+/// The dynamic strategy run_strategy runs for `kind` (any kind but
+/// kRips): Random seeded 0xC0FFEE, RID with load-update factor `rid_u`.
+std::unique_ptr<balance::Strategy> make_dynamic_strategy(Kind kind,
+                                                         double rid_u = 0.4);
 
 /// The paper's four Table-I strategies in row order.
 std::vector<Kind> table1_kinds();

@@ -1,12 +1,13 @@
 #include "obs/analysis/bench_diff.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include <algorithm>
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
 
-#include "obs/json.hpp"
+#include "obs/timeseries.hpp"
 
 namespace rips::obs::analysis {
 
@@ -43,9 +44,9 @@ TelemetryEvent::Kind parse_event_kind(const std::string& name) {
   return TelemetryEvent::Kind::kCrash;
 }
 
-// --- rips-bench-v1 rules (docs/OBSERVABILITY.md) --------------------------
+// --- document rules (docs/OBSERVABILITY.md) --------------------------------
 
-/// The first rule a bench document breaks; load_bench_doc reports it.
+/// The first rule a document breaks; the loaders report it.
 struct SchemaError {
   std::string message;
 };
@@ -80,13 +81,13 @@ double count_member(const json::Value& obj, const std::string& key,
 constexpr const char* kPct[3] = {"p50", "p95", "p99"};
 
 /// Per-job rows are optional (multi-job runs only), but "fairness" and
-/// "jobs" come together. Returns the fairness index, -1 without rows.
-double load_fairness(const json::Value& run, const std::string& where) {
+/// "jobs" come together.
+void check_jobs(const json::Value& run, const std::string& where) {
   const json::Value* fairness = run.find("fairness");
   const json::Value* jobs = run.find("jobs");
   require((fairness == nullptr) == (jobs == nullptr), where,
           "\"fairness\" and \"jobs\" must appear together");
-  if (fairness == nullptr) return -1.0;
+  if (fairness == nullptr) return;
   require(fairness->is_number() && fairness->number > 0.0 &&
               fairness->number <= 1.0,
           where, "fairness must be a number in (0, 1]");
@@ -104,7 +105,6 @@ double load_fairness(const json::Value& run, const std::string& where) {
     require(count_member(job, "tasks", jwhere) >= 1, jwhere,
             "tasks must be positive");
   }
-  return fairness->number;
 }
 
 BenchRun load_run(const json::Value& rv, const std::string& where) {
@@ -114,32 +114,29 @@ BenchRun load_run(const json::Value& rv, const std::string& where) {
   r.group = string_member(rv, "group", where);
   r.scheduler = string_member(rv, "scheduler", where);
   r.policy = string_member(rv, "policy", where);
-  r.monitors_ok =
-      member(rv, "monitors_ok", json::Value::Type::kBool, where).boolean;
-  r.measure_pass = string_member(rv, "measure_pass", where);
-  require(r.measure_pass == "drain-sum" || r.measure_pass == "full", where,
+  member(rv, "monitors_ok", json::Value::Type::kBool, where);
+  const std::string& measure_pass = string_member(rv, "measure_pass", where);
+  require(measure_pass == "drain-sum" || measure_pass == "full", where,
           "measure_pass must be \"drain-sum\" or \"full\"");
   r.nodes = static_cast<i64>(count_member(rv, "nodes", where));
   require(r.nodes > 0, where, "nodes must be positive");
-  r.tasks = static_cast<i64>(count_member(rv, "tasks", where));
-  r.makespan_ns = count_member(rv, "makespan_ns", where);
-  require(static_cast<i64>(r.makespan_ns) > 0, where,
+  count_member(rv, "tasks", where);
+  require(static_cast<i64>(count_member(rv, "makespan_ns", where)) > 0, where,
           "makespan_ns must be positive");
-  r.sequential_ns = count_member(rv, "sequential_ns", where);
-  r.nonlocal_tasks =
-      static_cast<i64>(count_member(rv, "nonlocal_tasks", where));
-  r.system_phases = static_cast<i64>(count_member(rv, "system_phases", where));
-  r.efficiency =
+  for (const char* key : {"sequential_ns", "nonlocal_tasks", "system_phases"}) {
+    count_member(rv, key, where);
+  }
+  const double efficiency =
       member(rv, "efficiency", json::Value::Type::kNumber, where).number;
-  require(r.efficiency > 0.0 && r.efficiency <= 1.5, where,
+  require(efficiency > 0.0 && efficiency <= 1.5, where,
           "efficiency out of range (0, 1.5]");
-  r.speedup = count_member(rv, "speedup", where);
-  r.overhead_s = count_member(rv, "overhead_s", where);
-  r.idle_s = count_member(rv, "idle_s", where);
-  r.fairness = load_fairness(rv, where);
+  for (const char* key : {"speedup", "overhead_s", "idle_s"}) {
+    count_member(rv, key, where);
+  }
+  check_jobs(rv, where);
 
   // The embedded registry: the run executed something, and every
-  // histogram carries non-decreasing tails for the percentile gate.
+  // histogram carries non-decreasing tails.
   const json::Value& metrics =
       member(rv, "metrics", json::Value::Type::kObject, where);
   const std::string mwhere = where + ".metrics";
@@ -160,97 +157,34 @@ BenchRun load_run(const json::Value& rv, const std::string& where) {
     }
     require(pct[0] <= pct[1] && pct[1] <= pct[2], hwhere,
             "percentiles must be non-decreasing");
-    r.hist_pcts.emplace_back(name, pct);
   }
   return r;
 }
 
-std::optional<std::string> read_file(const std::string& path,
-                                     std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return std::nullopt;
+BenchDoc bench_doc(const json::Value& doc) {
+  const std::string where = "document";
+  string_member(doc, "suite", where);
+  member(doc, "quick", json::Value::Type::kBool, where);
+  member(doc, "nodes", json::Value::Type::kNumber, where);
+  const json::Value& runs =
+      member(doc, "runs", json::Value::Type::kArray, where);
+  require(!runs.array.empty(), where, "runs must not be empty");
+  BenchDoc out;
+  for (size_t i = 0; i < runs.array.size(); ++i) {
+    out.runs.push_back(
+        load_run(runs.array[i], "runs[" + std::to_string(i) + "]"));
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+  return out;
 }
 
-}  // namespace
-
-std::optional<BenchDoc> load_bench_doc(std::string_view text,
-                                       std::string* error) {
-  const auto fail = [&](const std::string& msg) -> std::optional<BenchDoc> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  std::string parse_err;
-  const std::optional<json::Value> doc = json::parse(text, &parse_err);
-  if (!doc.has_value()) return fail("invalid JSON: " + parse_err);
-  if (!doc->is_object()) return fail("bench document is not an object");
-  const json::Value* schema = doc->find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "rips-bench-v1") {
-    return fail("schema is not rips-bench-v1");
-  }
-  try {
-    const std::string where = "document";
-    BenchDoc out;
-    out.suite = string_member(*doc, "suite", where);
-    out.quick = member(*doc, "quick", json::Value::Type::kBool, where).boolean;
-    out.nodes = member(*doc, "nodes", json::Value::Type::kNumber, where)
-                    .as_i64();
-    const json::Value& runs =
-        member(*doc, "runs", json::Value::Type::kArray, where);
-    require(!runs.array.empty(), where, "runs must not be empty");
-    for (size_t i = 0; i < runs.array.size(); ++i) {
-      out.runs.push_back(
-          load_run(runs.array[i], "runs[" + std::to_string(i) + "]"));
-    }
-    return out;
-  } catch (const SchemaError& e) {
-    return fail(e.message);
-  }
-}
-
-std::optional<BenchDoc> load_bench_file(const std::string& path,
-                                        std::string* error) {
-  const std::optional<std::string> text = read_file(path, error);
-  if (!text.has_value()) return std::nullopt;
-  return load_bench_doc(*text, error);
-}
-
-const SeriesBand* Series::find(std::string_view field) const {
-  for (const auto& [name, band] : bands) {
-    if (name == field) return &band;
-  }
-  return nullptr;
-}
-
-std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
-                                                 std::string* error) {
-  const auto fail = [&](const std::string& msg) -> std::optional<TimeSeriesDoc> {
-    if (error != nullptr) *error = msg;
-    return std::nullopt;
-  };
-  std::string parse_err;
-  const std::optional<json::Value> doc = json::parse(text, &parse_err);
-  if (!doc.has_value()) return fail("invalid JSON: " + parse_err);
-  if (!doc->is_object()) return fail("time-series document is not an object");
-  const json::Value* schema = doc->find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != "rips-timeseries-v1") {
-    return fail("schema is not rips-timeseries-v1");
-  }
-  const json::Value* series = doc->find("series");
-  if (series == nullptr || !series->is_array()) {
-    return fail("missing series array");
-  }
+TimeSeriesDoc timeseries_doc(const json::Value& doc) {
+  const json::Value* series = doc.find("series");
+  require(series != nullptr && series->is_array(), "document",
+          "missing series array");
   TimeSeriesDoc out;
-  out.reason = str_field(*doc, "reason");
+  out.reason = str_field(doc, "reason");
   for (const json::Value& sv : series->array) {
-    if (!sv.is_object()) return fail("series entry is not an object");
+    require(sv.is_object(), "series", "entry is not an object");
     Series s;
     s.label = str_field(sv, "label");
     s.engine = str_field(sv, "engine");
@@ -264,10 +198,9 @@ std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
     const json::Value* samples = sv.find("samples");
     if (samples != nullptr && samples->is_array()) {
       for (const json::Value& row : samples->array) {
-        if (!row.is_array() ||
-            row.array.size() != std::size(kSampleColumns)) {
-          return fail("sample row does not match the columns");
-        }
+        require(row.is_array() &&
+                    row.array.size() == std::size(kSampleColumns),
+                s.label, "sample row does not match the columns");
         std::array<i64, kSampleValues> values;
         for (size_t v = 0; v < kSampleValues; ++v) {
           values[v] = row.array[v + 1].as_i64();
@@ -282,7 +215,7 @@ std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
       // so the storage must never reallocate after pointers are taken.
       s.detail_storage.reserve(events->array.size());
       for (const json::Value& ev : events->array) {
-        if (!ev.is_object()) return fail("event entry is not an object");
+        require(ev.is_object(), s.label, "event entry is not an object");
         TelemetryEvent e;
         e.kind = parse_event_kind(str_field(ev, "kind"));
         e.t = static_cast<SimTime>(num_field(ev, "t"));
@@ -294,24 +227,120 @@ std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
         s.events.push_back(e);
       }
     }
-    const json::Value* bands = sv.find("bands");
-    if (bands != nullptr && bands->is_object()) {
-      for (const auto& [field, bv] : bands->object) {
-        if (!bv.is_object()) continue;
-        SeriesBand band;
-        band.count =
-            static_cast<u64>(static_cast<i64>(num_field(bv, "count")));
-        band.mean = num_field(bv, "mean");
-        band.min = static_cast<i64>(num_field(bv, "min"));
-        band.max = static_cast<i64>(num_field(bv, "max"));
-        band.p50 = static_cast<i64>(num_field(bv, "p50"));
-        band.p95 = static_cast<i64>(num_field(bv, "p95"));
-        s.bands.emplace_back(field, band);
-      }
-    }
     out.series.push_back(std::move(s));
   }
   return out;
+}
+
+/// `text` parsed as a JSON object.
+json::Value parse_object(std::string_view text) {
+  std::string parse_err;
+  std::optional<json::Value> doc = json::parse(text, &parse_err);
+  if (!doc.has_value()) throw SchemaError{"invalid JSON: " + parse_err};
+  require(doc->is_object(), "document", "not an object");
+  return std::move(*doc);
+}
+
+/// `load` over `text`, which must name `schema`; nullopt + `error` on the
+/// first broken rule.
+template <class Doc>
+std::optional<Doc> load_as(std::string_view text, const std::string& schema,
+                           Doc (*load)(const json::Value&),
+                           std::string* error) {
+  try {
+    const json::Value doc = parse_object(text);
+    require(str_field(doc, "schema") == schema, "document",
+            "schema is not " + schema);
+    return load(doc);
+  } catch (const SchemaError& e) {
+    if (error != nullptr) *error = e.message;
+    return std::nullopt;
+  }
+}
+
+std::optional<std::string> read_file(const std::string& path,
+                                     std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return std::nullopt;
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// --- exact diff -------------------------------------------------------------
+
+/// `v` as the report prints it: scalars as JSON (numbers in their shortest
+/// exact form), containers by size.
+std::string show(const json::Value* v) {
+  if (v == nullptr) return "(absent)";
+  switch (v->type) {
+    case json::Value::Type::kNull: return "null";
+    case json::Value::Type::kBool: return v->boolean ? "true" : "false";
+    case json::Value::Type::kNumber: {
+      char buf[32];
+      return std::string(buf,
+                         std::to_chars(buf, buf + sizeof buf, v->number).ptr);
+    }
+    case json::Value::Type::kString: return json::quoted(v->string);
+    case json::Value::Type::kArray:
+      return "[" + std::to_string(v->array.size()) + " values]";
+    case json::Value::Type::kObject:
+      return "{" + std::to_string(v->object.size()) + " members}";
+  }
+  return "";
+}
+
+/// Appends every place `b` and `c` (either may be absent) differ under
+/// `path`. `rows`: they hold a series' sample rows, whose elements are
+/// named by kSampleColumns (`row`: they are one such row).
+void compare(const json::Value* b, const json::Value* c,
+             const std::string& path, std::vector<Difference>& out,
+             bool rows = false, bool row = false) {
+  if (b == nullptr || c == nullptr || b->type != c->type) {
+    out.push_back({path, show(b), show(c)});
+  } else if (b->is_object()) {
+    // Members by name, the baseline's first; the keyed run (series) list
+    // is indexed by identity.
+    const bool keyed = path == "runs" || path == "series";
+    const auto at = [&](const std::string& name) {
+      return keyed ? path + "[" + name + "]"
+                   : path.empty() ? name : path + "." + name;
+    };
+    for (const auto& [name, bv] : b->object) {
+      compare(&bv, c->find(name), at(name), out, name == "samples");
+    }
+    for (const auto& [name, cv] : c->object) {
+      if (b->find(name) == nullptr) compare(nullptr, &cv, at(name), out);
+    }
+  } else if (b->is_array()) {
+    for (size_t i = 0; i < std::max(b->array.size(), c->array.size()); ++i) {
+      compare(i < b->array.size() ? &b->array[i] : nullptr,
+              i < c->array.size() ? &c->array[i] : nullptr,
+              row && i < std::size(kSampleColumns)
+                  ? path + "." + kSampleColumns[i]
+                  : path + "[" + std::to_string(i) + "]",
+              out, false, rows);
+    }
+  } else if (b->boolean != c->boolean || b->number != c->number ||
+             b->string != c->string) {
+    out.push_back({path, show(b), show(c)});
+  }
+}
+
+}  // namespace
+
+std::optional<BenchDoc> load_bench_doc(std::string_view text,
+                                       std::string* error) {
+  return load_as<BenchDoc>(text, "rips-bench-v1", &bench_doc, error);
+}
+
+std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
+                                                 std::string* error) {
+  return load_as<TimeSeriesDoc>(text, "rips-timeseries-v1", &timeseries_doc,
+                                error);
 }
 
 std::optional<TimeSeriesDoc> load_timeseries_file(const std::string& path,
@@ -321,179 +350,71 @@ std::optional<TimeSeriesDoc> load_timeseries_file(const std::string& path,
   return load_timeseries_doc(*text, error);
 }
 
-std::string file_schema(const std::string& path) {
-  const std::optional<std::string> text = read_file(path, nullptr);
-  const std::optional<json::Value> doc =
-      text.has_value() ? json::parse(*text) : std::nullopt;
-  const json::Value* schema =
-      doc.has_value() && doc->is_object() ? doc->find("schema") : nullptr;
-  return schema != nullptr && schema->is_string() ? schema->string : "";
+std::optional<Document> load_document(std::string_view text,
+                                      std::string* error) {
+  try {
+    Document out;
+    out.root = parse_object(text);
+    out.schema = str_field(out.root, "schema");
+    std::vector<std::string> keys;
+    if (out.schema == "rips-bench-v1") {
+      for (const BenchRun& r : bench_doc(out.root).runs) {
+        keys.push_back(r.key());
+      }
+    } else if (out.schema == "rips-timeseries-v1") {
+      for (const Series& s : timeseries_doc(out.root).series) {
+        keys.push_back(s.label);
+      }
+    } else {
+      throw SchemaError{
+          "schema is neither rips-bench-v1 nor rips-timeseries-v1"};
+    }
+    // Key the run (series) array by identity, so diff() matches elements
+    // by key whatever their order.
+    const std::string list =
+        out.schema == "rips-bench-v1" ? "runs" : "series";
+    json::Value& elements =
+        std::find_if(out.root.object.begin(), out.root.object.end(),
+                     [&](const auto& m) { return m.first == list; })
+            ->second;
+    json::Value keyed;
+    keyed.type = json::Value::Type::kObject;
+    std::map<std::string, int> seen;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int n = ++seen[keys[i]];
+      keyed.object.emplace_back(
+          n > 1 ? keys[i] + "#" + std::to_string(n) : keys[i],
+          std::move(elements.array[i]));
+    }
+    elements = std::move(keyed);
+    return out;
+  } catch (const SchemaError& e) {
+    if (error != nullptr) *error = e.message;
+    return std::nullopt;
+  }
 }
 
-DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
-                const DiffOptions& opts) {
-  DiffResult out;
-  std::map<std::string, const BenchRun*> cur;
-  for (const BenchRun& r : current.runs) cur.emplace(r.key(), &r);
-  std::map<std::string, const BenchRun*> base;
-  for (const BenchRun& r : baseline.runs) base.emplace(r.key(), &r);
-  for (const auto& [key, r] : cur) {
-    if (base.find(key) == base.end()) out.added.push_back(key);
-  }
+std::optional<Document> load_document_file(const std::string& path,
+                                           std::string* error) {
+  const std::optional<std::string> text = read_file(path, error);
+  if (!text.has_value()) return std::nullopt;
+  return load_document(*text, error);
+}
 
-  for (const auto& [key, b] : base) {
-    const auto it = cur.find(key);
-    if (it == cur.end()) {
-      out.missing.push_back(key);
-      continue;
-    }
-    const BenchRun& c = *it->second;
-
-    // Makespan: symmetric relative tolerance.
-    if (b->makespan_ns > 0) {
-      const double rel = c.makespan_ns / b->makespan_ns - 1.0;
-      if (rel > opts.makespan_rel_tol) {
-        char note[64];
-        std::snprintf(note, sizeof note, "+%.1f%% slower", rel * 100.0);
-        out.regressions.push_back(
-            {key, "makespan_ns", b->makespan_ns, c.makespan_ns, note});
-      } else if (rel < -opts.makespan_rel_tol) {
-        char note[64];
-        std::snprintf(note, sizeof note, "%.1f%% faster", -rel * 100.0);
-        out.improvements.push_back(
-            {key, "makespan_ns", b->makespan_ns, c.makespan_ns, note});
-      }
-    }
-
-    // Overhead: multiplicative gate with an absolute floor so tiny
-    // overheads cannot trip the factor test.
-    if (c.overhead_s > b->overhead_s * opts.overhead_factor &&
-        c.overhead_s - b->overhead_s > opts.overhead_abs_floor_s) {
-      char note[64];
-      std::snprintf(note, sizeof note, "%.2fx overhead",
-                    b->overhead_s > 0 ? c.overhead_s / b->overhead_s : 0.0);
-      out.regressions.push_back(
-          {key, "overhead_s", b->overhead_s, c.overhead_s, note});
-    }
-
-    // Efficiency: absolute drop in percentage points.
-    if (b->efficiency - c.efficiency > opts.efficiency_abs_tol) {
-      char note[64];
-      std::snprintf(note, sizeof note, "-%.1fpp efficiency",
-                    (b->efficiency - c.efficiency) * 100.0);
-      out.regressions.push_back(
-          {key, "efficiency", b->efficiency, c.efficiency, note});
-    }
-
-    // Invariant monitors flipping to failed is always a regression.
-    if (b->monitors_ok && !c.monitors_ok) {
-      out.regressions.push_back({key, "monitors_ok", 1, 0, "monitors failed"});
-    }
-
-    // Per-job fairness: a multi-job run starving one tenant shows up as a
-    // drop in the Jain index. Skipped when either run has no per-job rows
-    // (fairness < 0).
-    if (b->fairness >= 0.0 && c.fairness >= 0.0 &&
-        b->fairness - c.fairness > opts.fairness_abs_tol) {
-      char note[64];
-      std::snprintf(note, sizeof note, "-%.2f fairness index",
-                    b->fairness - c.fairness);
-      out.regressions.push_back(
-          {key, "fairness", b->fairness, c.fairness, note});
-    }
-
-    // Histogram tails (p95/p99 only — p50 is covered transitively by the
-    // makespan gate and too coarse to gate on its own). Multiplicative,
-    // and skipped for histograms only one side has or whose baseline tail
-    // is zero.
-    for (const auto& [hname, bp] : b->hist_pcts) {
-      const std::array<i64, 3>* cp = nullptr;
-      for (const auto& [cname, cpct] : c.hist_pcts) {
-        if (cname == hname) {
-          cp = &cpct;
-          break;
-        }
-      }
-      if (cp == nullptr) continue;
-      for (size_t pi = 1; pi < 3; ++pi) {
-        if (bp[pi] <= 0) continue;
-        const double factor = static_cast<double>((*cp)[pi]) /
-                              static_cast<double>(bp[pi]);
-        if (factor > opts.percentile_factor) {
-          char note[96];
-          std::snprintf(note, sizeof note, "%.1fx %s tail", factor, kPct[pi]);
-          out.regressions.push_back({key, hname + "." + kPct[pi],
-                                     static_cast<double>(bp[pi]),
-                                     static_cast<double>((*cp)[pi]), note});
-        }
-      }
-    }
-  }
+std::vector<Difference> diff(const Document& baseline,
+                             const Document& current) {
+  std::vector<Difference> out;
+  compare(&baseline.root, &current.root, "", out);
   return out;
 }
 
-DiffResult diff(const TimeSeriesDoc& baseline, const TimeSeriesDoc& current,
-                const DiffOptions& opts) {
-  DiffResult out;
-  const auto gate = [&](const std::string& label, const std::string& field,
-                        const char* stat, double b, double c, double factor) {
-    if (b >= opts.band_abs_floor && c > b * factor) {
-      char note[64];
-      std::snprintf(note, sizeof note, "%.2fx steady %s", c / b, stat);
-      out.regressions.push_back({label, field + "." + stat, b, c, note});
-    }
-  };
-  for (const Series& b : baseline.series) {
-    const Series* c = nullptr;
-    for (const Series& s : current.series) {
-      if (s.label == b.label) {
-        c = &s;
-        break;
-      }
-    }
-    if (c == nullptr) {
-      out.missing.push_back(b.label);
-      continue;
-    }
-    for (const auto& [field, bb] : b.bands) {
-      const SeriesBand* cb = c->find(field);
-      if (cb == nullptr || bb.count == 0 || cb->count == 0) continue;
-      gate(b.label, field, "mean", bb.mean, cb->mean, opts.band_mean_factor);
-      gate(b.label, field, "p95", static_cast<double>(bb.p95),
-           static_cast<double>(cb->p95), opts.band_p95_factor);
-    }
-  }
-  return out;
-}
-
-std::string report(const DiffResult& result) {
+std::string report(const std::vector<Difference>& differences) {
   std::string out;
-  char buf[256];
-  for (const DiffEntry& e : result.regressions) {
-    std::snprintf(buf, sizeof buf, "REGRESSION  %-12s %-50s %g -> %g (%s)\n",
-                  e.metric.c_str(), e.key.c_str(), e.baseline, e.current,
-                  e.note.c_str());
-    out += buf;
+  for (const Difference& d : differences) {
+    out += "DIFF  " + d.where + "  " + d.baseline + " -> " + d.current + "\n";
   }
-  for (const DiffEntry& e : result.improvements) {
-    std::snprintf(buf, sizeof buf, "improvement %-12s %-50s %g -> %g (%s)\n",
-                  e.metric.c_str(), e.key.c_str(), e.baseline, e.current,
-                  e.note.c_str());
-    out += buf;
-  }
-  for (const std::string& key : result.missing) {
-    out += "MISSING     " + key + " (in baseline, not in current)\n";
-  }
-  for (const std::string& key : result.added) {
-    out += "added       " + key + " (not in baseline)\n";
-  }
-  std::snprintf(buf, sizeof buf,
-                "bench-diff: %zu regression(s), %zu missing, %zu "
-                "improvement(s), %zu added — %s\n",
-                result.regressions.size(), result.missing.size(),
-                result.improvements.size(), result.added.size(),
-                result.ok() ? "PASS" : "FAIL");
-  out += buf;
+  out += "bench-diff: " + std::to_string(differences.size()) +
+         " difference(s) — " + (differences.empty() ? "PASS" : "FAIL") + "\n";
   return out;
 }
 

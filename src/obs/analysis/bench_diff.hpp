@@ -1,64 +1,39 @@
-// Regression diffing (docs/OBSERVABILITY.md, "Bench diff").
+// Exact document diff (docs/OBSERVABILITY.md, "Bench diff").
 //
-// Compares two documents of one schema. `rips-bench-v1` documents
-// (bench/harness --json output) are compared run by run on their Table-I
-// columns; `rips-timeseries-v1` documents series by series on the
-// steady-state bands each series carries, so a change that keeps the
-// makespan but degrades phase-level behaviour (a growing imbalance tail,
-// longer drains) still fails. The simulator is bit-deterministic, so a
-// committed baseline (BENCH_core.json) diffs exactly against a fresh run
-// on any machine: tolerances exist to absorb intentional tuning, not
-// noise. CI uses bench/bench_diff as a gate — nonzero exit on any
-// regression.
+// Loads two documents of one schema — `rips-bench-v1` (bench/harness
+// --json, serve_soak, rips_served --bench-out) or `rips-timeseries-v1`
+// (--timeseries-out exports and flight-recorder dumps) — validating each
+// with its schema's loader, then compares them value by value over the
+// whole file. The simulator is bit-deterministic, so a committed baseline
+// equals a fresh run on any machine and any difference is a change: there
+// is no tolerance to tune. CI uses bench/bench_diff as a gate — nonzero
+// exit on any difference.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
-#include "obs/timeseries.hpp"
+#include "obs/json.hpp"
+#include "obs/telemetry.hpp"
 #include "util/types.hpp"
 
 namespace rips::obs::analysis {
 
-/// One run row of a rips-bench-v1 document.
+/// The identity of one run row of a rips-bench-v1 document.
 struct BenchRun {
   std::string workload;
   std::string group;
   std::string scheduler;
   std::string policy;
   i64 nodes = 0;
-  i64 tasks = 0;
-  double makespan_ns = 0;
-  double sequential_ns = 0;
-  double efficiency = 0;
-  double speedup = 0;
-  double overhead_s = 0;
-  double idle_s = 0;
-  i64 nonlocal_tasks = 0;
-  i64 system_phases = 0;
-  bool monitors_ok = true;
-  /// Which drain-measuring pass the engine used: "drain-sum" | "full".
-  std::string measure_pass;
-  /// Jain fairness index over per-job progress rates — multi-job runs
-  /// only. Negative when the run has no per-job rows, in which case diff()
-  /// skips the fairness gate.
-  double fairness = -1.0;
-  /// Histogram tails from the run's embedded metrics registry:
-  /// name -> {p50, p95, p99}.
-  std::vector<std::pair<std::string, std::array<i64, 3>>> hist_pcts;
 
   /// Identity of the configuration the run measures.
   std::string key() const;
 };
 
 struct BenchDoc {
-  std::string suite;
-  bool quick = false;
-  i64 nodes = 0;
   std::vector<BenchRun> runs;
 };
 
@@ -68,15 +43,9 @@ struct BenchDoc {
 std::optional<BenchDoc> load_bench_doc(std::string_view text,
                                        std::string* error = nullptr);
 
-/// Reads and parses `path`; nullopt + `error` on I/O or schema failure.
-std::optional<BenchDoc> load_bench_file(const std::string& path,
-                                        std::string* error = nullptr);
-
-/// One series of a rips-timeseries-v1 document: its header, the samples
-/// and events it retained, and its bands. The gate compares the writer's
-/// own bands instead of re-deriving them from the samples, so it sees
-/// exactly what the document claims. Move-only: the events' `detail`
-/// pointers point into `detail_storage`.
+/// One series of a rips-timeseries-v1 document: its header and the samples
+/// and events it retained. Move-only: the events' `detail` pointers point
+/// into `detail_storage`.
 struct Series {
   std::string label;
   std::string engine;
@@ -89,15 +58,12 @@ struct Series {
   /// Owned backing store for the events' `detail` strings
   /// (TelemetryEvent carries a const char* by design).
   std::vector<std::string> detail_storage;
-  std::vector<std::pair<std::string, SeriesBand>> bands;
 
   Series() = default;
   Series(Series&&) = default;
   Series& operator=(Series&&) = default;
   Series(const Series&) = delete;
   Series& operator=(const Series&) = delete;
-
-  const SeriesBand* find(std::string_view field) const;
 };
 
 struct TimeSeriesDoc {
@@ -108,69 +74,50 @@ struct TimeSeriesDoc {
 };
 
 /// Parses a rips-timeseries-v1 document; nullopt + `error` on schema
-/// mismatch.
+/// mismatch. A series' `bands` member, which older writers emitted, is
+/// ignored.
 std::optional<TimeSeriesDoc> load_timeseries_doc(std::string_view text,
                                                  std::string* error = nullptr);
 std::optional<TimeSeriesDoc> load_timeseries_file(const std::string& path,
                                                   std::string* error = nullptr);
 
-/// The `schema` string of the JSON document at `path`; empty when the file
-/// cannot be read or parsed or names no schema.
-std::string file_schema(const std::string& path);
-
-/// Regression thresholds, all relative to the baseline value. The overhead
-/// gate only fires above an absolute floor so microsecond-scale overheads
-/// cannot trip the factor test.
-struct DiffOptions {
-  double makespan_rel_tol = 0.10;    ///< >10% slower makespan = regression
-  double overhead_factor = 2.0;      ///< >2x overhead = regression
-  double overhead_abs_floor_s = 1e-4;  ///< ignore overhead deltas below this
-  double efficiency_abs_tol = 0.05;  ///< >5pp efficiency drop = regression
-  /// Histogram p95/p99 growth gate. Power-of-two buckets quantize the
-  /// derived percentiles to a 2x step, so 4.0 (two buckets) is the
-  /// smallest factor that cannot fire on a single-bucket wobble.
-  double percentile_factor = 4.0;
-  /// Per-job fairness drop gate (absolute, index units). Only fires when
-  /// both documents carry a fairness index for the run.
-  double fairness_abs_tol = 0.10;
-  /// Time-series band gates, multiplicative against the baseline band. A
-  /// band summarizes tens of phases, not millions of tasks, so these are
-  /// looser than the run gates above.
-  double band_mean_factor = 1.5;  ///< >1.5x steady-state mean = regression
-  double band_p95_factor = 2.0;   ///< >2x steady-state p95 tail = regression
-  /// Bands whose baseline mean (p95) is below this skip the mean (p95)
-  /// gate: a 0 -> 2 jump in a counter that is essentially zero is noise.
-  double band_abs_floor = 4.0;
+/// A document bench_diff compares: the parsed JSON of a rips-bench-v1 or
+/// rips-timeseries-v1 document its schema's loader accepted, with its
+/// `runs` (`series`) array turned into an object keyed by each element's
+/// identity: BenchRun::key() (the series label), "#2", "#3", ... appended
+/// to a repeated one.
+struct Document {
+  std::string schema;
+  json::Value root;
 };
 
-struct DiffEntry {
-  std::string key;     ///< run identity (BenchRun::key()) or series label
-  std::string metric;  ///< "makespan_ns", "overhead_s", "imbalance.p95", ...
-  double baseline = 0;
-  double current = 0;
-  std::string note;
+/// nullopt + `error` when the text is not JSON, names neither schema, or
+/// breaks its schema.
+std::optional<Document> load_document(std::string_view text,
+                                      std::string* error = nullptr);
+std::optional<Document> load_document_file(const std::string& path,
+                                           std::string* error = nullptr);
+
+/// One value that differs: where it is — its member path, a run or series
+/// indexed by identity, e.g. "runs[q|g|s|p|n16].metrics.counters.msg.sent"
+/// or "series[w/RIPS/n8].samples[3].imbalance" — and its value on each
+/// side: a scalar as JSON, an array or object by its size, "(absent)"
+/// where a side has none.
+struct Difference {
+  std::string where;
+  std::string baseline;
+  std::string current;
 };
 
-struct DiffResult {
-  std::vector<DiffEntry> regressions;
-  std::vector<DiffEntry> improvements;
-  std::vector<std::string> missing;  ///< baseline keys absent from current
-  std::vector<std::string> added;    ///< current runs absent from baseline
+/// Compares two documents value by value: every member, each run or
+/// series against the one with the same identity on the other side, and
+/// every array element by position. A run, series, member or element
+/// only one side has is one difference; so is each differing scalar.
+std::vector<Difference> diff(const Document& baseline,
+                             const Document& current);
 
-  /// The CI gate: no regressions and nothing missing.
-  bool ok() const { return regressions.empty() && missing.empty(); }
-};
-
-DiffResult diff(const BenchDoc& baseline, const BenchDoc& current,
-                const DiffOptions& opts = {});
-
-/// The band gates: every baseline series is matched to the current series
-/// of the same label, and each band's steady-state mean and p95 are
-/// gated. Regressions are reported as metric "<field>.<mean|p95>".
-DiffResult diff(const TimeSeriesDoc& baseline, const TimeSeriesDoc& current,
-                const DiffOptions& opts = {});
-
-/// Human-readable report, one line per finding plus a PASS/FAIL summary.
-std::string report(const DiffResult& result);
+/// Human-readable report: one line per difference, then a summary line
+/// ending in PASS (no difference) or FAIL.
+std::string report(const std::vector<Difference>& differences);
 
 }  // namespace rips::obs::analysis

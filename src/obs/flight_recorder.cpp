@@ -180,7 +180,7 @@ void FlightRecorder::dump_signal_safe(int fd, const char* reason) const {
     fd_quoted(fd, e.detail);
     fd_puts(fd, "}");
   }
-  fd_puts(fd, "],\"bands\":{}}]}\n");
+  fd_puts(fd, "]}]}\n");
 }
 
 void FlightRecorder::arm_process_hooks() {

@@ -14,9 +14,9 @@
 //   * from a signal handler (SIGABRT / SIGSEGV / SIGBUS / SIGFPE) or
 //     std::terminate after arm_process_hooks() — RIPS_CHECK failures
 //     abort, so a tripped engine invariant still leaves a black box. The
-//     signal path writes the same series shape with snprintf + write(2)
-//     only (the rings hold plain integers and static strings, nothing to
-//     allocate), except that its `bands` object is empty;
+//     signal path writes the same bytes as dump() with snprintf +
+//     write(2) only (the rings hold plain integers and static strings,
+//     nothing to allocate);
 //   * manually via dump().
 //
 // `trace_tool blackbox <file>` pretty-prints a dump and attributes every
@@ -63,9 +63,9 @@ class FlightRecorder final : public TimeSeriesSampler {
   /// second recorder moves the hooks. The destructor disarms.
   void arm_process_hooks();
   static void disarm_process_hooks();
-  /// Signal-safe dump to an open fd: the document dump() writes, with an
-  /// empty `bands` object. Public so the signal handler can reach it;
-  /// callable from tests.
+  /// Signal-safe dump to an open fd: byte for byte the document dump()
+  /// writes. Public so the signal handler can reach it; callable from
+  /// tests.
   void dump_signal_safe(int fd, const char* reason) const;
 
  private:

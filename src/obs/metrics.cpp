@@ -16,13 +16,19 @@ Histogram::Histogram(std::vector<i64> bounds) : bounds_(std::move(bounds)) {
                          bounds_.end(),
                  "histogram bounds must be strictly increasing");
   counts_.assign(bounds_.size() + 1, 0);
-  // The engines' standard bucket layout {0, 1, 2, 4, ..., 2^k} admits an
-  // O(1) bucket lookup via bit_width instead of the binary search — worth
+  // The engines' bucket layout (pow2_bounds: {0, 1, 2, 4, ..., 2^k}) admits
+  // an O(1) bucket lookup via bit_width instead of the binary search — worth
   // it because the simulators observe per message / per phase.
   pow2_ = bounds_[0] == 0;
   for (size_t i = 1; pow2_ && i < bounds_.size(); ++i) {
     pow2_ = bounds_[i] == (i64{1} << (i - 1));
   }
+}
+
+std::vector<i64> pow2_bounds(i64 max_bound) {
+  std::vector<i64> b{0};
+  for (i64 v = 1; v <= max_bound; v *= 2) b.push_back(v);
+  return b;
 }
 
 void Histogram::observe(i64 x) {

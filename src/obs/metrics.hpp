@@ -86,6 +86,11 @@ class Histogram {
   bool pow2_ = false;  // bounds are {0, 1, 2, 4, ...}: O(1) bucket lookup
 };
 
+/// The engines' bucket layout {0, 1, 2, 4, ..., 2^k <= max_bound}: coarse
+/// enough for Histogram's O(1) bucket lookup, fine enough to separate
+/// "balanced" from "skewed".
+std::vector<i64> pow2_bounds(i64 max_bound);
+
 class MetricsRegistry {
  public:
   /// Get-or-create. References stay valid for the registry's lifetime

@@ -8,13 +8,8 @@
 // Memory is bounded: the sampler keeps the most recent `max_samples`
 // samples and `max_events` events in rings that grow to their caps and
 // then overwrite the oldest entry; `dropped()` counts overwritten samples.
-//
-// The steady-state view is the point: the paper's incremental-scheduling
-// argument is about behaviour *over many phases*, so the sampler also
-// derives per-metric bands (mean/min/max/p50/p95 over the steady-state
-// window — the second half of the run's phases, where warm-up transients
-// have died out). bench_diff gates those bands the same way it gates
-// Table-I columns (obs/analysis/bench_diff.hpp).
+// bench_diff compares two such documents value by value
+// (obs/analysis/bench_diff.hpp).
 #pragma once
 
 #include <array>
@@ -25,16 +20,6 @@
 #include "util/types.hpp"
 
 namespace rips::obs {
-
-/// Summary statistics of one metric over a sample window.
-struct SeriesBand {
-  u64 count = 0;
-  double mean = 0.0;
-  i64 min = 0;
-  i64 max = 0;
-  i64 p50 = 0;
-  i64 p95 = 0;
-};
 
 /// The columns of a series' sample rows, in row order: the phase-kind
 /// name, then the integer fields sample_values() returns.
@@ -129,20 +114,9 @@ class TimeSeriesSampler : public TelemetrySubscriber {
   SimTime makespan_ns() const { return makespan_ns_; }
   bool run_complete() const { return run_complete_; }
 
-  // Steady-state bands ----------------------------------------------------
-  /// Band of one sample field over the steady-state window: the second
-  /// half of the field's samples (all of them when fewer than 8 exist).
-  /// "retries" and "drain_ns" are read from user-phase samples (not the
-  /// per-job rows), every other field from system-phase samples; a series
-  /// with no sample of that kind uses all of its samples. `field` is one
-  /// of "imbalance", "moved", "tasks", "comm_steps", "rts_total",
-  /// "retries", "drain_ns", "duration_ns". Unknown fields return an empty
-  /// band.
-  SeriesBand steady_band(const std::string& field) const;
-
   // Export ----------------------------------------------------------------
   /// One series object: {"label":...,"engine":...,"nodes":...,
-  /// "samples":[...],"events":[...],"bands":{...}}.
+  /// "samples":[...],"events":[...]}.
   std::string series_json() const;
   /// Complete single-series rips-timeseries-v1 document.
   std::string to_json() const;

@@ -20,14 +20,6 @@ constexpr SimTime kNever = std::numeric_limits<SimTime>::max() / 4;
 constexpr SimTime kFaultTimeoutNs = 2'000'000;
 // Retransmissions per collective message before the peer is suspected dead.
 constexpr i32 kFaultMaxRetries = 3;
-
-// Fixed histogram buckets (powers of two): coarse enough to stay O(16)
-// per observation, fine enough to separate "balanced" from "skewed".
-std::vector<i64> pow2_bounds(i64 max_bound) {
-  std::vector<i64> b{0};
-  for (i64 v = 1; v <= max_bound; v *= 2) b.push_back(v);
-  return b;
-}
 }  // namespace
 
 RipsEngine::RipsEngine(sched::ParallelScheduler& scheduler,
@@ -51,14 +43,14 @@ RipsEngine::RipsEngine(sched::ParallelScheduler& scheduler,
       c_recovery_time_ns_(&registry_.counter("fault.recovery_time_ns")),
       g_rts_total_(&registry_.gauge("phase.rts_total")),
       g_live_nodes_(&registry_.gauge("machine.live_nodes")),
-      h_phase_imbalance_(
-          &registry_.histogram("phase.load_imbalance", pow2_bounds(1 << 20))),
-      h_phase_moved_(
-          &registry_.histogram("phase.tasks_moved", pow2_bounds(1 << 20))),
-      h_phase_dur_us_(
-          &registry_.histogram("phase.duration_us", pow2_bounds(1 << 24))),
-      h_uphase_tasks_(
-          &registry_.histogram("user_phase.tasks", pow2_bounds(1 << 24))) {}
+      h_phase_imbalance_(&registry_.histogram("phase.load_imbalance",
+                                              obs::pow2_bounds(1 << 20))),
+      h_phase_moved_(&registry_.histogram("phase.tasks_moved",
+                                          obs::pow2_bounds(1 << 20))),
+      h_phase_dur_us_(&registry_.histogram("phase.duration_us",
+                                           obs::pow2_bounds(1 << 24))),
+      h_uphase_tasks_(&registry_.histogram("user_phase.tasks",
+                                           obs::pow2_bounds(1 << 24))) {}
 
 NodeId RipsEngine::nearest_live(NodeId phys) const {
   RIPS_CHECK(!live_.empty());

@@ -74,8 +74,9 @@ void JobServer::engine_main() {
   sim::CostModel cost;
   cost.ns_per_work = options_.ns_per_work;
   core::RipsEngine engine(mwa, cost, options_.config);
-  // A serving session can run for hours of simulated time; per-phase
-  // registry snapshots would grow without bound.
+  // No per-phase registry snapshots: the registry keeps only the first
+  // MetricsRegistry::kMaxSnapshots (256) phases, the first moments of a
+  // session that can run for hours, and each one copies every instrument.
   engine.set_phase_snapshots(false);
   obs::Obs o;
   o.bus = &bus_;

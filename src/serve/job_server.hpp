@@ -112,8 +112,8 @@ class JobServer {
 
   /// rips-bench-v1 document for the finished session (sim::bench_doc_json):
   /// one run row (suite "serve") with per-job rows, Jain fairness, p50/p95/
-  /// p99 job latency and jobs_done, which bench_diff validates and gates
-  /// (--fairness-tol) exactly like the batch suites.
+  /// p99 job latency and jobs_done, which bench_diff validates and diffs
+  /// exactly like the batch suites.
   /// Valid after drain().
   std::string bench_json() const;
 

@@ -1,10 +1,11 @@
 // Live telemetry layer tests (docs/OBSERVABILITY.md, "Live telemetry"):
 // the TelemetryBus null-sink contract (attaching a bus never changes the
-// metrics), the TimeSeriesSampler (most-recent-N retention, steady-state
-// bands, JSON export round-tripped through bench_diff's time-series
-// loader, and its band gate), the FlightRecorder black box (a sampler with
-// a small ring: auto-dump on faults, both dump paths loading back as
-// rips-timeseries-v1 with every sample column intact, phase attribution),
+// metrics), the TimeSeriesSampler (most-recent-N retention, JSON export
+// round-tripped through bench_diff's time-series loader, and the exact
+// diff of two exports), the FlightRecorder black box (a sampler with a
+// small ring: auto-dump on faults, both dump paths writing the same
+// rips-timeseries-v1 bytes with every sample column intact, phase
+// attribution),
 // the per-job breakdown (one callback per user phase, never extra phase
 // samples), and the histogram percentile derivation the snapshots carry.
 #include <gtest/gtest.h>
@@ -164,8 +165,7 @@ TEST(TimeSeriesSampler, CapKeepsTheMostRecentSamplesAndCountsDropped) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].node, 8);
   EXPECT_EQ(events[1].node, 9);
-  // The bands and the export see the retained window, in order.
-  EXPECT_EQ(sampler.steady_band("duration_ns").count, 3u);
+  // The export sees the retained window, in order.
   std::string error;
   const auto doc = analysis::load_timeseries_doc(sampler.to_json(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
@@ -174,58 +174,34 @@ TEST(TimeSeriesSampler, CapKeepsTheMostRecentSamplesAndCountsDropped) {
   EXPECT_EQ(doc->series[0].seen, 10u);
 }
 
-TEST(TimeSeriesSampler, SteadyBandUsesSecondHalfOfSystemPhases) {
-  TimeSeriesSampler sampler;
-  // 8 system phases: imbalance 100 for the first half, 10 for the second;
-  // the steady band must only see the second half.
-  for (int i = 0; i < 8; ++i) {
-    PhaseSample s = sample_at(i * 10, i * 10 + 10, static_cast<u64>(i));
-    s.imbalance = i < 4 ? 100 : 10;
-    sampler.on_phase(s);
-    // User phases must not pollute the system-phase band.
-    PhaseSample u = sample_at(i * 10, i * 10 + 10, static_cast<u64>(i),
-                              PhaseKind::kUser);
-    u.imbalance = 9999;
-    sampler.on_phase(u);
-  }
-  const SeriesBand band = sampler.steady_band("imbalance");
-  EXPECT_EQ(band.count, 4u);
-  EXPECT_EQ(band.min, 10);
-  EXPECT_EQ(band.max, 10);
-  EXPECT_DOUBLE_EQ(band.mean, 10.0);
-  EXPECT_EQ(sampler.steady_band("no-such-field").count, 0u);
-}
-
-// Collective retries and the drain estimate exist only on user-phase
-// samples, so their bands are read from user phases; the per-job rows
-// (retries = 0) repeat their phase and are left out.
-TEST(TimeSeriesSampler, RetriesAndDrainBandsUseUserPhases) {
+// A per-job row repeats its user phase with the job's own task count; the
+// phase's collective retries stay on the phase's own row.
+TEST(TimeSeriesSampler, PerJobRowsCarryTheJobsTasksButNoRetries) {
   TimeSeriesSampler sampler;
   const u64 executed[] = {3, 4};
-  for (int i = 0; i < 8; ++i) {
-    sampler.on_phase(sample_at(i * 20, i * 20 + 10, static_cast<u64>(i)));
-    PhaseSample u = sample_at(i * 20 + 10, i * 20 + 20, static_cast<u64>(i),
-                              PhaseKind::kUser);
-    u.retries = i < 4 ? 1 : 6;
-    u.drain_ns = i < 4 ? 100 : 700;
-    u.imbalance = 9999;
-    sampler.on_phase(u);
-    sampler.on_job_phase(u, executed);
+  PhaseSample u = sample_at(10, 20, 0, PhaseKind::kUser);
+  u.tasks = 7;
+  u.retries = 6;
+  u.drain_ns = 700;
+  sampler.on_phase(u);
+  sampler.on_job_phase(u, executed);
+  const std::vector<PhaseSample> rows = sampler.samples();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(sampler.seen(), 3u);
+  EXPECT_EQ(rows[0].job, -1);
+  EXPECT_EQ(rows[0].retries, 6);
+  for (size_t j = 0; j < 2; ++j) {
+    EXPECT_EQ(rows[j + 1].job, static_cast<i32>(j));
+    EXPECT_EQ(rows[j + 1].tasks, executed[j]);
+    EXPECT_EQ(rows[j + 1].retries, 0);
+    EXPECT_EQ(rows[j + 1].drain_ns, 700);
   }
-  const SeriesBand retries = sampler.steady_band("retries");
-  EXPECT_EQ(retries.count, 4u);
-  EXPECT_DOUBLE_EQ(retries.mean, 6.0);
-  EXPECT_EQ(retries.min, 6);
-  const SeriesBand drain = sampler.steady_band("drain_ns");
-  EXPECT_EQ(drain.count, 4u);
-  EXPECT_EQ(drain.p50, 700);
-  // Every other field keeps the system-phase window.
-  EXPECT_EQ(sampler.steady_band("imbalance").max, 0);
 }
 
-// The same on a real RIPS run: message drops make every user phase
-// retransmit, and the steady bands must show it.
-TEST(TelemetryIntegration, FaultyRunHasNonZeroRetryAndDrainBands) {
+// Collective retries and the drain estimate belong to user phases, the
+// only samples that carry them: on a RIPS run with message drops, user
+// phases retransmit, and their samples must show it.
+TEST(TelemetryIntegration, FaultyRunUserPhasesCarryRetriesAndDrain) {
   const apps::TaskTrace trace = apps::build_nqueens_trace(9, 4);
   topo::Mesh mesh(4, 4);
   sched::Mwa mwa(mesh);
@@ -245,11 +221,18 @@ TEST(TelemetryIntegration, FaultyRunHasNonZeroRetryAndDrainBands) {
   engine.set_obs(o);
   engine.run(trace);
 
-  EXPECT_GT(sampler.steady_band("retries").mean, 0.0);
-  EXPECT_GT(sampler.steady_band("drain_ns").mean, 0.0);
+  i64 retries = 0;
+  i64 drain_ns = 0;
+  for (const PhaseSample& s : sampler.samples()) {
+    if (s.kind != PhaseKind::kUser || s.job >= 0) continue;
+    retries += s.retries;
+    drain_ns += s.drain_ns;
+  }
+  EXPECT_GT(retries, 0);
+  EXPECT_GT(drain_ns, 0);
 }
 
-TEST(TimeSeriesSampler, JsonRoundTripsThroughTheTsDiffLoader) {
+TEST(TimeSeriesSampler, JsonRoundTripsThroughTheLoader) {
   TimeSeriesSampler sampler;
   sampler.set_label("unit/RIPS/n4");
   sampler.on_run_begin(RunStart{"rips", 4, 42});
@@ -272,46 +255,40 @@ TEST(TimeSeriesSampler, JsonRoundTripsThroughTheTsDiffLoader) {
   EXPECT_EQ(s.nodes, 4);
   EXPECT_EQ(s.tasks, 42u);
   EXPECT_TRUE(s.complete);
-  const SeriesBand* band = s.find("imbalance");
-  ASSERT_NE(band, nullptr);
-  EXPECT_EQ(band->p50, 7);
   expect_series_matches(s, sampler);
 }
 
-TEST(TsDiff, GatesSteadyBandRegressionsAndMissingSeries) {
-  const auto make_doc = [](i64 p95, double mean) {
+TEST(TsDiff, NamesTheChangedSampleAndMissingSeries) {
+  const auto make_doc = [](const std::string& label, i64 last_imbalance) {
     TimeSeriesSampler s;
-    s.set_label("w/RIPS/n8");
+    s.set_label(label);
     for (int i = 0; i < 4; ++i) {
       PhaseSample smp = sample_at(i * 10, i * 10 + 10, static_cast<u64>(i));
-      smp.imbalance = i == 3 ? p95 : static_cast<i64>(mean);
+      smp.imbalance = i == 3 ? last_imbalance : 10;
       s.on_phase(smp);
     }
     std::string error;
-    auto doc = analysis::load_timeseries_doc(s.to_json(), &error);
+    auto doc = analysis::load_document(s.to_json(), &error);
     EXPECT_TRUE(doc.has_value()) << error;
     return std::move(*doc);
   };
-  const analysis::TimeSeriesDoc base = make_doc(20, 10.0);
-  const analysis::TimeSeriesDoc same = make_doc(20, 10.0);
-  const analysis::TimeSeriesDoc worse = make_doc(200, 10.0);
+  const analysis::Document base = make_doc("w/RIPS/n8", 20);
+  EXPECT_TRUE(analysis::diff(base, make_doc("w/RIPS/n8", 20)).empty());
 
-  EXPECT_TRUE(analysis::diff(base, same).ok());
-  const analysis::DiffResult bad = analysis::diff(base, worse);
-  EXPECT_FALSE(bad.ok());
-  ASSERT_EQ(bad.regressions.size(), 2u);
-  EXPECT_EQ(bad.regressions[0].key, "w/RIPS/n8");
-  EXPECT_EQ(bad.regressions[0].metric, "imbalance.mean");
-  EXPECT_EQ(bad.regressions[1].metric, "imbalance.p95");
-  EXPECT_EQ(bad.regressions[1].baseline, 20.0);
-  EXPECT_EQ(bad.regressions[1].current, 200.0);
+  const std::vector<analysis::Difference> changed =
+      analysis::diff(base, make_doc("w/RIPS/n8", 21));
+  ASSERT_EQ(changed.size(), 1u);
+  EXPECT_EQ(changed[0].where, "series[w/RIPS/n8].samples[3].imbalance");
+  EXPECT_EQ(changed[0].baseline, "20");
+  EXPECT_EQ(changed[0].current, "21");
 
-  analysis::TimeSeriesDoc empty;
-  const analysis::DiffResult missing = analysis::diff(base, empty);
-  EXPECT_FALSE(missing.ok());
-  ASSERT_EQ(missing.missing.size(), 1u);
-  EXPECT_EQ(missing.missing[0], "w/RIPS/n8");
-  EXPECT_NE(analysis::report(missing).find("MISSING"), std::string::npos);
+  const std::vector<analysis::Difference> renamed =
+      analysis::diff(base, make_doc("w/RIPS/n16", 20));
+  ASSERT_EQ(renamed.size(), 2u);
+  EXPECT_EQ(renamed[0].where, "series[w/RIPS/n8]");
+  EXPECT_EQ(renamed[0].current, "(absent)");
+  EXPECT_EQ(renamed[1].where, "series[w/RIPS/n16]");
+  EXPECT_NE(analysis::report(renamed).find("FAIL"), std::string::npos);
 }
 
 // --------------------------------------------------------- FlightRecorder
@@ -365,7 +342,6 @@ TEST(FlightRecorder, AutoDumpsOnCrashEventAndLoadsBack) {
   ASSERT_EQ(s.samples.size(), 2u);
   ASSERT_EQ(s.events.size(), 1u);
   expect_series_matches(s, rec);
-  EXPECT_NE(s.find("duration_ns"), nullptr);  // the writer's bands
 
   // Attribution: the crash at t=150 lands in the user phase [100, 200].
   const auto attributed = analysis::attribute_events(s);
@@ -405,14 +381,12 @@ TEST(FlightRecorder, SignalSafeDumpIsParseable) {
   EXPECT_EQ(s.samples[3].comm_steps, 4005);
   EXPECT_EQ(s.samples[3].drain_ns, -8005);
   EXPECT_EQ(s.events.size(), 1u);
-  EXPECT_TRUE(s.bands.empty());
   expect_series_matches(s, rec);
   std::remove(path.c_str());
 }
 
-// The plain dump and the signal path write the same document apart from
-// the bands, which only the plain writer derives.
-TEST(FlightRecorder, BothDumpPathsAgreeOnEverythingButBands) {
+// The plain dump and the signal path write the same bytes.
+TEST(FlightRecorder, BothDumpPathsWriteTheSameBytes) {
   const std::string plain = ::testing::TempDir() + "rips_bb_plain.json";
   const std::string signal = ::testing::TempDir() + "rips_bb_sigpath.json";
   FlightRecorder rec("", {8, 4});
@@ -436,18 +410,9 @@ TEST(FlightRecorder, BothDumpPathsAgreeOnEverythingButBands) {
     if (f != nullptr) std::fclose(f);
     return text;
   };
-  const auto strip_bands = [](std::string text) {
-    const size_t at = text.find(",\"bands\":{");
-    const size_t end = text.find("}}]}", at);
-    return at == std::string::npos || end == std::string::npos
-               ? text
-               : text.substr(0, at) + text.substr(end + 1);
-  };
   const std::string a = read(plain);
-  const std::string b = read(signal);
   ASSERT_FALSE(a.empty());
-  EXPECT_EQ(strip_bands(a), strip_bands(b));
-  EXPECT_NE(b.find("\"bands\":{}"), std::string::npos);
+  EXPECT_EQ(a, read(signal));
   std::remove(plain.c_str());
   std::remove(signal.c_str());
 }
@@ -471,8 +436,6 @@ TEST(FlightRecorderDeathTest, TerminateDumpKeepsItsReason) {
   EXPECT_EQ(doc->reason, "terminate");
   ASSERT_EQ(doc->series.size(), 1u);
   EXPECT_EQ(doc->series[0].samples.size(), 1u);
-  EXPECT_FALSE(doc->series[0].bands.empty());  // written by dump(), not the
-                                                // signal path
   std::remove(path.c_str());
 }
 
