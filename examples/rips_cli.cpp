@@ -55,7 +55,9 @@ apps::TaskTrace build_app(const Args& args, double& ns_per_work) {
   if (app == "ida") {
     ns_per_work = 9600.0;
     const i32 index = static_cast<i32>(args.get_int("config", 1));
-    RIPS_CHECK_MSG(index >= 1 && index <= 3, "--config must be 1..3");
+    if (index < 1 || index > 3) {
+      throw std::invalid_argument("--config must be 1..3");
+    }
     return apps::build_ida_trace(
         apps::paper_puzzle_configs()[static_cast<size_t>(index - 1)]);
   }
@@ -85,9 +87,8 @@ apps::TaskTrace build_app(const Args& args, double& ns_per_work) {
     return apps::build_synthetic_trace(
         config, static_cast<u64>(args.get_int("seed", 1)));
   }
-  RIPS_CHECK_MSG(false,
-                 "--app must be queens|ida|gromos|gauss|synthetic");
-  return {};
+  throw std::invalid_argument(
+      "--app must be queens|ida|gromos|gauss|synthetic, not '" + app + "'");
 }
 
 /// Work-unit calibration per app, duplicated from build_app so a
@@ -113,10 +114,12 @@ std::string trace_cache_key(const Args& args) {
 }
 
 core::RipsConfig parse_policy(const Args& args) {
-  const std::optional<core::RipsConfig> parsed =
-      core::parse_policy(args.get("policy", "any-lazy"));
-  RIPS_CHECK_MSG(parsed.has_value(),
-                 "--policy must be {any,all}-{lazy,eager}");
+  const std::string policy = args.get("policy", "any-lazy");
+  const std::optional<core::RipsConfig> parsed = core::parse_policy(policy);
+  if (!parsed.has_value()) {
+    throw std::invalid_argument(
+        "--policy must be {any,all}-{lazy,eager}, not '" + policy + "'");
+  }
   core::RipsConfig config = *parsed;
   if (args.has("periodic-us")) {
     config.detect = core::DetectMode::kPeriodic;
@@ -137,30 +140,38 @@ std::optional<sweep::Kind> parse_kind(const std::string& name) {
   return std::nullopt;
 }
 
+/// The strategies a --strategy value names: every one for "all", else each
+/// entry of the comma list (a single run names one).
+std::vector<sweep::Kind> parse_strategies(const std::string& value) {
+  std::vector<sweep::Kind> kinds;
+  if (value == "all") {
+    kinds = sweep::table1_kinds();
+    kinds.push_back(sweep::Kind::kSid);
+    return kinds;
+  }
+  std::string rest = value;
+  do {
+    const size_t comma = rest.find(',');
+    const std::string name = rest.substr(0, comma);
+    rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+    const std::optional<sweep::Kind> kind = parse_kind(name);
+    if (!kind.has_value()) {
+      throw std::invalid_argument(
+          "--strategy entries must be rips|random|gradient|rid|sid, not '" +
+          name + "'");
+    }
+    kinds.push_back(*kind);
+  } while (!rest.empty());
+  return kinds;
+}
+
 /// --strategy=all or a comma list (e.g. rips,rid): run every named
 /// strategy over the same trace through the sweep executor and print a
 /// comparison table. Output is identical for any --jobs value.
 int run_compare(const Args& args, const apps::TaskTrace& trace,
                 const sim::CostModel& cost, i32 nodes,
-                const std::string& strategy_list) {
-  std::vector<sweep::Kind> kinds;
-  if (strategy_list == "all") {
-    kinds = sweep::table1_kinds();
-    kinds.push_back(sweep::Kind::kSid);
-  } else {
-    std::string rest = strategy_list;
-    while (!rest.empty()) {
-      const size_t comma = rest.find(',');
-      const std::string name = rest.substr(0, comma);
-      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-      const std::optional<sweep::Kind> kind = parse_kind(name);
-      RIPS_CHECK_MSG(kind.has_value(),
-                     "--strategy list entries must be "
-                     "rips|random|gradient|rid|sid");
-      kinds.push_back(*kind);
-    }
-  }
-
+                const core::RipsConfig& config,
+                const std::vector<sweep::Kind>& kinds) {
   apps::Workload workload;
   workload.name = args.get("app", "queens");
   workload.trace = trace;
@@ -173,7 +184,7 @@ int run_compare(const Args& args, const apps::TaskTrace& trace,
     d.nodes = nodes;
     d.kind = kind;
     d.rid_u = args.get_double("rid-u", 0.4);
-    d.config = parse_policy(args);
+    d.config = config;
     d.cost_hint = static_cast<double>(workload.trace.size()) *
                   (kind == sweep::Kind::kGradient ? 8.0 : 1.0);
     descriptors.push_back(d);
@@ -234,6 +245,20 @@ int run_cli(const Args& args) {
       "trace-cache", "live-status", "timeseries-out", "blackbox",
   });
 
+  // Bad flag values exit 2 (main's handler) before any work starts, and
+  // before --blackbox arms the flight recorder.
+  const std::string strategy = args.get("strategy", "rips");
+  const std::vector<sweep::Kind> kinds = parse_strategies(strategy);
+  const core::RipsConfig config = parse_policy(args);
+  const bool compare =
+      strategy == "all" || strategy.find(',') != std::string::npos;
+  if (compare && (args.has("topo") || args.has("sched"))) {
+    throw std::invalid_argument(
+        "--topo and --sched apply to single runs only: the comparison mode "
+        "(--strategy=all or a list) runs every strategy on the paper mesh "
+        "with MWA");
+  }
+
   if (args.has("trace-cache")) {
     apps::set_trace_cache_dir(args.get("trace-cache", ""));
   }
@@ -243,13 +268,10 @@ int run_cli(const Args& args) {
   sim::CostModel cost;
   cost.ns_per_work = args.get_double("ns-per-work", ns_per_work);
   const i32 nodes = static_cast<i32>(args.get_int("nodes", 32));
-  const std::string strategy = args.get("strategy", "rips");
 
   std::printf("app: %s\n", trace.summary().c_str());
 
-  if (strategy == "all" || strategy.find(',') != std::string::npos) {
-    return run_compare(args, trace, cost, nodes, strategy);
-  }
+  if (compare) return run_compare(args, trace, cost, nodes, config, kinds);
 
   const bool want_timeline = args.get_bool("timeline", false);
   const bool want_trace = args.has("trace-out");
@@ -301,7 +323,7 @@ int run_cli(const Args& args) {
 
   if (strategy == "rips") {
     auto sched = sched::make_scheduler(args.get("sched", "mwa"), nodes);
-    core::RipsEngine engine(*sched, cost, parse_policy(args));
+    core::RipsEngine engine(*sched, cost, config);
     engine.set_obs(o);
 
     // Deterministic fault injection: expand the seed + knobs into a plan.
@@ -318,8 +340,7 @@ int run_cli(const Args& args) {
     }
 
     metrics = engine.run(trace);
-    std::printf("RIPS %s on %s, scheduler %s\n",
-                parse_policy(args).name().c_str(),
+    std::printf("RIPS %s on %s, scheduler %s\n", config.name().c_str(),
                 sched->topology().name().c_str(), sched->name().c_str());
     std::printf("%s\n", metrics.summary().c_str());
     if (args.has("metrics-out")) {
@@ -331,12 +352,10 @@ int run_cli(const Args& args) {
   } else {
     // The comparison sweep's strategy (Random's seed included), on any
     // --topo.
-    const std::optional<sweep::Kind> kind = parse_kind(strategy);
-    RIPS_CHECK_MSG(kind.has_value(),
-                   "--strategy must be rips|random|gradient|rid|sid");
     const auto topo = topo::make_topology(args.get("topo", "mesh"), nodes);
     const std::unique_ptr<balance::Strategy> impl =
-        sweep::make_dynamic_strategy(*kind, args.get_double("rid-u", 0.4));
+        sweep::make_dynamic_strategy(kinds.front(),
+                                     args.get_double("rid-u", 0.4));
     balance::DynamicEngine engine(*topo, cost, *impl);
     engine.set_obs(o);
     metrics = engine.run(trace);

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/host_pool.hpp"
+
 namespace rips::sweep {
 
 i32 resolve_jobs(i32 jobs) {
@@ -36,6 +38,9 @@ void parallel_for(size_t count, i32 jobs,
   } else {
     std::atomic<size_t> next{0};
     auto worker = [&] {
+      // A run inside a parallel sweep keeps its thread: its engine's
+      // blocked passes run inline instead of on the host pool.
+      host_pool::mark_worker_thread();
       for (;;) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= count) return;

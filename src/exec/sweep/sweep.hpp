@@ -10,7 +10,10 @@
 //     thread hit it first or how indices interleaved);
 //   - jobs <= 0 selects std::thread::hardware_concurrency();
 //   - an effective job count of 1 runs inline on the calling thread
-//     (no pool, no synchronization — bit-identical to a plain loop).
+//     (no pool, no synchronization — bit-identical to a plain loop);
+//   - the threads of a wider sweep mark themselves as outer workers
+//     (util/host_pool.hpp), so a run inside one executes its blocked
+//     passes inline and `--jobs=N` never oversubscribes the host.
 #pragma once
 
 #include <functional>

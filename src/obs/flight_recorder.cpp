@@ -7,10 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <fstream>
 #include <utility>
-
-#include "obs/json.hpp"
 
 namespace rips::obs {
 
@@ -62,41 +59,51 @@ void black_box_signal_handler(int sig) {
 
 // --- signal-safe formatting -------------------------------------------------
 
-void fd_write(int fd, const char* s, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, s, n);
-    if (w <= 0) return;
-    s += w;
-    n -= static_cast<size_t>(w);
+/// The recorder's one writer: JSON through write(2) only, so the signal
+/// path can use it. `ok` turns false at the first failed write.
+struct FdOut {
+  int fd;
+  bool ok = true;
+
+  void write(const char* s, size_t n) {
+    while (n > 0) {
+      const ssize_t w = ::write(fd, s, n);
+      if (w <= 0) {
+        ok = false;
+        return;
+      }
+      s += w;
+      n -= static_cast<size_t>(w);
+    }
   }
-}
 
-void fd_puts(int fd, const char* s) { fd_write(fd, s, std::strlen(s)); }
+  void puts(const char* s) { write(s, std::strlen(s)); }
 
-void fd_num(int fd, long long v) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%lld", v);
-  if (n > 0) fd_write(fd, buf, static_cast<size_t>(n));
-}
-
-/// `"s"` escaped the way JSON requires (quotes, backslashes, control
-/// characters), written in runs of plain characters.
-void fd_quoted(int fd, const char* s) {
-  fd_write(fd, "\"", 1);
-  const char* run = s;
-  for (; *s != '\0'; ++s) {
-    const auto c = static_cast<unsigned char>(*s);
-    if (c != '"' && c != '\\' && c >= 0x20) continue;
-    fd_write(fd, run, static_cast<size_t>(s - run));
-    char esc[8];
-    const int n = c < 0x20 ? std::snprintf(esc, sizeof esc, "\\u%04x", c)
-                           : std::snprintf(esc, sizeof esc, "\\%c", c);
-    fd_write(fd, esc, static_cast<size_t>(n));
-    run = s + 1;
+  void num(long long v) {
+    char buf[24];
+    const int n = std::snprintf(buf, sizeof buf, "%lld", v);
+    if (n > 0) write(buf, static_cast<size_t>(n));
   }
-  fd_write(fd, run, static_cast<size_t>(s - run));
-  fd_write(fd, "\"", 1);
-}
+
+  /// `"s"` escaped the way JSON requires (quotes, backslashes, control
+  /// characters), written in runs of plain characters.
+  void quoted(const char* s) {
+    write("\"", 1);
+    const char* run = s;
+    for (; *s != '\0'; ++s) {
+      const auto c = static_cast<unsigned char>(*s);
+      if (c != '"' && c != '\\' && c >= 0x20) continue;
+      write(run, static_cast<size_t>(s - run));
+      char esc[8];
+      const int n = c < 0x20 ? std::snprintf(esc, sizeof esc, "\\u%04x", c)
+                             : std::snprintf(esc, sizeof esc, "\\%c", c);
+      write(esc, static_cast<size_t>(n));
+      run = s + 1;
+    }
+    write(run, static_cast<size_t>(s - run));
+    write("\"", 1);
+  }
+};
 
 }  // namespace
 
@@ -120,67 +127,69 @@ void FlightRecorder::on_event(const TelemetryEvent& event) {
 bool FlightRecorder::dump(const char* reason, const std::string& path) {
   const std::string& target = path.empty() ? dump_path_ : path;
   if (target.empty()) return false;
-  std::ofstream out(target, std::ios::binary);
-  out << "{\"schema\":\"rips-timeseries-v1\",\"reason\":"
-      << json::quoted(reason) << ",\"series\":[" << series_json() << "]}\n";
-  if (!out) return false;
+  const int fd = ::open(target.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  const bool written = dump_signal_safe(fd, reason);
+  if (::close(fd) != 0 || !written) return false;
   ++dumps_written_;
   return true;
 }
 
-void FlightRecorder::dump_signal_safe(int fd, const char* reason) const {
-  fd_puts(fd, "{\"schema\":\"rips-timeseries-v1\",\"reason\":");
-  fd_quoted(fd, reason);
-  fd_puts(fd, ",\"series\":[{\"label\":");
-  fd_quoted(fd, label().c_str());
-  fd_puts(fd, ",\"engine\":");
-  fd_quoted(fd, engine());
-  fd_puts(fd, ",\"nodes\":");
-  fd_num(fd, num_nodes());
-  fd_puts(fd, ",\"tasks\":");
-  fd_num(fd, static_cast<long long>(num_tasks()));
-  fd_puts(fd, ",\"makespan_ns\":");
-  fd_num(fd, makespan_ns());
-  fd_puts(fd, run_complete() ? ",\"complete\":true" : ",\"complete\":false");
-  fd_puts(fd, ",\"seen\":");
-  fd_num(fd, static_cast<long long>(seen()));
-  fd_puts(fd, ",\"dropped\":");
-  fd_num(fd, static_cast<long long>(dropped()));
-  fd_puts(fd, ",\"columns\":[");
+bool FlightRecorder::dump_signal_safe(int fd, const char* reason) const {
+  FdOut out{fd};
+  out.puts("{\"schema\":\"rips-timeseries-v1\",\"reason\":");
+  out.quoted(reason);
+  out.puts(",\"series\":[{\"label\":");
+  out.quoted(label().c_str());
+  out.puts(",\"engine\":");
+  out.quoted(engine());
+  out.puts(",\"nodes\":");
+  out.num(num_nodes());
+  out.puts(",\"tasks\":");
+  out.num(static_cast<long long>(num_tasks()));
+  out.puts(",\"makespan_ns\":");
+  out.num(makespan_ns());
+  out.puts(run_complete() ? ",\"complete\":true" : ",\"complete\":false");
+  out.puts(",\"seen\":");
+  out.num(static_cast<long long>(seen()));
+  out.puts(",\"dropped\":");
+  out.num(static_cast<long long>(dropped()));
+  out.puts(",\"columns\":[");
   for (size_t c = 0; c < std::size(kSampleColumns); ++c) {
-    if (c != 0) fd_puts(fd, ",");
-    fd_quoted(fd, kSampleColumns[c]);
+    if (c != 0) out.puts(",");
+    out.quoted(kSampleColumns[c]);
   }
   // Walk the rings in place: no in_order() copy on this path.
-  fd_puts(fd, "],\"samples\":[");
+  out.puts("],\"samples\":[");
   for (size_t i = 0; i < samples_.size(); ++i) {
     const PhaseSample& s = samples_[i];
-    fd_puts(fd, i == 0 ? "[" : ",[");
-    fd_quoted(fd, phase_kind_name(s.kind));
+    out.puts(i == 0 ? "[" : ",[");
+    out.quoted(phase_kind_name(s.kind));
     for (const i64 v : sample_values(s)) {
-      fd_puts(fd, ",");
-      fd_num(fd, v);
+      out.puts(",");
+      out.num(v);
     }
-    fd_puts(fd, "]");
+    out.puts("]");
   }
-  fd_puts(fd, "],\"events\":[");
+  out.puts("],\"events\":[");
   for (size_t i = 0; i < events_.size(); ++i) {
     const TelemetryEvent& e = events_[i];
-    fd_puts(fd, i == 0 ? "{\"kind\":" : ",{\"kind\":");
-    fd_quoted(fd, telemetry_event_kind_name(e.kind));
-    fd_puts(fd, ",\"t\":");
-    fd_num(fd, e.t);
-    fd_puts(fd, ",\"node\":");
-    fd_num(fd, e.node);
-    fd_puts(fd, ",\"phase\":");
-    fd_num(fd, static_cast<long long>(e.phase));
-    fd_puts(fd, ",\"arg\":");
-    fd_num(fd, e.arg);
-    fd_puts(fd, ",\"detail\":");
-    fd_quoted(fd, e.detail);
-    fd_puts(fd, "}");
+    out.puts(i == 0 ? "{\"kind\":" : ",{\"kind\":");
+    out.quoted(telemetry_event_kind_name(e.kind));
+    out.puts(",\"t\":");
+    out.num(e.t);
+    out.puts(",\"node\":");
+    out.num(e.node);
+    out.puts(",\"phase\":");
+    out.num(static_cast<long long>(e.phase));
+    out.puts(",\"arg\":");
+    out.num(e.arg);
+    out.puts(",\"detail\":");
+    out.quoted(e.detail);
+    out.puts("}");
   }
-  fd_puts(fd, "]}]}\n");
+  out.puts("]}]}\n");
+  return out.ok;
 }
 
 void FlightRecorder::arm_process_hooks() {

@@ -13,11 +13,12 @@
 //   * automatically on kCrash / kMonitorViolation bus events;
 //   * from a signal handler (SIGABRT / SIGSEGV / SIGBUS / SIGFPE) or
 //     std::terminate after arm_process_hooks() — RIPS_CHECK failures
-//     abort, so a tripped engine invariant still leaves a black box. The
-//     signal path writes the same bytes as dump() with snprintf +
-//     write(2) only (the rings hold plain integers and static strings,
-//     nothing to allocate);
+//     abort, so a tripped engine invariant still leaves a black box;
 //   * manually via dump().
+// Every dump goes through one writer, dump_signal_safe: snprintf +
+// write(2) only (the rings hold plain integers and static strings,
+// nothing to allocate), byte for byte the sampler's series_json() in the
+// dump's envelope.
 //
 // `trace_tool blackbox <file>` pretty-prints a dump and attributes every
 // recorded incident to the phase whose window contains it.
@@ -63,10 +64,10 @@ class FlightRecorder final : public TimeSeriesSampler {
   /// second recorder moves the hooks. The destructor disarms.
   void arm_process_hooks();
   static void disarm_process_hooks();
-  /// Signal-safe dump to an open fd: byte for byte the document dump()
-  /// writes. Public so the signal handler can reach it; callable from
-  /// tests.
-  void dump_signal_safe(int fd, const char* reason) const;
+  /// Signal-safe dump to an open fd, the writer of every dump. Returns
+  /// false when a write failed. Public so the signal handler can reach
+  /// it; callable from tests.
+  bool dump_signal_safe(int fd, const char* reason) const;
 
  private:
   std::string dump_path_;

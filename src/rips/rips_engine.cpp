@@ -1,11 +1,13 @@
 #include "rips/rips_engine.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <iterator>
 #include <limits>
 
 #include "exec/task_source.hpp"
 #include "util/check.hpp"
+#include "util/host_pool.hpp"
 #include "util/simd.hpp"
 
 namespace rips::core {
@@ -20,6 +22,13 @@ constexpr SimTime kNever = std::numeric_limits<SimTime>::max() / 4;
 constexpr SimTime kFaultTimeoutNs = 2'000'000;
 // Retransmissions per collective message before the peer is suspected dead.
 constexpr i32 kFaultMaxRetries = 3;
+
+// Blocks (docs/PERFORMANCE.md, "Threads inside a run"): a per-rank pass
+// over at least kBlockMinTasks queued tasks splits the live ranks into
+// min(kMaxBlocks, ranks) contiguous blocks. The split depends on the phase
+// only, never on how many host threads run the blocks.
+constexpr size_t kBlockMinTasks = 16384;
+constexpr size_t kMaxBlocks = 16;
 }  // namespace
 
 RipsEngine::RipsEngine(sched::ParallelScheduler& scheduler,
@@ -130,7 +139,7 @@ SimTime RipsEngine::recover(SimTime t) {
     c_reexecuted_->add(d.lost_execs);
     c_lost_work_ns_->add(static_cast<u64>(d.lost_work_ns));
     NodeRt& dead = nodes_[static_cast<size_t>(d.node)];
-    dead.rte_begin = dead.rte_len = dead.rte_local = dead.rte_spawned = 0;
+    dead.rte_len = dead.rte_local = dead.rte_spawned = 0;
     dead.rts.clear();
   }
 
@@ -193,6 +202,25 @@ SimTime RipsEngine::recover(SimTime t) {
   return extra;
 }
 
+size_t RipsEngine::plan_blocks(size_t tasks) {
+  const size_t n = live_.size();
+  const size_t k =
+      split_ok_ && tasks >= kBlockMinTasks ? std::min(kMaxBlocks, n) : 1;
+  if (blocks_.size() < k) blocks_.resize(k);
+  max_blocks_ = std::max(max_blocks_, k);
+  for (size_t b = 0; b < k; ++b) {
+    blocks_[b].rank_begin = static_cast<u32>(b * n / k);
+    blocks_[b].rank_end = static_cast<u32>((b + 1) * n / k);
+  }
+  return k;
+}
+
+template <typename Fn>
+void RipsEngine::for_each_block(size_t k, Fn&& fn) {
+  auto body = [&](size_t b) { fn(blocks_[b]); };
+  host_pool::run(k, body);
+}
+
 SimTime RipsEngine::system_phase(SimTime t) {
   SimTime recovery_extra = 0;
   if (!dead_pending_.empty()) recovery_extra = recover(t);
@@ -216,22 +244,30 @@ SimTime RipsEngine::system_phase(SimTime t) {
     }
   }
 
+  // The load collection runs on the blocks a user phase of this size
+  // would use.
+  const size_t k = plan_blocks(total);
+
   // Counts (the paper's choice) or work totals (weighted mode: what
   // perfect grain estimation would let the scheduler balance). Loads are
   // indexed by logical rank; rank r is physical node live_[r]. Weighted
   // loads are a flat gather over the per-task weight array.
   load_.resize(static_cast<size_t>(n));
-  for (i32 r = 0; r < n; ++r) {
-    const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
-    load_[static_cast<size_t>(r)] =
-        config_.weighted
-            ? simd::gather_sum_i64(task_weight_.data(), node.rts.data(),
-                                   node.rts.size()) +
-                  simd::gather_sum_i64(task_weight_.data(),
-                                       rte_.data() + node.rte_begin,
-                                       node.rte_len)
-            : static_cast<i64>(node.rts.size() + node.rte_len);
-  }
+  for_each_block(k, [&](const Block& block) {
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+      const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      load_[r] =
+          config_.weighted
+              ? simd::gather_sum_i64(task_weight_.data(), node.rts.data(),
+                                     node.rts.size()) +
+                    simd::gather_sum_i64(task_weight_.data(),
+                                         rte_.data() + node.rte_begin,
+                                         node.rte_len - node.rte_spawned) +
+                    simd::gather_sum_i64(task_weight_.data(), node.spawned,
+                                         node.rte_spawned)
+              : static_cast<i64>(node.rts.size() + node.rte_len);
+    }
+  });
   // The plan is borrowed from the scheduler's pooled result; it stays valid
   // until the next schedule() call, which only happens next phase.
   const sched::ScheduleResult& plan = active_scheduler().schedule(load_);
@@ -251,7 +287,10 @@ SimTime RipsEngine::system_phase(SimTime t) {
       const TaskId* span = rte_.data() + node.rte_begin;
       before_tasks_.insert(before_tasks_.end(), node.rts.begin(),
                            node.rts.end());
-      before_tasks_.insert(before_tasks_.end(), span, span + node.rte_len);
+      before_tasks_.insert(before_tasks_.end(), span,
+                           span + node.rte_len - node.rte_spawned);
+      before_tasks_.insert(before_tasks_.end(), node.spawned,
+                           node.spawned + node.rte_spawned);
       before_offsets_[static_cast<size_t>(r) + 1] = before_tasks_.size();
     }
   }
@@ -480,10 +519,11 @@ u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan) {
   const i32 n = static_cast<i32>(live_.size());
   size_regions(plan);
 
-  // Partition: RTS entries by origin; the leftover span by position — its
-  // local front and spawned tail go to the local stack, its foreign middle
-  // to the foreign one (pushed in span order, so the first ends on top of
-  // the region's end). Every region fits its rank's holdings.
+  // Partition: RTS entries by origin; the leftover by position — its
+  // span's local front and its spawned part go to the local stack, the
+  // span's foreign rest to the foreign one (pushed in span order, so the
+  // first ends on top of the region's end). Every region fits its rank's
+  // holdings.
   for (i32 r = 0; r < n; ++r) {
     const NodeId phys = live_[static_cast<size_t>(r)];
     NodeRt& node = nodes_[static_cast<size_t>(phys)];
@@ -501,7 +541,7 @@ u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan) {
     const TaskId* span = rte_.data() + node.rte_begin;
     const TaskId* foreign_end = span + node.rte_len - node.rte_spawned;
     up = std::copy(span, span + node.rte_local, up);
-    up = std::copy(foreign_end, span + node.rte_len, up);
+    up = std::copy(node.spawned, node.spawned + node.rte_spawned, up);
     down -= foreign_end - (span + node.rte_local);
     std::reverse_copy(span + node.rte_local, foreign_end, down);
     region.local = static_cast<size_t>(up - (arena_.get() + region.base));
@@ -640,26 +680,24 @@ void RipsEngine::check_phase_invariants(u64 phase,
 
 SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
                                         SimTime stop_t, PhaseMode mode,
-                                        u64* lost_execs,
+                                        Block& block, u64* lost_execs,
                                         SimTime* lost_work_ns) {
   NodeRt& n = nodes_[static_cast<size_t>(node)];
   const bool apply = mode == PhaseMode::kCommit;
-  if (n.rte_len == 0) {
-    if (apply) n.rte_begin = 0;  // an empty leftover
-    return start_t;
-  }
+  if (n.rte_len == 0) return start_t;  // an empty leftover
   const bool lazy = config_.local == LocalPolicy::kLazy;
   const bool lifo = config_.lifo_execution;
 
   // The node's queue is its span followed by the tasks it spawns (lazy
-  // policy). FIFO takes the span front, then the spawned tasks in order;
-  // LIFO takes the spawned stack first, then the span back.
+  // policy), which go to the block's buffer from `base` on. FIFO takes the
+  // span front, then the spawned tasks in order; LIFO takes the spawned
+  // stack first, then the span back. A phase starts with no spawned part.
   const TaskId* span = rte_.data() + n.rte_begin;
   u32 head = 0;
   u32 tail = n.rte_len;
-  std::vector<TaskId>& spawned = spawned_;
-  spawned.clear();
-  size_t spawned_head = 0;
+  std::vector<TaskId>& spawned = block.spawned;
+  const size_t base = spawned.size();
+  size_t spawned_head = base;
   u64 executed = 0;
   SimTime busy = 0;
   SimTime spawn_ovh = 0;
@@ -667,7 +705,7 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
   while (now < stop_t) {
     TaskId task;
     if (lifo) {
-      if (!spawned.empty()) {
+      if (spawned.size() > base) {
         task = spawned.back();
         spawned.pop_back();
       } else if (head < tail) {
@@ -680,8 +718,8 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
     } else if (spawned_head < spawned.size()) {
       task = spawned[spawned_head++];
       if (spawned_head == spawned.size()) {
-        spawned.clear();
-        spawned_head = 0;
+        spawned.resize(base);
+        spawned_head = base;
       }
     } else {
       break;
@@ -727,19 +765,20 @@ SimTime RipsEngine::simulate_user_phase(NodeId node, SimTime start_t,
   if (apply) {
     n.busy_ns += busy;
     n.ovh_ns += spawn_ovh;
-    executed_total_ += executed;
-    c_tasks_executed_->add(executed);
-    // The leftover keeps the span's layout: [unexecuted local][unexecuted
-    // foreign][spawned], appended to the next buffer in rank order.
+    block.executed += executed;
+    // The leftover keeps the queue's layout: the span's [unexecuted
+    // local][unexecuted foreign] in place, and the unexecuted spawned tasks
+    // moved down to `base`, right after the previous node's.
     const u32 local_left = std::clamp(n.rte_local, head, tail) - head;
-    const size_t spawned_left = spawned.size() - spawned_head;
-    n.rte_begin = static_cast<u32>(rte_next_.size());
+    spawned.erase(spawned.begin() + static_cast<std::ptrdiff_t>(base),
+                  spawned.begin() + static_cast<std::ptrdiff_t>(spawned_head));
+    const size_t spawned_left = spawned.size() - base;
+    n.rte_begin += head;
     n.rte_len = tail - head + static_cast<u32>(spawned_left);
     n.rte_local = local_left;
     n.rte_spawned = static_cast<u32>(spawned_left);
-    rte_next_.insert(rte_next_.end(), span + head, span + tail);
-    rte_next_.insert(rte_next_.end(), spawned.data() + spawned_head,
-                     spawned.data() + spawned.size());
+  } else {
+    spawned.resize(base);
   }
   return now;
 }
@@ -758,37 +797,43 @@ SimTime RipsEngine::user_phase(SimTime t) {
     job_exec_.assign(static_cast<size_t>(num_jobs_), 0);
   }
 
+  // Both per-node passes run over the same blocks of live ranks.
+  const size_t k = plan_blocks(rte_.size());
+
   // Measuring pass: when would each node drain its RTE, undisturbed? The
   // simulated instruction stream is position-free, so the drain time is
   // the exact sum of precomputed per-task drain costs — O(queue) instead of
   // a full O(subtree) dry-run simulation, which stays as the test
-  // reference (set_full_measure_pass).
+  // reference (set_full_measure_pass, always one block).
   std::vector<SimTime>& drain = drain_;
   drain.assign(nodes_.size(), kNever);
   if (!full_measure_) {
     // Gather-sum kernel over each node's RTE span: the whole measuring
     // pass is one linear read of drain_cost_ per node.
-    for (NodeId phys : live_) {
-      const NodeRt& node = nodes_[static_cast<size_t>(phys)];
-      drain[static_cast<size_t>(phys)] =
-          t + simd::gather_sum_i64(drain_cost_.data(),
-                                   rte_.data() + node.rte_begin,
-                                   node.rte_len);
-    }
+    for_each_block(k, [&](const Block& block) {
+      for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+        const NodeId phys = live_[r];
+        const NodeRt& node = nodes_[static_cast<size_t>(phys)];
+        drain[static_cast<size_t>(phys)] =
+            t + simd::gather_sum_i64(drain_cost_.data(),
+                                     rte_.data() + node.rte_begin,
+                                     node.rte_len);
+      }
+    });
   } else {
     for (NodeId phys : live_) {
-      drain[static_cast<size_t>(phys)] =
-          simulate_user_phase(phys, t, kNever, PhaseMode::kMeasure);
+      drain[static_cast<size_t>(phys)] = simulate_user_phase(
+          phys, t, kNever, PhaseMode::kMeasure, blocks_[0]);
     }
   }
 
   // Effective crash times: a crash timed before this phase (inside the
   // system phase) fires at the phase start; crashes are honored at
-  // user-phase granularity.
+  // user-phase granularity. Only a fault plan reads them.
   std::vector<SimTime>& crash_eff = crash_eff_;
-  crash_eff.assign(nodes_.size(), kNever);
   bool crash_candidates = false;
   if (injector_.has_value()) {
+    crash_eff.assign(nodes_.size(), kNever);
     for (NodeId phys : live_) {
       if (crash_time_[static_cast<size_t>(phys)] != kNever) {
         crash_eff[static_cast<size_t>(phys)] =
@@ -872,20 +917,20 @@ SimTime RipsEngine::user_phase(SimTime t) {
     }
   }
 
-  // Commit pass with per-node stop times, writing each node's leftover to
-  // rte_next_ in rank order. Doomed nodes run until their crash instead:
-  // everything they executed this phase dies with them, and so does their
-  // queue (recover() re-injects their checkpoint).
-  SimTime phase_end = t;
+  // Commit pass with per-node stop times; each node's unexecuted spawned
+  // tasks stay in its block's buffer. Doomed nodes run until their crash
+  // instead: everything they executed this phase dies with them, and so
+  // does their queue (recover() re-injects their checkpoint). A fault plan
+  // keeps one block, so their incidents stay in rank order.
   SimTime max_death = 0;
-  rte_next_.clear();
-  const auto commit_doomed = [&](NodeId phys) {
+  const auto commit_doomed = [&](NodeId phys, Block& block) {
     const SimTime death = crash_eff[static_cast<size_t>(phys)];
     u64 lost = 0;
     SimTime lost_work = 0;
-    simulate_user_phase(phys, t, death, PhaseMode::kDoomed, &lost, &lost_work);
+    simulate_user_phase(phys, t, death, PhaseMode::kDoomed, block, &lost,
+                        &lost_work);
     NodeRt& node = nodes_[static_cast<size_t>(phys)];
-    node.rte_begin = node.rte_len = node.rte_local = node.rte_spawned = 0;
+    node.rte_len = node.rte_local = node.rte_spawned = 0;
     dead_pending_.push_back({phys, death, lost, lost_work});
     max_death = std::max(max_death, death);
     obs::TelemetryEvent ev;
@@ -897,40 +942,56 @@ SimTime RipsEngine::user_phase(SimTime t) {
     ev.detail = "fail-stop crash committed";
     obs_.incident(ev);
   };
-  if (config_.global == GlobalPolicy::kAny) {
-    for (NodeId phys : live_) {
+  const bool any = config_.global == GlobalPolicy::kAny;
+  const SimTime signal_ovh = cost_.send_overhead_ns + cost_.recv_overhead_ns;
+  for_each_block(k, [&](Block& block) {
+    block.spawned.clear();
+    block.executed = 0;
+    block.phase_end = t;
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+      const NodeId phys = live_[r];
       if (doomed[static_cast<size_t>(phys)]) {
-        commit_doomed(phys);
+        commit_doomed(phys, block);
         continue;
       }
-      const SimTime delay =
-          cost_.send_overhead_ns + cost_.recv_overhead_ns +
-          cost_.network_time(machine_distance(initiator, phys));
-      const SimTime stop = t_detect + (phys == initiator ? 0 : delay);
+      // ANY: a node stops once the initiator's init reaches it; ALL: every
+      // node drains its RTE.
+      SimTime stop = kNever;
+      if (any) {
+        const SimTime delay =
+            signal_ovh + cost_.network_time(machine_distance(initiator, phys));
+        stop = t_detect + (phys == initiator ? 0 : delay);
+      }
       const SimTime quiesce =
-          simulate_user_phase(phys, t, stop, PhaseMode::kCommit);
-      nodes_[static_cast<size_t>(phys)].ovh_ns +=
-          cost_.send_overhead_ns + cost_.recv_overhead_ns;
-      phase_end = std::max(phase_end, std::max(quiesce, stop));
+          simulate_user_phase(phys, t, stop, PhaseMode::kCommit, block);
+      nodes_[static_cast<size_t>(phys)].ovh_ns += signal_ovh;
+      block.phase_end =
+          std::max(block.phase_end, any ? std::max(quiesce, stop) : quiesce);
     }
+    // The buffer no longer grows: point the nodes' spawned parts into it.
+    const TaskId* left = block.spawned.data();
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+      NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      node.spawned = left;
+      left += node.rte_spawned;
+    }
+  });
+  // Integer sums and maxima: the merge is exact in any order.
+  SimTime phase_end = t;
+  u64 committed = 0;
+  for (size_t b = 0; b < k; ++b) {
+    committed += blocks_[b].executed;
+    phase_end = std::max(phase_end, blocks_[b].phase_end);
+  }
+  executed_total_ += committed;
+  c_tasks_executed_->add(committed);
+  if (any) {
     phase_end += cost_.step_ns;  // quiescence confirmation
   } else {
-    for (NodeId phys : live_) {
-      if (doomed[static_cast<size_t>(phys)]) {
-        commit_doomed(phys);
-        continue;
-      }
-      const SimTime quiesce =
-          simulate_user_phase(phys, t, kNever, PhaseMode::kCommit);
-      nodes_[static_cast<size_t>(phys)].ovh_ns +=
-          cost_.send_overhead_ns + cost_.recv_overhead_ns;
-      phase_end = std::max(phase_end, quiesce);
-    }
     // Ready signals climb the spanning tree, init returns.
     phase_end = std::max(phase_end, t_detect) +
                 2 * cost_.network_time(machine_diameter());
   }
-  rte_.swap(rte_next_);
   phase_end += periodic_penalty;
 
   // Faulty detection collective: the ready/init signals carry the
@@ -1023,7 +1084,6 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   const i32 n = scheduler_.topology().size();
   nodes_.assign(static_cast<size_t>(n), NodeRt{});
   rte_.clear();
-  rte_next_.clear();
   grown_regions_ = 0;
   origin_.assign(trace.size(), kInvalidNode);
   exec_node_.assign(trace.size(), kInvalidNode);
@@ -1075,6 +1135,9 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   // so neither changes the undisturbed drain times.
   metrics_.sequential_ns = extend_task_costs(0);
   metrics_.used_fast_measure = !full_measure_;
+  split_ok_ = job_of_ == nullptr && obs_.trace == nullptr &&
+              !injector_.has_value() && !full_measure_;
+  max_blocks_ = 1;
   job_exec_.clear();
   job_accounting_ = job_of_ != nullptr && num_jobs_ > 0;
   if (job_accounting_) {

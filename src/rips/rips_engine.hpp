@@ -148,6 +148,11 @@ class RipsEngine {
   /// moved a full region to the arena's end (always 0 in count mode).
   u64 grown_regions() const { return grown_regions_; }
 
+  /// Test introspection: the most blocks any pass of the last run split
+  /// its live ranks into (1 when every pass ran as one block). The count
+  /// depends on the phases only, never on the host's CPUs.
+  size_t max_blocks() const { return max_blocks_; }
+
   /// Test hook: invoked at the end of every system phase with the phase
   /// index. The allocation regression test uses it to bracket a
   /// steady-state window; a plain function pointer so attaching and
@@ -169,15 +174,19 @@ class RipsEngine {
 
  private:
   struct NodeRt {
-    // The node's RTE (ready to execute) is the span [rte_begin, rte_begin +
-    // rte_len) of rte_. A system phase writes it as [local tasks][foreign
-    // tasks]; the commit pass leaves [unexecuted local][unexecuted
-    // foreign][tasks spawned this phase], and spawned tasks are local. So
-    // the next system phase splits the leftover by position.
+    // The node's RTE (ready to execute): rte_len tasks, the span [rte_begin,
+    // rte_begin + rte_len - rte_spawned) of rte_ followed by [spawned,
+    // spawned + rte_spawned). A system phase writes the span as [local
+    // tasks][foreign tasks] and no spawned part. The commit pass leaves the
+    // unexecuted rest of the span in place, [unexecuted local][unexecuted
+    // foreign], and points `spawned` at the node's unexecuted spawned tasks
+    // in its block's buffer; spawned tasks are local. So the next system
+    // phase splits the leftover by position.
+    const TaskId* spawned = nullptr;
     u32 rte_begin = 0;
     u32 rte_len = 0;
     u32 rte_local = 0;    // leading local tasks of the span
-    u32 rte_spawned = 0;  // trailing spawned tasks of the span
+    u32 rte_spawned = 0;  // tasks of the spawned part
     // Ready to schedule: eager children, released or injected roots and
     // recovery re-injections; the one queue that needs origin lookups.
     std::vector<TaskId> rts;
@@ -195,6 +204,22 @@ class RipsEngine {
     size_t foreign = 0;
   };
 
+  /// One block of a per-rank pass (the user phase's measuring and commit
+  /// passes, the system phase's load collection): a contiguous range of
+  /// live ranks that runs as one unit of the host pool. Blocks share
+  /// nothing but disjoint per-task and per-node entries; the rest of their
+  /// output is merged in block order (= rank order).
+  struct Block {
+    u32 rank_begin = 0;
+    u32 rank_end = 0;
+    // Lazy spawns: the unexecuted spawned tasks of the block's committed
+    // nodes, in rank order, then the running node's queue. They stay here
+    // until the next system phase has read them.
+    std::vector<TaskId> spawned;
+    u64 executed = 0;         // tasks the block committed this phase
+    SimTime phase_end = 0;    // latest stop or quiescence among its nodes
+  };
+
   /// How simulate_user_phase treats the node's state.
   enum class PhaseMode {
     kMeasure,  ///< scratch state, returns the drain time only
@@ -204,14 +229,25 @@ class RipsEngine {
   };
 
   /// Simulates one node's user phase over its RTE span plus the tasks it
-  /// spawns. `stop_t` is the time the node learns of the phase transfer —
-  /// or dies (kDoomed): it finishes the task in flight, then stops. kCommit
-  /// appends the node's leftover to rte_next_ and points its span there. In
-  /// kDoomed mode `lost_execs` / `lost_work_ns` receive the executions
-  /// whose results die with the node.
+  /// spawns, in `block`'s scratch. `stop_t` is the time the node learns of
+  /// the phase transfer — or dies (kDoomed): it finishes the task in
+  /// flight, then stops. kCommit leaves the node's unexecuted spawned tasks
+  /// at the end of the block's buffer (the caller points the node there
+  /// once the block is done) and counts its executions in the block; the
+  /// other modes leave the buffer as they found it. In kDoomed mode
+  /// `lost_execs` / `lost_work_ns` receive the executions whose results
+  /// die with the node.
   SimTime simulate_user_phase(NodeId node, SimTime start_t, SimTime stop_t,
-                              PhaseMode mode, u64* lost_execs = nullptr,
+                              PhaseMode mode, Block& block,
+                              u64* lost_execs = nullptr,
                               SimTime* lost_work_ns = nullptr);
+  /// Splits the live ranks into the blocks (blocks_[0, k)) of a pass over
+  /// `tasks` queued tasks and returns k: one block unless the run may split
+  /// (split_ok_) and `tasks` reaches kBlockMinTasks.
+  size_t plan_blocks(size_t tasks);
+  /// Runs fn(block) for blocks_[0, k) on the host pool.
+  template <typename Fn>
+  void for_each_block(size_t k, Fn&& fn);
 
   /// System-phase replay: moves every rank's RTS and leftover RTE into its
   /// arena region, replays the plan's transfers there and writes each
@@ -286,11 +322,19 @@ class RipsEngine {
   std::vector<NodeRt> nodes_;
   // The RTE of every node, one span each (NodeRt::rte_begin), in rank
   // order. A system phase writes rte_ once; the commit pass reads it and
-  // appends each node's leftover to rte_next_, and the two swap at the end
-  // of every user phase.
+  // leaves the unexecuted tasks in place, where the next system phase
+  // reads them.
   std::vector<TaskId> rte_;
-  std::vector<TaskId> rte_next_;
-  std::vector<TaskId> spawned_;  // user-phase scratch: one node's spawns
+  // The blocks of the current pass; never shrunk, so a warm run reuses
+  // their buffers.
+  std::vector<Block> blocks_;
+  // Whether this run's passes may use more than one block. Passes
+  // that write shared state per task keep one: a job map (per-job
+  // counters), a TraceSession (task spans), a fault plan (doomed nodes'
+  // incidents in rank order, LiveView's lazy distance rows) and the full
+  // measuring pass.
+  bool split_ok_ = false;
+  size_t max_blocks_ = 1;  // the widest split of this run
   std::vector<NodeId> origin_;
   std::vector<NodeId> exec_node_;
   u64 executed_total_ = 0;

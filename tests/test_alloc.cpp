@@ -9,7 +9,9 @@
 //     ZERO heap allocations on a repeat run — every vector the phase loop
 //     touches is a reused member arena. That holds with a telemetry bus
 //     and a job map attached too: publishing phase records and the
-//     per-job breakdown allocates nothing.
+//     per-job breakdown allocates nothing. It holds for blocked phases on
+//     the host pool as well: each block's scratch is reused, and the
+//     counter sees every thread's allocations.
 //   * DynamicEngine: the per-steal message path recycles task buffers, so
 //     a steady-state window of a repeat run is likewise allocation-free.
 //   * LiveView: a degraded machine's survivor view never asks for memory
@@ -168,11 +170,13 @@ class NullSubscriber final : public obs::TelemetrySubscriber {};
 // run's RipsEngine::grown_regions().
 void expect_steady_state_allocates_nothing(const RipsConfig& config,
                                            bool with_bus_and_jobs,
-                                           u64* grown_regions = nullptr) {
+                                           u64* grown_regions = nullptr,
+                                           u64 target_tasks = 20000,
+                                           size_t* max_blocks = nullptr) {
   // Many nodes relative to the trace: frequent drains mean frequent
   // system phases, which is what gives the test its windows (~19 with
   // this trace/mesh pairing).
-  const apps::TaskTrace trace = alloc_trace(20000);
+  const apps::TaskTrace trace = alloc_trace(target_tasks);
   topo::Mesh mesh(16, 16);
   sched::Mwa mwa(mesh);
   RipsEngine engine(mwa, test_cost(), config);
@@ -213,6 +217,7 @@ void expect_steady_state_allocates_nothing(const RipsConfig& config,
         << "heap allocation in steady-state window ending at phase " << i;
   }
   if (grown_regions != nullptr) *grown_regions = engine.grown_regions();
+  if (max_blocks != nullptr) *max_blocks = engine.max_blocks();
 }
 
 TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
@@ -244,6 +249,18 @@ TEST(AllocFree, LifoSteadyStatePhasesAllocateNothing) {
   RipsConfig config;
   config.lifo_execution = true;
   expect_steady_state_allocates_nothing(config, /*with_bus_and_jobs=*/true);
+}
+
+// Phases above the split threshold run their passes over blocks on the
+// host pool: the pool's first dispatch starts its threads during the warm
+// run, and the repeat run's blocks reuse their scratch.
+TEST(AllocFree, BlockedPhasesOnTheHostPoolAllocateNothing) {
+  size_t blocks = 0;
+  expect_steady_state_allocates_nothing(RipsConfig{},
+                                        /*with_bus_and_jobs=*/false,
+                                        /*grown_regions=*/nullptr,
+                                        /*target_tasks=*/200000, &blocks);
+  EXPECT_GT(blocks, 1u) << "no phase split: the test no longer covers blocks";
 }
 
 // Monitor `before` snapshots are the one per-phase structure the engine

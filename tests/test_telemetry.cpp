@@ -385,10 +385,10 @@ TEST(FlightRecorder, SignalSafeDumpIsParseable) {
   std::remove(path.c_str());
 }
 
-// The plain dump and the signal path write the same bytes.
+// Every dump goes through the signal-safe writer, and it writes the
+// sampler's own series document inside the dump's envelope.
 TEST(FlightRecorder, BothDumpPathsWriteTheSameBytes) {
   const std::string plain = ::testing::TempDir() + "rips_bb_plain.json";
-  const std::string signal = ::testing::TempDir() + "rips_bb_sigpath.json";
   FlightRecorder rec("", {8, 4});
   rec.set_label("w/rips/n16");
   rec.on_run_begin(RunStart{"rips", 16, 99});
@@ -396,10 +396,6 @@ TEST(FlightRecorder, BothDumpPathsWriteTheSameBytes) {
   rec.on_event(crash_at(250, 5));
   rec.on_run_end(1100);
   ASSERT_TRUE(rec.dump("manual", plain));
-  const int fd = ::open(signal.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  ASSERT_GE(fd, 0);
-  rec.dump_signal_safe(fd, "manual");
-  ::close(fd);
 
   const auto read = [](const std::string& path) {
     std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -410,11 +406,11 @@ TEST(FlightRecorder, BothDumpPathsWriteTheSameBytes) {
     if (f != nullptr) std::fclose(f);
     return text;
   };
-  const std::string a = read(plain);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, read(signal));
+  EXPECT_EQ(read(plain),
+            "{\"schema\":\"rips-timeseries-v1\",\"reason\":\"manual\","
+            "\"series\":[" +
+                rec.series_json() + "]}\n");
   std::remove(plain.c_str());
-  std::remove(signal.c_str());
 }
 
 // std::terminate dumps once, under its own reason: the abort() that ends
