@@ -14,6 +14,7 @@
 //   ./rips_jobctl --socket=/tmp/rips.sock submit --tenant=alice --roots=64
 //   ./rips_jobctl --socket=/tmp/rips.sock drain
 //   ./rips_jobctl --socket=/tmp/rips.sock shutdown
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -70,6 +71,11 @@ int main(int argc, char** argv) {
   options.blackbox_path = args.get("blackbox", "");
   const std::string bench_out = args.get("bench-out", "");
 
+  // A peer that closed its socket costs only its connection (sends use
+  // MSG_NOSIGNAL); ignoring SIGPIPE also keeps a closed stderr, such as
+  // `rips_served ... 2>&1 | head -1`, from killing the daemon before it
+  // writes --bench-out.
+  std::signal(SIGPIPE, SIG_IGN);
   serve::JobServer server(options);
   serve::SocketServer socket(server, socket_path);
   server.start();

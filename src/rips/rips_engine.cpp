@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
+#include <cstring>
 #include <limits>
+#include <utility>
 
 #include "exec/task_source.hpp"
 #include "util/check.hpp"
@@ -221,6 +222,63 @@ void RipsEngine::for_each_block(size_t k, Fn&& fn) {
   host_pool::run(k, body);
 }
 
+template <typename Count>
+size_t RipsEngine::block_offsets(size_t k, Count&& count) {
+  for_each_block(k, [&](Block& block) {
+    size_t sum = 0;
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) sum += count(r);
+    block.offset = sum;
+  });
+  size_t total = 0;
+  for (size_t b = 0; b < k; ++b) {
+    total += std::exchange(blocks_[b].offset, total);
+  }
+  return total;
+}
+
+template <typename Fn>
+size_t RipsEngine::for_each_lane_block(const sched::ScheduleResult& plan,
+                                       const Lanes& lanes, size_t stage,
+                                       Fn&& fn) {
+  const auto lane_start = [&](size_t lane) -> size_t {
+    return lane == 0 ? 0 : lanes.lane_ends[lane - 1];
+  };
+  const size_t first = stage == 0 ? 0 : lanes.stage_ends[stage - 1];
+  const size_t count = lanes.stage_ends[stage] - first;
+  if (count == 0) return 0;
+  const size_t m = std::min(kMaxBlocks, count);
+  if (lane_blocks_.size() < m) lane_blocks_.resize(m);
+  max_lane_blocks_ = std::max(max_lane_blocks_, m);
+  for (size_t b = 0; b < m; ++b) {
+    lane_blocks_[b] = LaneBlock{};
+    lane_blocks_[b].next = lane_start(first + b * count / m);
+    lane_blocks_[b].end = lane_start(first + (b + 1) * count / m);
+  }
+  const sched::Transfer* transfers = plan.transfers.data();
+  auto body = [&](size_t b) {
+    LaneBlock& block = lane_blocks_[b];
+    for (; block.next < block.end; ++block.next) {
+      const size_t i =
+          lanes.index != nullptr ? lanes.index[block.next] : block.next;
+      if (!fn(block, transfers[i])) return;
+    }
+  };
+  while (true) {
+    host_pool::run(m, body);
+    size_t stalled = 0;
+    for (size_t b = 0; b < m; ++b) {
+      stalled += std::exchange(lane_blocks_[b].stalled, 0);
+    }
+    if (stalled == 0) return m;
+    // Out of room: every region lies below the old limit. Grow the arena
+    // past every claim so far, failed ones included, plus what the stopped
+    // blocks asked for; each resumes at the transfer it stopped before.
+    const size_t keep = arena_limit_;
+    arena_limit_ = arena_top_.load(std::memory_order_relaxed) + stalled;
+    reserve_arena(arena_limit_, keep);
+  }
+}
+
 SimTime RipsEngine::system_phase(SimTime t) {
   SimTime recovery_extra = 0;
   if (!dead_pending_.empty()) recovery_extra = recover(t);
@@ -251,11 +309,17 @@ SimTime RipsEngine::system_phase(SimTime t) {
   // Counts (the paper's choice) or work totals (weighted mode: what
   // perfect grain estimation would let the scheduler balance). Loads are
   // indexed by logical rank; rank r is physical node live_[r]. Weighted
-  // loads are a flat gather over the per-task weight array.
+  // loads are a flat gather over the per-task weight array. The same pass
+  // lays each rank's replay floor for size_regions: its holdings, in
+  // tasks (region capacity) and in load (hold_).
   load_.resize(static_cast<size_t>(n));
-  for_each_block(k, [&](const Block& block) {
+  hold_.resize(static_cast<size_t>(n));
+  regions_.resize(static_cast<size_t>(n));
+  for_each_block(k, [&](Block& block) {
+    block.tasks = 0;
     for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
       const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      const size_t tasks = node.rts.size() + node.rte_len;
       load_[r] =
           config_.weighted
               ? simd::gather_sum_i64(task_weight_.data(), node.rts.data(),
@@ -265,7 +329,10 @@ SimTime RipsEngine::system_phase(SimTime t) {
                                          node.rte_len - node.rte_spawned) +
                     simd::gather_sum_i64(task_weight_.data(), node.spawned,
                                          node.rte_spawned)
-              : static_cast<i64>(node.rts.size() + node.rte_len);
+              : static_cast<i64>(tasks);
+      hold_[r] = load_[r];
+      regions_[r].cap = tasks;
+      block.tasks += tasks;
     }
   });
   // The plan is borrowed from the scheduler's pooled result; it stays valid
@@ -275,41 +342,42 @@ SimTime RipsEngine::system_phase(SimTime t) {
   // Monitor-only cost: the invariant checks need to know where every task
   // started the phase, which the replay below destroys. The snapshot is a
   // flat CSR so detached monitors cost nothing and attached ones cost no
-  // steady-state allocation.
+  // steady-state allocation; each block writes its ranks' part at the
+  // offset its predecessors' task counts give.
   const u64 phase_idx = c_phase_system_->value();
   const bool monitoring = obs_.monitor != nullptr && !config_.weighted;
   if (monitoring) {
-    before_offsets_.resize(static_cast<size_t>(n) + 1);
-    before_tasks_.clear();
-    before_offsets_[0] = 0;
-    for (i32 r = 0; r < n; ++r) {
-      const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
-      const TaskId* span = rte_.data() + node.rte_begin;
-      before_tasks_.insert(before_tasks_.end(), node.rts.begin(),
-                           node.rts.end());
-      before_tasks_.insert(before_tasks_.end(), span,
-                           span + node.rte_len - node.rte_spawned);
-      before_tasks_.insert(before_tasks_.end(), node.spawned,
-                           node.spawned + node.rte_spawned);
-      before_offsets_[static_cast<size_t>(r) + 1] = before_tasks_.size();
+    size_t at = 0;
+    for (size_t b = 0; b < k; ++b) {
+      blocks_[b].offset = at;
+      at += blocks_[b].tasks;
     }
+    before_offsets_.resize(static_cast<size_t>(n) + 1);
+    before_offsets_[static_cast<size_t>(n)] = at;
+    before_tasks_.resize(at);
+    for_each_block(k, [&](const Block& block) {
+      TaskId* out = before_tasks_.data() + block.offset;
+      for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+        const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+        const TaskId* span = rte_.data() + node.rte_begin;
+        before_offsets_[r] = static_cast<size_t>(out - before_tasks_.data());
+        out = std::copy(node.rts.begin(), node.rts.end(), out);
+        out = std::copy(span, span + node.rte_len - node.rte_spawned, out);
+        out = std::copy(node.spawned, node.spawned + node.rte_spawned, out);
+      }
+    });
   }
-
-  const u64 moved = replay_plan(plan);
 
   // Cost: lock-step scheduling rounds (cheap scalar-only information steps
   // plus full task-payload steps — the paper's "each communication step to
   // migrate tasks takes about 1 ms") plus the slowest node's migration CPU
   // time; the phase is synchronous, everyone leaves it together.
-  const SimTime max_migration =
-      simd::minmax_i64(migration_.data(), migration_.size()).max;
   const SimTime step_time = plan.info_steps * cost_.info_step_ns +
                             plan.transfer_steps * cost_.step_ns;
+  const u64 moved = replay_plan(plan, k, step_time);
+  const SimTime max_migration =
+      simd::minmax_i64(migration_.data(), migration_.size()).max;
   const SimTime duration = step_time + max_migration + recovery_extra;
-  for (i32 r = 0; r < n; ++r) {
-    nodes_[static_cast<size_t>(live_[r])].ovh_ns +=
-        step_time + migration_[static_cast<size_t>(r)];
-  }
 
   // Recovery line: the post-scheduling RTE assignment is exactly what a
   // survivor can replay for a node that dies before the next system phase.
@@ -401,74 +469,83 @@ SimTime RipsEngine::system_phase(SimTime t) {
   return t + duration;
 }
 
-void RipsEngine::size_regions(const sched::ScheduleResult& plan) {
-  const size_t n = live_.size();
-  regions_.resize(n);
-  hold_.assign(load_.begin(), load_.end());
+void RipsEngine::size_regions(const sched::ScheduleResult& plan,
+                              const Lanes& lanes, size_t k) {
   // Count mode sizes every region to its rank's peak holdings, exactly, so
   // no region ever fills; following the holdings also checks the plan
   // before any task moves. Weighted mode knows a transfer's task count
   // only while it runs: its regions start at the peak work over the mean
-  // task weight and grow on demand (grow_region).
+  // task weight and grow on demand (make_room). Lanes of a stage share no
+  // node, so each rank sees its transfers in plan order either way.
   if (!config_.weighted) {
-    for (size_t r = 0; r < n; ++r) {
-      regions_[r].cap = static_cast<size_t>(load_[r]);
-    }
-    for (const sched::Transfer& tr : plan.transfers) {
-      i64& from = hold_[static_cast<size_t>(tr.from)];
-      i64& to = hold_[static_cast<size_t>(tr.to)];
-      RIPS_CHECK_MSG(from >= tr.count,
-                     "scheduler transfer exceeds node holdings");
-      from -= tr.count;
-      to += tr.count;
-      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
-      cap = std::max(cap, static_cast<size_t>(to));
+    for (size_t s = 0; s < lanes.stages; ++s) {
+      for_each_lane_block(plan, lanes, s,
+                          [&](LaneBlock&, const sched::Transfer& tr) {
+        i64& from = hold_[static_cast<size_t>(tr.from)];
+        i64& to = hold_[static_cast<size_t>(tr.to)];
+        RIPS_CHECK_MSG(from >= tr.count,
+                       "scheduler transfer exceeds node holdings");
+        from -= tr.count;
+        to += tr.count;
+        size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+        cap = std::max(cap, static_cast<size_t>(to));
+        return true;
+      });
     }
   } else {
     size_t tasks = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
-      regions_[r].cap = node.rts.size() + node.rte_len;
-      tasks += regions_[r].cap;
-    }
-    const i64 work = simd::sum_i64(load_.data(), n);
+    for (size_t b = 0; b < k; ++b) tasks += blocks_[b].tasks;
+    const i64 work = simd::sum_i64(load_.data(), load_.size());
     const double tasks_per_work =
         work > 0 ? static_cast<double>(tasks) / static_cast<double>(work)
                  : 0.0;
-    for (const sched::Transfer& tr : plan.transfers) {
-      hold_[static_cast<size_t>(tr.from)] -= tr.count;
-      const i64 to = hold_[static_cast<size_t>(tr.to)] += tr.count;
-      const double tasks = static_cast<double>(std::max<i64>(to, 0)) *
+    for (size_t s = 0; s < lanes.stages; ++s) {
+      for_each_lane_block(plan, lanes, s,
+                          [&](LaneBlock&, const sched::Transfer& tr) {
+        hold_[static_cast<size_t>(tr.from)] -= tr.count;
+        const i64 to = hold_[static_cast<size_t>(tr.to)] += tr.count;
+        const double est = static_cast<double>(std::max<i64>(to, 0)) *
                            tasks_per_work;
-      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
-      cap = std::max(cap, static_cast<size_t>(tasks) + 1);
+        size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+        cap = std::max(cap, static_cast<size_t>(est) + 1);
+        return true;
+      });
     }
   }
-  size_t base = 0;
-  for (Region& region : regions_) {
-    region.base = base;
-    base += region.cap;
-  }
-  arena_used_ = base;
-  reserve_arena(0);
+  // The layout, then room for weighted growth above it: twice the layout
+  // covers one doubling of every region; a phase that needs more stops
+  // its blocks and grows the arena between runs of the stage.
+  arena_used_ =
+      block_offsets(k, [&](u32 r) { return regions_[r].cap; });
+  const size_t room =
+      config_.weighted && !zero_growth_room_ ? 2 * arena_used_ : 0;
+  arena_limit_ = arena_used_ + room;
+  arena_top_.store(arena_used_, std::memory_order_relaxed);
+  reserve_arena(arena_limit_, 0);
 }
 
-void RipsEngine::reserve_arena(size_t keep) {
-  if (arena_used_ <= arena_cap_) return;
+void RipsEngine::reserve_arena(size_t need, size_t keep) {
+  if (need <= arena_cap_) return;
   // Left uninitialized: the replay writes every slot before reading it.
-  const size_t cap = std::max(arena_used_, 2 * arena_cap_);
+  // The kept part may hold slots no region wrote, so it is copied as
+  // bytes.
+  const size_t cap = std::max(need, 2 * arena_cap_);
   auto grown = std::make_unique_for_overwrite<TaskId[]>(cap);
-  std::copy(arena_.get(), arena_.get() + keep, grown.get());
+  if (keep > 0) std::memcpy(grown.get(), arena_.get(), keep * sizeof(TaskId));
   arena_ = std::move(grown);
   arena_cap_ = cap;
 }
 
-void RipsEngine::grow_region(Region& region, size_t need) {
+bool RipsEngine::make_room(Region& region, size_t count, LaneBlock& block) {
+  const size_t need = region.local + region.foreign + count;
+  if (need <= region.cap) return true;  // always, in count mode
   const size_t cap = std::max(2 * region.cap, need);
-  const size_t base = arena_used_;
-  arena_used_ += cap;
-  reserve_arena(base);
-  ++grown_regions_;
+  const size_t base = arena_top_.fetch_add(cap, std::memory_order_relaxed);
+  if (base + cap > arena_limit_) {
+    block.stalled = cap;
+    return false;
+  }
+  ++block.grown;
   TaskId* old = arena_.get() + region.base;
   TaskId* now = arena_.get() + base;
   std::copy(old, old + region.local, now);
@@ -476,13 +553,11 @@ void RipsEngine::grow_region(Region& region, size_t need) {
             now + cap - region.foreign);
   region.base = base;
   region.cap = cap;
+  return true;
 }
 
 void RipsEngine::move_tasks(Region& src, Region& dst, NodeId to_phys,
                             size_t count) {
-  if (dst.local + dst.foreign + count > dst.cap) {
-    grow_region(dst, dst.local + dst.foreign + count);  // weighted mode only
-  }
   TaskId* arena = arena_.get();
   const size_t from_foreign = std::min(count, src.foreign);
   const TaskId* foreign_top = arena + src.base + src.cap - src.foreign;
@@ -515,102 +590,140 @@ void RipsEngine::move_tasks(Region& src, Region& dst, NodeId to_phys,
   dst.foreign = static_cast<size_t>(arena + dst.base + dst.cap - down);
 }
 
-u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan) {
+u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan, size_t k,
+                            SimTime step_time) {
   const i32 n = static_cast<i32>(live_.size());
-  size_regions(plan);
+  // A split phase replays the plan's lanes; otherwise the plan is one
+  // stage of one lane, replayed in plan order by the same body (which
+  // keeps a traced run's migrations in plan order).
+  static constexpr u32 kOneLane = 1;
+  const auto whole = static_cast<u32>(plan.transfers.size());
+  Lanes lanes{&kOneLane, 1, &whole, nullptr};
+  if (k > 1 && !plan.stage_ends.empty()) {
+    lanes = {plan.stage_ends.data(), plan.stage_ends.size(),
+             plan.lane_ends.data(), plan.lane_transfers.data()};
+  }
+  size_regions(plan, lanes, k);
 
   // Partition: RTS entries by origin; the leftover by position — its
   // span's local front and its spawned part go to the local stack, the
   // span's foreign rest to the foreign one (pushed in span order, so the
   // first ends on top of the region's end). Every region fits its rank's
-  // holdings.
-  for (i32 r = 0; r < n; ++r) {
-    const NodeId phys = live_[static_cast<size_t>(r)];
-    NodeRt& node = nodes_[static_cast<size_t>(phys)];
-    Region& region = regions_[static_cast<size_t>(r)];
-    TaskId* up = arena_.get() + region.base;
-    TaskId* down = up + region.cap;
-    for (const TaskId task : node.rts) {
-      if (origin_[static_cast<size_t>(task)] == phys) {
-        *up++ = task;
-      } else {
-        *--down = task;
+  // holdings; each block lays its ranks' regions out from its offset.
+  migration_.resize(static_cast<size_t>(n));
+  for_each_block(k, [&](const Block& block) {
+    size_t base = block.offset;
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+      const NodeId phys = live_[r];
+      NodeRt& node = nodes_[static_cast<size_t>(phys)];
+      Region& region = regions_[r];
+      region.base = base;
+      base += region.cap;
+      migration_[r] = 0;
+      TaskId* up = arena_.get() + region.base;
+      TaskId* down = up + region.cap;
+      for (const TaskId task : node.rts) {
+        if (origin_[static_cast<size_t>(task)] == phys) {
+          *up++ = task;
+        } else {
+          *--down = task;
+        }
       }
+      node.rts.clear();
+      const TaskId* span = rte_.data() + node.rte_begin;
+      const TaskId* foreign_end = span + node.rte_len - node.rte_spawned;
+      up = std::copy(span, span + node.rte_local, up);
+      up = std::copy(node.spawned, node.spawned + node.rte_spawned, up);
+      down -= foreign_end - (span + node.rte_local);
+      std::reverse_copy(span + node.rte_local, foreign_end, down);
+      region.local = static_cast<size_t>(up - (arena_.get() + region.base));
+      region.foreign =
+          static_cast<size_t>(arena_.get() + region.base + region.cap - down);
     }
-    node.rts.clear();
-    const TaskId* span = rte_.data() + node.rte_begin;
-    const TaskId* foreign_end = span + node.rte_len - node.rte_spawned;
-    up = std::copy(span, span + node.rte_local, up);
-    up = std::copy(node.spawned, node.spawned + node.rte_spawned, up);
-    down -= foreign_end - (span + node.rte_local);
-    std::reverse_copy(span + node.rte_local, foreign_end, down);
-    region.local = static_cast<size_t>(up - (arena_.get() + region.base));
-    region.foreign =
-        static_cast<size_t>(arena_.get() + region.base + region.cap - down);
-  }
+  });
 
   // Replay the transfer plan on the actual task ids. Nodes forward tasks
   // that are already non-local before giving up their own (locality): a
   // transfer pops the source's foreign stack first, then its local one.
-  migration_.assign(static_cast<size_t>(n), 0);
-  u64 moved = 0;
-  // Per-transfer payloads, kept only while tracing so the send/recv
-  // instants can carry matching correlation ids.
+  // Per-transfer payloads are kept only while tracing (one block), so the
+  // send/recv instants can carry matching correlation ids.
   traced_.clear();
-  for (const sched::Transfer& tr : plan.transfers) {
-    Region& src = regions_[static_cast<size_t>(tr.from)];
-    // Count mode: move exactly tr.count tasks (size_regions checked the
-    // holdings). Weighted mode: tr.count is an amount of WORK; take tasks
-    // in pop order until the planned amount is matched as closely as task
-    // granularity allows (stop early rather than overshoot by more than
-    // the final task's better half).
-    size_t take = static_cast<size_t>(tr.count);
-    if (config_.weighted) {
-      take = 0;
-      i64 sent_work = 0;
-      const TaskId* foreign_top =
-          arena_.get() + src.base + src.cap - src.foreign;
-      const TaskId* local_top = arena_.get() + src.base + src.local;
-      for (; take < src.local + src.foreign; ++take) {
-        const TaskId task = take < src.foreign
-                                ? foreign_top[take]
-                                : *(local_top - 1 - (take - src.foreign));
-        const i64 w = task_weight_[static_cast<size_t>(task)];
-        const i64 undershoot = tr.count - sent_work;
-        if (undershoot <= 0) break;
-        if (take > 0 && sent_work + w - tr.count > undershoot) break;
-        sent_work += w;
+  u64 moved = 0;
+  for (size_t s = 0; s < lanes.stages; ++s) {
+    const size_t m = for_each_lane_block(
+        plan, lanes, s, [&](LaneBlock& block, const sched::Transfer& tr) {
+      Region& src = regions_[static_cast<size_t>(tr.from)];
+      // Count mode: move exactly tr.count tasks (size_regions checked the
+      // holdings). Weighted mode: tr.count is an amount of WORK; take tasks
+      // in pop order until the planned amount is matched as closely as
+      // task granularity allows (stop early rather than overshoot by more
+      // than the final task's better half).
+      size_t take = static_cast<size_t>(tr.count);
+      if (config_.weighted) {
+        take = 0;
+        i64 sent_work = 0;
+        const TaskId* foreign_top =
+            arena_.get() + src.base + src.cap - src.foreign;
+        const TaskId* local_top = arena_.get() + src.base + src.local;
+        for (; take < src.local + src.foreign; ++take) {
+          const TaskId task = take < src.foreign
+                                  ? foreign_top[take]
+                                  : *(local_top - 1 - (take - src.foreign));
+          const i64 w = task_weight_[static_cast<size_t>(task)];
+          const i64 undershoot = tr.count - sent_work;
+          if (undershoot <= 0) break;
+          if (take > 0 && sent_work + w - tr.count > undershoot) break;
+          sent_work += w;
+        }
       }
-    }
-    const NodeId to_phys = live_[static_cast<size_t>(tr.to)];
-    move_tasks(src, regions_[static_cast<size_t>(tr.to)], to_phys, take);
-    const auto sent = static_cast<i64>(take);
-    moved += take;
-    migration_[static_cast<size_t>(tr.from)] += cost_.send_time(sent);
-    migration_[static_cast<size_t>(tr.to)] += cost_.recv_time(sent);
-    c_msg_sent_->add();
-    if (obs_.trace != nullptr && sent > 0) {
-      traced_.push_back({live_[static_cast<size_t>(tr.from)], to_phys, sent});
+      Region& dst = regions_[static_cast<size_t>(tr.to)];
+      if (!make_room(dst, take, block)) return false;
+      const NodeId to_phys = live_[static_cast<size_t>(tr.to)];
+      move_tasks(src, dst, to_phys, take);
+      const auto sent = static_cast<i64>(take);
+      block.moved += take;
+      migration_[static_cast<size_t>(tr.from)] += cost_.send_time(sent);
+      migration_[static_cast<size_t>(tr.to)] += cost_.recv_time(sent);
+      if (obs_.trace != nullptr && sent > 0) {
+        traced_.push_back(
+            {live_[static_cast<size_t>(tr.from)], to_phys, sent});
+      }
+      return true;
+    });
+    for (size_t b = 0; b < m; ++b) {
+      moved += lane_blocks_[b].moved;
+      grown_regions_ += lane_blocks_[b].grown;
     }
   }
+  c_msg_sent_->add(plan.transfers.size());
   c_tasks_migrated_->add(moved);
 
   // Scheduled tasks enter the RTE (own tasks first, then received ones in
-  // arrival order), written once per phase in rank order.
-  rte_.clear();
-  for (i32 r = 0; r < n; ++r) {
-    NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
-    const Region& region = regions_[static_cast<size_t>(r)];
-    const TaskId* base = arena_.get() + region.base;
-    node.rte_begin = static_cast<u32>(rte_.size());
-    node.rte_len = static_cast<u32>(region.local + region.foreign);
-    node.rte_local = static_cast<u32>(region.local);
-    node.rte_spawned = 0;
-    rte_.insert(rte_.end(), base, base + region.local);
-    rte_.insert(rte_.end(),
-                std::make_reverse_iterator(base + region.cap),
-                std::make_reverse_iterator(base + region.cap - region.foreign));
-  }
+  // arrival order), written once per phase in rank order: each block from
+  // the offset its predecessors' task counts give. Every rank is charged
+  // the scheduling rounds and its migration time.
+  const size_t rte_total = block_offsets(k, [&](u32 r) {
+    return regions_[r].local + regions_[r].foreign;
+  });
+  rte_.resize(rte_total);
+  for_each_block(k, [&](const Block& block) {
+    size_t at = block.offset;
+    for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
+      NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
+      const Region& region = regions_[r];
+      const TaskId* base = arena_.get() + region.base;
+      node.rte_begin = static_cast<u32>(at);
+      node.rte_len = static_cast<u32>(region.local + region.foreign);
+      node.rte_local = static_cast<u32>(region.local);
+      node.rte_spawned = 0;
+      node.ovh_ns += step_time + migration_[r];
+      TaskId* out = rte_.data() + at;
+      out = std::copy(base, base + region.local, out);
+      std::reverse_copy(base + region.cap - region.foreign, base + region.cap,
+                        out);
+      at += node.rte_len;
+    }
+  });
   return moved;
 }
 
@@ -1138,6 +1251,7 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   split_ok_ = job_of_ == nullptr && obs_.trace == nullptr &&
               !injector_.has_value() && !full_measure_;
   max_blocks_ = 1;
+  max_lane_blocks_ = 1;
   job_exec_.clear();
   job_accounting_ = job_of_ != nullptr && num_jobs_ > 0;
   if (job_accounting_) {

@@ -37,6 +37,7 @@
 // plan attached.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -153,6 +154,16 @@ class RipsEngine {
   /// depends on the phases only, never on the host's CPUs.
   size_t max_blocks() const { return max_blocks_; }
 
+  /// Test introspection: the most blocks of lanes any stage of the last
+  /// run's region sizing and replay ran (1 when every system phase
+  /// replayed its plan in order as one lane).
+  size_t max_lane_blocks() const { return max_lane_blocks_; }
+
+  /// Test hook: weighted replays reserve no room for region growth, so
+  /// every growth stops its lane block until the arena grows between runs
+  /// of the stage. Results are byte-identical either way.
+  void set_zero_growth_room(bool on) { zero_growth_room_ = on; }
+
   /// Test hook: invoked at the end of every system phase with the phase
   /// index. The allocation regression test uses it to bracket a
   /// steady-state window; a plain function pointer so attaching and
@@ -205,11 +216,13 @@ class RipsEngine {
   };
 
   /// One block of a per-rank pass (the user phase's measuring and commit
-  /// passes, the system phase's load collection): a contiguous range of
-  /// live ranks that runs as one unit of the host pool. Blocks share
-  /// nothing but disjoint per-task and per-node entries; the rest of their
-  /// output is merged in block order (= rank order).
-  struct Block {
+  /// passes; the system phase's load collection, monitor snapshot,
+  /// partition and RTE write): a contiguous range of live ranks that runs
+  /// as one unit of the host pool. Blocks share nothing but disjoint
+  /// per-task and per-node entries; the rest of their output is merged in
+  /// block order (= rank order). Each block has its own cache line, as its
+  /// thread updates it per node.
+  struct alignas(64) Block {
     u32 rank_begin = 0;
     u32 rank_end = 0;
     // Lazy spawns: the unexecuted spawned tasks of the block's committed
@@ -218,6 +231,31 @@ class RipsEngine {
     std::vector<TaskId> spawned;
     u64 executed = 0;         // tasks the block committed this phase
     SimTime phase_end = 0;    // latest stop or quiescence among its nodes
+    size_t tasks = 0;         // tasks its ranks hold at the load collection
+    size_t offset = 0;        // where its ranks' output starts (rank order)
+  };
+
+  /// One block of a lane pass (region sizing, transfer replay): the
+  /// entries of a contiguous range of one stage's lanes. Lanes of a stage
+  /// share no node, so blocks touch disjoint regions, holdings and
+  /// migration times. Cache-line aligned like Block: its cursor moves per
+  /// transfer.
+  struct alignas(64) LaneBlock {
+    size_t next = 0;     // the next entry to replay
+    size_t end = 0;      // one past the block's last entry
+    u64 moved = 0;       // tasks the block moved
+    u64 grown = 0;       // regions it grew
+    size_t stalled = 0;  // room the growth it stopped before asked for
+  };
+
+  /// The stages and lanes a system phase sizes and replays: the plan's
+  /// lanes when the phase splits, else the whole plan as one stage of one
+  /// lane (ScheduleResult's layout).
+  struct Lanes {
+    const u32* stage_ends = nullptr;
+    size_t stages = 0;
+    const u32* lane_ends = nullptr;
+    const u32* index = nullptr;  // null: entries are transfer indices
   };
 
   /// How simulate_user_phase treats the node's state.
@@ -248,23 +286,42 @@ class RipsEngine {
   /// Runs fn(block) for blocks_[0, k) on the host pool.
   template <typename Fn>
   void for_each_block(size_t k, Fn&& fn);
+  /// Sets each of blocks_[0, k)'s `offset` to the sum of count(r) over the
+  /// ranks before it and returns the sum over all ranks: the rank-order
+  /// offsets of an output the blocks then write.
+  template <typename Count>
+  size_t block_offsets(size_t k, Count&& count);
+  /// Runs fn(lane_block, transfer) over stage `stage` of `lanes`, split
+  /// into at most kMaxBlocks equal ranges of lanes (lane_blocks_[0, m)) on
+  /// the host pool, each range's transfers in lane order, and returns m.
+  /// fn returns false to stop its block before that transfer; the pass
+  /// then grows the arena past every claim and resumes the stopped blocks
+  /// there.
+  template <typename Fn>
+  size_t for_each_lane_block(const sched::ScheduleResult& plan,
+                             const Lanes& lanes, size_t stage, Fn&& fn);
 
-  /// System-phase replay: moves every rank's RTS and leftover RTE into its
-  /// arena region, replays the plan's transfers there and writes each
-  /// rank's new RTE span. Returns the number of task moves.
-  u64 replay_plan(const sched::ScheduleResult& plan);
+  /// System-phase replay over the phase's blocks_[0, k): moves every
+  /// rank's RTS and leftover RTE into its arena region, replays the plan's
+  /// transfers there, writes each rank's new RTE span and charges it
+  /// `step_time` plus its migration time. Returns the number of task moves.
+  u64 replay_plan(const sched::ScheduleResult& plan, size_t k,
+                  SimTime step_time);
   /// Sizes one arena region per rank from the plan (count mode: each
   /// rank's peak holdings, exactly; weighted mode: its peak work at the
-  /// phase's mean task weight).
-  void size_regions(const sched::ScheduleResult& plan);
+  /// phase's mean task weight), from the floors the load collection set.
+  void size_regions(const sched::ScheduleResult& plan, const Lanes& lanes,
+                    size_t k);
   /// Moves the top `count` tasks of src (foreign stack first, then local)
-  /// onto dst's stacks by origin, growing dst first when they do not fit.
+  /// onto dst's stacks by origin. dst must have room for them.
   void move_tasks(Region& src, Region& dst, NodeId to_phys, size_t count);
-  /// Moves a region to the arena's end with at least double capacity and
-  /// room for `need` tasks (weighted mode only).
-  void grow_region(Region& region, size_t need);
-  /// Grows the arena to hold arena_used_ tasks, keeping its first `keep`.
-  void reserve_arena(size_t keep);
+  /// Makes room in `region` for `count` more tasks (weighted mode only):
+  /// moves it to a bump-allocated range of the arena with at least double
+  /// capacity. Returns false, claiming nothing usable, when the phase's
+  /// room is exhausted; the block then stops before the transfer.
+  bool make_room(Region& region, size_t count, LaneBlock& block);
+  /// Grows the arena to at least `need` slots, keeping its first `keep`.
+  void reserve_arena(size_t need, size_t keep);
 
   void release_segment_roots(u32 segment);
   SimTime system_phase(SimTime t);
@@ -335,6 +392,8 @@ class RipsEngine {
   // measuring pass.
   bool split_ok_ = false;
   size_t max_blocks_ = 1;  // the widest split of this run
+  size_t max_lane_blocks_ = 1;  // the widest lane split of this run
+  std::vector<LaneBlock> lane_blocks_;  // the current lane pass's blocks
   std::vector<NodeId> origin_;
   std::vector<NodeId> exec_node_;
   u64 executed_total_ = 0;
@@ -384,15 +443,20 @@ class RipsEngine {
   };
   std::vector<i64> load_;            // per-rank loads (system phase)
   // Replay arena: one region per rank (regions_), laid out by
-  // size_regions; weighted mode moves a region that fills to arena_used_
-  // (grow_region). Addressed by index, never shrunk (a warm run reuses
-  // it) and never zeroed: a count-mode region is sized to its rank's peak
-  // holdings, so a phase of many relays needs an arena many times its task
-  // count.
+  // size_regions in [0, arena_used_). Weighted mode reserves growth room
+  // up to arena_limit_ before the partition and moves a region that fills
+  // to a range bump-allocated at arena_top_ (make_room), so no lane block
+  // waits for another and no task is copied by a reallocation mid-replay.
+  // Addressed by index, never shrunk (a warm run reuses it) and never
+  // zeroed: a count-mode region is sized to its rank's peak holdings, so a
+  // phase of many relays needs an arena many times its task count.
   std::unique_ptr<TaskId[]> arena_;
   size_t arena_cap_ = 0;
   size_t arena_used_ = 0;
-  u64 grown_regions_ = 0;  // grow_region calls this run
+  size_t arena_limit_ = 0;
+  std::atomic<size_t> arena_top_{0};
+  bool zero_growth_room_ = false;
+  u64 grown_regions_ = 0;  // regions make_room moved this run
   std::vector<Region> regions_;
   std::vector<i64> hold_;            // size_regions: running holdings
   std::vector<SimTime> migration_;   // per-rank migration CPU time

@@ -4,11 +4,17 @@
 #include <numeric>
 
 #include "util/check.hpp"
+#include "util/host_pool.hpp"
 #include "util/simd.hpp"
 
 namespace rips::sched {
 
 namespace {
+
+// Step 5 runs its rows in min(kMaxRowBlocks, rows) blocks on meshes of at
+// least kRowBlockMinNodes nodes (the split depends on the mesh only).
+constexpr i32 kRowBlockMinNodes = 4096;
+constexpr i32 kMaxRowBlocks = 16;
 
 /// The eta/gamma recurrence of Figure 3, shared by the d- and u-vector
 /// computations. `delta[k] = w[k] - q[k]` is the surplus at column k.
@@ -63,9 +69,6 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
   // --- Step 3: quotas.
   quota_into(total, n, scratch_.quota);
   const std::vector<i64>& quota = scratch_.quota;
-  auto q = [&](i32 i, i32 j) -> i64 {
-    return quota[static_cast<size_t>(i * n2 + j)];
-  };
   const i64 wavg = total / n;
   const i64 remainder = total % n;
   // Row-accumulation quota Q_i = quota of the submesh rows 0..i.
@@ -93,6 +96,17 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
   // consecutive chain of sending rows that feeds it.
   std::vector<i64>& delta = scratch_.delta;
   delta.assign(static_cast<size_t>(n2), 0);
+  // Each step-4 transfer's column is its lane (stage 0, below): count the
+  // lanes' sizes and keep the columns as the transfers are planned.
+  std::vector<u32>& fill = scratch_.lane_fill;
+  std::vector<u32>& lane_col = scratch_.lane_col;
+  fill.assign(static_cast<size_t>(n2) + 1, 0);
+  lane_col.clear();
+  const auto add_to_lane = [&](i32 j, i64 amount) {
+    ++fill[static_cast<size_t>(j) + 1];
+    lane_col.push_back(static_cast<u32>(j));
+    out.task_hops += amount;
+  };
   i32 step4_down = 0;
   {
     i32 chain = 0;
@@ -110,6 +124,7 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
           w(i + 1, j) += amount;
           out.transfers.push_back(
               {mesh_.at(i, j), mesh_.at(i + 1, j), amount, chain});
+          add_to_lane(j, amount);
         }
         step4_down = std::max(step4_down, chain);
       } else {
@@ -137,6 +152,7 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
           w(i - 1, j) += amount;
           out.transfers.push_back(
               {mesh_.at(i, j), mesh_.at(i - 1, j), amount, chain});
+          add_to_lane(j, amount);
         }
         step4_up = std::max(step4_up, chain);
       } else {
@@ -154,13 +170,81 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
     i64 row_quota = 0;
     for (i32 j = 0; j < n2; ++j) {
       row_total += w(i, j);
-      row_quota += q(i, j);
+      row_quota += quota[static_cast<size_t>(i * n2 + j)];
     }
     RIPS_DCHECK(row_total == row_quota);
   }
 #endif
 
-  // --- Step 5: horizontal balancing inside each row.
+  // --- Step 5: horizontal balancing inside each row (step5_rows). Rows
+  // are independent, so a large mesh runs them in blocks on the host pool;
+  // each block fills its own buffer and the plan takes them in row order.
+  const auto step4_end = static_cast<u32>(out.transfers.size());
+  const i32 blocks =
+      n >= kRowBlockMinNodes ? std::min(kMaxRowBlocks, n1) : 1;
+  if (row_blocks_.size() < static_cast<size_t>(blocks)) {
+    row_blocks_.resize(static_cast<size_t>(blocks));
+  }
+  if (blocks == 1) {
+    step5_rows(0, n1, step4_rounds, row_blocks_[0], out.transfers);
+  } else {
+    auto body = [&](size_t b) {
+      RowBlock& block = row_blocks_[b];
+      block.transfers.clear();
+      step5_rows(static_cast<i32>(b * static_cast<size_t>(n1) /
+                                  static_cast<size_t>(blocks)),
+                 static_cast<i32>((b + 1) * static_cast<size_t>(n1) /
+                                  static_cast<size_t>(blocks)),
+                 step4_rounds, block, block.transfers);
+    };
+    host_pool::run(static_cast<size_t>(blocks), body);
+  }
+
+  // Lanes. Stage 0 is step 4 with one lane per column: a column's
+  // transfers interleave with the other columns', so its lane lists their
+  // indices (a stable counting sort by column). Stage 1 is step 5 with one
+  // lane per row, each a contiguous range of the plan.
+  for (i32 j = 0; j < n2; ++j) {
+    fill[static_cast<size_t>(j) + 1] += fill[static_cast<size_t>(j)];
+  }
+  out.lane_ends.assign(fill.begin() + 1, fill.end());
+  i32 step5_rounds = 0;
+  for (i32 b = 0; b < blocks; ++b) {
+    const RowBlock& block = row_blocks_[static_cast<size_t>(b)];
+    u32 base = 0;  // one block appended to the plan directly
+    if (blocks > 1) {
+      base = static_cast<u32>(out.transfers.size());
+      out.transfers.insert(out.transfers.end(), block.transfers.begin(),
+                           block.transfers.end());
+    }
+    for (const u32 end : block.row_ends) out.lane_ends.push_back(base + end);
+    step5_rounds = std::max(step5_rounds, block.rounds);
+    out.task_hops += block.hops;
+  }
+  out.lane_transfers.resize(out.transfers.size());
+  for (u32 k = 0; k < step4_end; ++k) {
+    out.lane_transfers[fill[lane_col[k]]++] = k;
+  }
+  std::iota(out.lane_transfers.begin() + step4_end, out.lane_transfers.end(),
+            step4_end);
+  out.stage_ends.assign({static_cast<u32>(n2), static_cast<u32>(n2 + n1)});
+  out.transfer_steps += step5_rounds;
+
+  // Theorem 1: every node ends exactly at its quota.
+  RIPS_CHECK(out.new_load == quota);
+  out.comm_steps = out.info_steps + out.transfer_steps;
+  return result_;
+}
+
+void Mwa::step5_rows(i32 row_begin, i32 row_end, i32 step4_rounds,
+                     RowBlock& block, std::vector<Transfer>& out) {
+  const i32 n2 = mesh_.cols();
+  const auto w = [&](i32 i, i32 j) -> i64& {
+    return result_.new_load[static_cast<size_t>(i * n2 + j)];
+  };
+  const auto q = [&](i32 i, i32 j) -> i64 {
+    return scratch_.quota[static_cast<size_t>(i * n2 + j)];
+  };
   // Net rightward flow across the boundary between columns b-1 and b is
   // z_b = sum_{k<b} (w - q). Transfers are executed in synchronous rounds
   // (a relay node can only forward what it already holds), which is what
@@ -172,19 +256,21 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
   // boundary gives. A sender's holdings change only when it sends or
   // receives, so the next round's boundaries are among this round's and
   // those whose sender just received (`next`, sorted before use).
-  std::vector<i64>& flow = scratch_.flow;  // flow[b], b>=1
+  std::vector<i64>& flow = block.flow;  // flow[b], b>=1
   flow.resize(static_cast<size_t>(n2));
-  std::vector<i64>& reserved = scratch_.reserved;
+  std::vector<i64>& reserved = block.reserved;
   reserved.assign(static_cast<size_t>(n2), 0);
-  std::vector<i32>& visit = scratch_.visit;
-  std::vector<i32>& next = scratch_.next;
-  std::vector<i64>& hold = scratch_.hold;
-  std::vector<Transfer>& batch = scratch_.batch;
+  std::vector<i32>& visit = block.visit;
+  std::vector<i32>& next = block.next;
+  std::vector<i64>& hold = block.hold;
+  std::vector<Transfer>& batch = block.batch;
+  block.row_ends.clear();
+  block.rounds = 0;
+  block.hops = 0;
   const auto sender_of = [&](i32 b) {
     return flow[static_cast<size_t>(b)] > 0 ? b - 1 : b;
   };
-  i32 step5_rounds = 0;
-  for (i32 i = 0; i < n1; ++i) {
+  for (i32 i = row_begin; i < row_end; ++i) {
     const auto has_surplus = [&](i32 col) {
       return hold[static_cast<size_t>(col)] > q(i, col);
     };
@@ -199,7 +285,10 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
       ++pending;
       if (has_surplus(sender_of(b))) visit.push_back(b);
     }
-    if (pending == 0) continue;
+    if (pending == 0) {
+      block.row_ends.push_back(static_cast<u32>(out.size()));
+      continue;
+    }
 
     i32 round = 0;
     while (pending > 0) {
@@ -238,7 +327,8 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
         hold[from] -= tr.count;
         hold[static_cast<size_t>(to)] += tr.count;
         reserved[from] = 0;
-        out.transfers.push_back(tr);
+        out.push_back(tr);
+        block.hops += tr.count;
         // The receiver sends across its left boundary when that flow is
         // negative, across its right one when that flow is positive.
         if (to >= 1 && flow[static_cast<size_t>(to)] < 0) next.push_back(to);
@@ -256,19 +346,10 @@ const ScheduleResult& Mwa::schedule(const std::vector<i64>& load) {
     // The row's last round goes uncounted: a known undercount by one that
     // every committed baseline contains. Counting it changes every
     // simulated system-phase duration.
-    step5_rounds = std::max(step5_rounds, round - 1);
+    block.rounds = std::max(block.rounds, round - 1);
     std::copy(hold.begin(), hold.end(), &w(i, 0));
+    block.row_ends.push_back(static_cast<u32>(out.size()));
   }
-  out.transfer_steps += step5_rounds;
-
-  // Theorem 1: every node ends exactly at its quota.
-  for (i32 k = 0; k < n; ++k) {
-    RIPS_CHECK(out.new_load[static_cast<size_t>(k)] ==
-               quota[static_cast<size_t>(k)]);
-  }
-  for (const Transfer& tr : out.transfers) out.task_hops += tr.count;
-  out.comm_steps = out.info_steps + out.transfer_steps;
-  return result_;
 }
 
 }  // namespace rips::sched

@@ -29,6 +29,15 @@ struct Transfer {
 };
 
 /// Outcome of one system-phase scheduling round.
+///
+/// Lanes (optional; empty unless the scheduler fills them): which
+/// transfers of the plan are independent. The plan splits into stages,
+/// consecutive in plan order, and each stage into lanes. A lane lists its
+/// transfers in plan order, every transfer of a stage is in exactly one of
+/// its lanes, and no two lanes of a stage share a node. Replaying the
+/// stages in order, each stage's lanes in any order, therefore moves every
+/// task as the plan order does. `transfers` keeps the plan order either
+/// way. A plan without lanes is one lane.
 struct ScheduleResult {
   std::vector<i64> new_load;        ///< per-node counts after balancing
   std::vector<Transfer> transfers;  ///< ordered link-local moves
@@ -36,6 +45,12 @@ struct ScheduleResult {
   i64 info_steps = 0;     ///< rounds carrying scalar load information only
   i64 transfer_steps = 0; ///< rounds moving task payloads
   i64 task_hops = 0;      ///< sum over links of tasks crossing them (Σ e_k)
+  /// Stage s holds lanes [stage_ends[s - 1], stage_ends[s]) (from 0 for
+  /// s = 0); lane l holds the transfers transfers[lane_transfers[i]] for i
+  /// in [lane_ends[l - 1], lane_ends[l]) (from 0 for l = 0).
+  std::vector<u32> stage_ends;
+  std::vector<u32> lane_ends;
+  std::vector<u32> lane_transfers;
 
   /// Empties the result for reuse, keeping vector capacity (the
   /// schedulers call this at the top of schedule() on their pooled
@@ -43,6 +58,9 @@ struct ScheduleResult {
   void reset() {
     new_load.clear();
     transfers.clear();
+    stage_ends.clear();
+    lane_ends.clear();
+    lane_transfers.clear();
     comm_steps = info_steps = transfer_steps = task_hops = 0;
   }
 };

@@ -1,6 +1,7 @@
 #include "topo/live_view.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace rips::topo {
 
@@ -87,14 +88,40 @@ i32 LiveView::distance(NodeId a, NodeId b) const {
 
 i32 LiveView::diameter() const {
   if (diameter_ >= 0) return diameter_;
-  i32 best = 0;
+  // Takes & Kosters' BoundingDiameters: every BFS from v bounds each
+  // survivor's eccentricity, max(d, ecc(v) - d) <= ecc(w) <= ecc(v) + d
+  // with d = d(v, w), so the diameter lies between the largest lower bound
+  // and the largest upper bound. BFS sources alternate between the open
+  // survivor with the largest upper bound and the one with the smallest
+  // lower bound (lowest rank on ties) until the bounds meet, which a mesh
+  // with few dead nodes reaches in a handful of BFS instead of one per
+  // survivor. Each BFS closes its source, so the loop ends.
+  const size_t n = live_.size();
+  constexpr i32 kUnbounded = std::numeric_limits<i32>::max();
+  std::vector<i32> lo(n, 0);
+  std::vector<i32> hi(n, kUnbounded);
   std::vector<i32> row;
-  for (i32 r = 0; r < size(); ++r) {
-    bfs(r, row);
-    best = std::max(best, *std::max_element(row.begin(), row.end()));
+  i32 lower = 0;
+  i32 upper = kUnbounded;
+  for (bool widest = true; lower < upper; widest = !widest) {
+    size_t v = n;
+    for (size_t w = 0; w < n; ++w) {
+      if (lo[w] == hi[w]) continue;  // eccentricity known
+      if (v == n || (widest ? hi[w] > hi[v] : lo[w] < lo[v])) v = w;
+    }
+    bfs(static_cast<i32>(v), row);
+    const i32 ecc = *std::max_element(row.begin(), row.end());
+    upper = 0;
+    for (size_t w = 0; w < n; ++w) {
+      const i32 d = row[w];
+      lo[w] = std::max({lo[w], d, ecc - d});
+      hi[w] = std::min(hi[w], ecc + d);
+      lower = std::max(lower, lo[w]);
+      upper = std::max(upper, hi[w]);
+    }
   }
-  diameter_ = best;
-  return best;
+  diameter_ = lower;
+  return lower;
 }
 
 }  // namespace rips::topo

@@ -13,7 +13,8 @@
 //
 // Memory stays linear in the machine: a source's distance row (L ints) is
 // built by BFS on its first distance() query — the engine asks only from
-// initiators — and diameter() runs one BFS per survivor once per view.
+// initiators — and diameter() bounds every survivor's eccentricity from a
+// few BFS (Takes & Kosters' BoundingDiameters), once per view.
 #pragma once
 
 #include <vector>

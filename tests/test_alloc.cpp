@@ -10,8 +10,9 @@
 //     touches is a reused member arena. That holds with a telemetry bus
 //     and a job map attached too: publishing phase records and the
 //     per-job breakdown allocates nothing. It holds for blocked phases on
-//     the host pool as well: each block's scratch is reused, and the
-//     counter sees every thread's allocations.
+//     the host pool as well, the weighted lane replay included: each
+//     block's scratch is reused, and the counter sees every thread's
+//     allocations.
 //   * DynamicEngine: the per-steal message path recycles task buffers, so
 //     a steady-state window of a repeat run is likewise allocation-free.
 //   * LiveView: a degraded machine's survivor view never asks for memory
@@ -166,13 +167,14 @@ class NullSubscriber final : public obs::TelemetrySubscriber {};
 // phase + following system phase) of a repeat run. The first and last
 // windows are excluded: the first includes segment-root release, the last
 // includes end-of-run accounting. `with_bus_and_jobs` attaches a no-op
-// subscriber's bus and a 3-job map. `grown_regions` receives the measured
-// run's RipsEngine::grown_regions().
+// subscriber's bus and a 3-job map. `grown_regions`, `max_blocks` and
+// `max_lane_blocks` receive the measured run's introspection.
 void expect_steady_state_allocates_nothing(const RipsConfig& config,
                                            bool with_bus_and_jobs,
                                            u64* grown_regions = nullptr,
                                            u64 target_tasks = 20000,
-                                           size_t* max_blocks = nullptr) {
+                                           size_t* max_blocks = nullptr,
+                                           size_t* max_lane_blocks = nullptr) {
   // Many nodes relative to the trace: frequent drains mean frequent
   // system phases, which is what gives the test its windows (~19 with
   // this trace/mesh pairing).
@@ -218,6 +220,7 @@ void expect_steady_state_allocates_nothing(const RipsConfig& config,
   }
   if (grown_regions != nullptr) *grown_regions = engine.grown_regions();
   if (max_blocks != nullptr) *max_blocks = engine.max_blocks();
+  if (max_lane_blocks != nullptr) *max_lane_blocks = engine.max_lane_blocks();
 }
 
 TEST(AllocFree, RipsEngineSteadyStatePhasesAllocateNothing) {
@@ -256,11 +259,31 @@ TEST(AllocFree, LifoSteadyStatePhasesAllocateNothing) {
 // run, and the repeat run's blocks reuse their scratch.
 TEST(AllocFree, BlockedPhasesOnTheHostPoolAllocateNothing) {
   size_t blocks = 0;
+  size_t lane_blocks = 0;
   expect_steady_state_allocates_nothing(RipsConfig{},
                                         /*with_bus_and_jobs=*/false,
                                         /*grown_regions=*/nullptr,
-                                        /*target_tasks=*/200000, &blocks);
+                                        /*target_tasks=*/200000, &blocks,
+                                        &lane_blocks);
   EXPECT_GT(blocks, 1u) << "no phase split: the test no longer covers blocks";
+  EXPECT_GT(lane_blocks, 1u)
+      << "no replay ran on lanes: the test no longer covers them";
+}
+
+// A split weighted phase replays MWA's lanes and grows regions into room
+// bump-allocated from the arena: the warm run's arena already holds it.
+TEST(AllocFree, WeightedBlockedPhasesAllocateNothing) {
+  RipsConfig config;
+  config.weighted = true;
+  u64 grown = 0;
+  size_t lane_blocks = 0;
+  expect_steady_state_allocates_nothing(config, /*with_bus_and_jobs=*/false,
+                                        &grown, /*target_tasks=*/200000,
+                                        /*max_blocks=*/nullptr, &lane_blocks);
+  EXPECT_GT(lane_blocks, 1u)
+      << "no replay ran on lanes: the test no longer covers them";
+  EXPECT_GT(grown, 0u)
+      << "no region grew: the test no longer covers the growth room";
 }
 
 // Monitor `before` snapshots are the one per-phase structure the engine

@@ -1,6 +1,6 @@
-// Blocked user phases (docs/PERFORMANCE.md, "Threads inside a run"): the
-// host pool's contract, and the RIPS engine's blocked passes against a
-// one-block run of the same trace.
+// Blocked phases (docs/PERFORMANCE.md, "Threads inside a run"): the host
+// pool's contract, and the RIPS engine's blocked passes and lane replay
+// against a one-block run of the same trace.
 //
 // A run's blocks depend on its phases only; the host pool decides where
 // they run. So a run on the pool, the same run inside a sweep worker
@@ -130,10 +130,12 @@ struct Outcome {
   std::vector<obs::PhaseSample> samples;
   bool monitors_ok = false;
   size_t max_blocks = 0;
+  size_t max_lane_blocks = 0;
+  u64 grown_regions = 0;
 };
 
 Outcome run_engine(const apps::TaskTrace& trace, const core::RipsConfig& config,
-                   bool one_block) {
+                   bool one_block, bool zero_growth_room = false) {
   topo::Mesh mesh(16, 16);
   sched::Mwa mwa(mesh);
   sim::CostModel cost;
@@ -148,12 +150,15 @@ Outcome run_engine(const apps::TaskTrace& trace, const core::RipsConfig& config,
   o.bus = &bus;
   engine.set_obs(o);
   engine.set_full_measure_pass(one_block);
+  engine.set_zero_growth_room(zero_growth_room);
   Outcome out;
   out.metrics = engine.run(trace);
   out.registry = engine.metrics_registry().to_json();
   out.samples = log.samples;
   out.monitors_ok = monitor.ok();
   out.max_blocks = engine.max_blocks();
+  out.max_lane_blocks = engine.max_lane_blocks();
+  out.grown_regions = engine.grown_regions();
   return out;
 }
 
@@ -190,17 +195,23 @@ void expect_same_run(Outcome a, const Outcome& b, const std::string& what) {
   expect_same_samples(a.samples, b.samples, what);
 }
 
-// {ANY, ALL} x {Lazy, Eager} x {FIFO, LIFO} x {count, weighted} on 256
-// nodes, over a two-segment trace whose every segment starts with more
-// roots than the split threshold, so every policy splits its first phases.
-TEST(BlockedPhases, MatchOneBlockRunsAndSweepWorkerRuns) {
+/// A two-segment trace whose every segment starts with more roots than
+/// the split threshold, so every policy splits its first phases.
+apps::TaskTrace wide_trace() {
   apps::SyntheticConfig wide;
   wide.num_roots = 20000;
   wide.max_depth = 4;
   wide.spawn_prob = 0.4;
   wide.max_branch = 3;
   wide.num_segments = 2;
-  const apps::TaskTrace trace = apps::build_synthetic_trace(wide, /*seed=*/11);
+  return apps::build_synthetic_trace(wide, /*seed=*/11);
+}
+
+// {ANY, ALL} x {Lazy, Eager} x {FIFO, LIFO} x {count, weighted} on 256
+// nodes over wide_trace(). A split system phase sizes its regions and
+// replays MWA's plan lane by lane; a one-block run replays it in order.
+TEST(BlockedPhases, MatchOneBlockRunsAndSweepWorkerRuns) {
+  const apps::TaskTrace trace = wide_trace();
   std::vector<core::RipsConfig> configs;
   for (const auto global :
        {core::GlobalPolicy::kAny, core::GlobalPolicy::kAll}) {
@@ -235,11 +246,43 @@ TEST(BlockedPhases, MatchOneBlockRunsAndSweepWorkerRuns) {
     const Outcome blocked = run_engine(trace, configs[i], false);
     const Outcome one = run_engine(trace, configs[i], true);
     EXPECT_GT(blocked.max_blocks, 1u) << what << ": no pass was split";
+    EXPECT_GT(blocked.max_lane_blocks, 1u)
+        << what << ": no system phase took the lane path";
     EXPECT_EQ(one.max_blocks, 1u) << what;
+    EXPECT_EQ(one.max_lane_blocks, 1u) << what;
     EXPECT_EQ(blocked.metrics.num_tasks, trace.size()) << what;
     EXPECT_TRUE(blocked.monitors_ok) << what;
     expect_same_run(blocked, one, what + " vs one block");
     expect_same_run(blocked, nested[i], what + " vs sweep worker");
+  }
+}
+
+// Weighted regions grow into room reserved before the partition; with no
+// room, every growth stops its lane block until the arena grows between
+// runs of the stage, and the block resumes at the transfer it stopped
+// before. Region placement then differs, region contents may not.
+TEST(BlockedPhases, ZeroGrowthRoomMatchesTheNormalRun) {
+  const apps::TaskTrace trace = wide_trace();
+  for (const auto local : {core::LocalPolicy::kLazy, core::LocalPolicy::kEager}) {
+    for (const bool lifo : {false, true}) {
+      core::RipsConfig config;
+      config.local = local;
+      config.lifo_execution = lifo;
+      config.weighted = true;
+      const std::string what = config.name() + (lifo ? " LIFO" : " FIFO");
+      const Outcome normal = run_engine(trace, config, /*one_block=*/false);
+      const Outcome tight = run_engine(trace, config, /*one_block=*/false,
+                                       /*zero_growth_room=*/true);
+      EXPECT_GT(tight.max_lane_blocks, 1u) << what;
+      EXPECT_GT(tight.grown_regions, 0u)
+          << what << ": no region grew, so no block stopped";
+      EXPECT_EQ(tight.grown_regions, normal.grown_regions) << what;
+      expect_same_run(tight, normal, what + " zero room vs normal");
+      // The one-lane path stops and resumes through the same body.
+      const Outcome one = run_engine(trace, config, /*one_block=*/true,
+                                     /*zero_growth_room=*/true);
+      expect_same_run(one, normal, what + " one block, zero room vs normal");
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "flow/mincost_flow.hpp"
 #include "sched/mwa.hpp"
@@ -396,13 +398,18 @@ std::vector<i64> oracle_load(i32 n, int regime, Rng& rng) {
   return load;
 }
 
+/// The oracle's mesh shapes. 64x64 and 128x64 reach 4,096 nodes, where
+/// step 5 runs its rows in blocks on the host pool.
+std::vector<std::pair<i32, i32>> oracle_shapes() {
+  return {{1, 1},  {1, 2},   {1, 7},   {1, 32}, {2, 1},  {9, 1},
+          {32, 1}, {2, 2},   {4, 4},   {8, 8},  {16, 16}, {32, 32},
+          {2, 16}, {16, 2},  {3, 5},   {5, 3},  {4, 8},  {8, 4},
+          {7, 13}, {32, 8},  {8, 32},  {64, 64}, {128, 64}};
+}
+
 TEST(MwaOracle, PlanEqualsTheDenseStep5Reference) {
-  const std::vector<std::pair<i32, i32>> shapes{
-      {1, 1},  {1, 2},  {1, 7},  {1, 32}, {2, 1},  {9, 1},  {32, 1},
-      {2, 2},  {4, 4},  {8, 8},  {16, 16}, {32, 32}, {2, 16}, {16, 2},
-      {3, 5},  {5, 3},  {4, 8},  {8, 4},  {7, 13}, {32, 8}, {8, 32}};
   Rng rng(0x5EED5);
-  for (const auto& [rows, cols] : shapes) {
+  for (const auto& [rows, cols] : oracle_shapes()) {
     const topo::Mesh mesh{rows, cols};
     Mwa mwa(mesh);  // reused across trials, as the engine reuses it
     for (int regime = 0; regime < 3; ++regime) {
@@ -412,6 +419,165 @@ TEST(MwaOracle, PlanEqualsTheDenseStep5Reference) {
                          dense_reference_schedule(mesh, load),
                          mesh.name() + " regime " + std::to_string(regime) +
                              " trial " + std::to_string(trial));
+      }
+    }
+  }
+}
+
+/// The lanes contract (ScheduleResult) as MWA fills it: stage 0 is step 4
+/// with one lane per column, stage 1 is step 5 with one lane per row; the
+/// stages are consecutive in plan order, every transfer is in exactly one
+/// lane of its stage, each lane lists its transfers in plan order, and no
+/// node is in two lanes of one stage.
+void expect_lanes_contract(const topo::Mesh& mesh, const ScheduleResult& plan,
+                           const std::string& where) {
+  ASSERT_EQ(plan.stage_ends.size(), 2u) << where;
+  EXPECT_EQ(plan.stage_ends[0], static_cast<u32>(mesh.cols())) << where;
+  ASSERT_EQ(plan.stage_ends[1], static_cast<u32>(mesh.cols() + mesh.rows()))
+      << where;
+  ASSERT_EQ(plan.lane_ends.size(), plan.stage_ends[1]) << where;
+  ASSERT_EQ(plan.lane_transfers.size(), plan.transfers.size()) << where;
+  std::vector<int> seen(plan.transfers.size(), 0);
+  u32 lane = 0;
+  u32 entry = 0;
+  size_t stage_first = 0;  // the stage's first transfer in plan order
+  for (size_t s = 0; s < plan.stage_ends.size(); ++s) {
+    std::vector<i64> owner(static_cast<size_t>(mesh.size()), -1);
+    size_t count = 0;
+    size_t last = 0;
+    for (; lane < plan.stage_ends[s]; ++lane) {
+      ASSERT_LE(entry, plan.lane_ends[lane]) << where << " lane " << lane;
+      const u32 lane_first = entry;
+      for (; entry < plan.lane_ends[lane]; ++entry) {
+        const u32 t = plan.lane_transfers[entry];
+        ASSERT_LT(t, plan.transfers.size()) << where;
+        ASSERT_GE(t, stage_first) << where << ": transfer " << t
+                                  << " precedes its stage";
+        if (entry > lane_first) {
+          EXPECT_LT(plan.lane_transfers[entry - 1], t)
+              << where << ": lane " << lane << " out of plan order";
+        }
+        ++seen[t];
+        ++count;
+        last = std::max<size_t>(last, t);
+        const Transfer& tr = plan.transfers[t];
+        if (s == 0) {
+          EXPECT_EQ(mesh.col_of(tr.from), static_cast<i32>(lane)) << where;
+          EXPECT_EQ(mesh.col_of(tr.to), static_cast<i32>(lane)) << where;
+        } else {
+          const auto row = static_cast<i32>(lane - plan.stage_ends[0]);
+          EXPECT_EQ(mesh.row_of(tr.from), row) << where;
+          EXPECT_EQ(mesh.row_of(tr.to), row) << where;
+        }
+        for (const NodeId node : {tr.from, tr.to}) {
+          i64& o = owner[static_cast<size_t>(node)];
+          EXPECT_TRUE(o < 0 || o == lane)
+              << where << ": node " << node << " in lanes " << o << " and "
+              << lane << " of stage " << s;
+          o = lane;
+        }
+      }
+    }
+    if (count > 0) {
+      EXPECT_EQ(last, stage_first + count - 1)
+          << where << ": stage " << s << " is not consecutive in plan order";
+    }
+    stage_first += count;
+  }
+  EXPECT_EQ(stage_first, plan.transfers.size()) << where;
+  for (size_t t = 0; t < seen.size(); ++t) {
+    ASSERT_EQ(seen[t], 1) << where << ": transfer " << t;
+  }
+}
+
+/// Transfer indices stage by stage, each stage's lanes last to first, each
+/// lane in its own order.
+std::vector<u32> reverse_lane_order(const ScheduleResult& plan) {
+  std::vector<u32> order;
+  u32 first_lane = 0;
+  for (const u32 stage_end : plan.stage_ends) {
+    for (u32 lane = stage_end; lane-- > first_lane;) {
+      const u32 begin = lane == 0 ? 0 : plan.lane_ends[lane - 1];
+      order.insert(order.end(), plan.lane_transfers.begin() + begin,
+                   plan.lane_transfers.begin() + plan.lane_ends[lane]);
+    }
+    first_lane = stage_end;
+  }
+  return order;
+}
+
+/// Replays the transfers in `order` and returns what each node saw: the
+/// transfers it took part in, with its holdings after each. Equal results
+/// mean every node meets its transfers in the same order, so any replay
+/// that moves tasks node by node (the engine's) ends the same.
+std::vector<std::vector<std::pair<u32, i64>>> node_histories(
+    const std::vector<i64>& load, const ScheduleResult& plan,
+    const std::vector<u32>& order) {
+  std::vector<i64> hold(load);
+  std::vector<std::vector<std::pair<u32, i64>>> seen(load.size());
+  for (const u32 t : order) {
+    const Transfer& tr = plan.transfers[t];
+    const auto from = static_cast<size_t>(tr.from);
+    const auto to = static_cast<size_t>(tr.to);
+    hold[from] -= tr.count;
+    hold[to] += tr.count;
+    EXPECT_GE(hold[from], 0) << "transfer " << t << " exceeds holdings";
+    seen[from].emplace_back(t, hold[from]);
+    seen[to].emplace_back(t, hold[to]);
+  }
+  return seen;
+}
+
+/// Task-level replay in `order`: node k starts with load[k] tasks of its
+/// own (ids k * stride + i), and a transfer moves the sender's top `count`
+/// tasks onto the receiver, in pop order. Returns every node's stack.
+std::vector<std::vector<i64>> replay_tasks(const std::vector<i64>& load,
+                                           const ScheduleResult& plan,
+                                           const std::vector<u32>& order) {
+  const i64 stride = 1 + *std::max_element(load.begin(), load.end());
+  std::vector<std::vector<i64>> stack(load.size());
+  for (size_t k = 0; k < load.size(); ++k) {
+    for (i64 i = 0; i < load[k]; ++i) {
+      stack[k].push_back(static_cast<i64>(k) * stride + i);
+    }
+  }
+  for (const u32 t : order) {
+    const Transfer& tr = plan.transfers[t];
+    auto& src = stack[static_cast<size_t>(tr.from)];
+    auto& dst = stack[static_cast<size_t>(tr.to)];
+    for (i64 i = 0; i < tr.count; ++i) {
+      dst.push_back(src.back());
+      src.pop_back();
+    }
+  }
+  return stack;
+}
+
+TEST(MwaOracle, LanesAreIndependentAndReplayInAnyOrder) {
+  Rng rng(0x1A4E5);
+  for (const auto& [rows, cols] : oracle_shapes()) {
+    const topo::Mesh mesh{rows, cols};
+    Mwa mwa(mesh);
+    for (int regime = 0; regime < 3; ++regime) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::string where = mesh.name() + " regime " +
+                                  std::to_string(regime) + " trial " +
+                                  std::to_string(trial);
+        const auto load = oracle_load(mesh.size(), regime, rng);
+        const ScheduleResult& plan = mwa.schedule(load);
+        expect_lanes_contract(mesh, plan, where);
+        std::vector<u32> in_order(plan.transfers.size());
+        std::iota(in_order.begin(), in_order.end(), 0u);
+        const std::vector<u32> reversed = reverse_lane_order(plan);
+        ASSERT_EQ(reversed.size(), in_order.size()) << where;
+        EXPECT_EQ(node_histories(load, plan, reversed),
+                  node_histories(load, plan, in_order))
+            << where;
+        if (regime < 2) {  // task counts, not work totals
+          EXPECT_EQ(replay_tasks(load, plan, reversed),
+                    replay_tasks(load, plan, in_order))
+              << where;
+        }
       }
     }
   }
