@@ -11,7 +11,7 @@
 //
 //   --nodes=32
 //   --queens=12
-//   --jobs=1    sweep parallelism (0 = all hardware threads)
+//   --jobs=1    sweep parallelism (0 = every CPU the process may use)
 #include <cstdio>
 
 #include "apps/nqueens.hpp"

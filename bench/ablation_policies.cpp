@@ -8,7 +8,7 @@
 //
 //   --quick     shrink workloads (the full sweep is ~5x Table I)
 //   --nodes=32
-//   --jobs=1    sweep parallelism (0 = all hardware threads)
+//   --jobs=1    sweep parallelism (0 = every CPU the process may use)
 #include <cstdio>
 
 #include "exec/sweep/runner.hpp"

@@ -15,7 +15,7 @@
 //
 //   --quick     shrink workloads
 //   --nodes=32
-//   --jobs=1    sweep parallelism (0 = all hardware threads)
+//   --jobs=1    sweep parallelism (0 = every CPU the process may use)
 #include <cstdio>
 
 #include "apps/synthetic.hpp"

@@ -178,7 +178,8 @@ int main(int argc, char** argv) {
         "  [--fault-horizon-ms=N]\n"
         "emits the rips-bench-v1 JSON document (see docs/OBSERVABILITY.md);\n"
         "bench/bench_diff validates and diffs it. --jobs=N parallelizes the\n"
-        "sweep (0 = all hardware threads); output is identical for any N.\n"
+        "sweep (0 = every CPU the process may use); output is identical for\n"
+        "any N.\n"
         "--suite=scale runs RIPS on the scaling frontier at its own machine\n"
         "sizes (so it rejects --app, --nodes and other strategies) and is\n"
         "the only suite that takes the --fault-* flags: one fault plan per\n"

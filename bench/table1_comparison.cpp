@@ -15,7 +15,7 @@
 //
 //   --quick      shrink the workloads (CI smoke run)
 //   --nodes=32   processor count (paper mesh shape)
-//   --jobs=1     sweep parallelism (0 = all hardware threads)
+//   --jobs=1     sweep parallelism (0 = every CPU the process may use)
 #include <cstdio>
 
 #include "exec/sweep/runner.hpp"

@@ -8,7 +8,7 @@
 // the table is identical for any --jobs value.
 //
 //   --quick     shrink workloads
-//   --jobs=1    sweep parallelism (0 = all hardware threads)
+//   --jobs=1    sweep parallelism (0 = every CPU the process may use)
 #include <cstdio>
 
 #include "exec/sweep/runner.hpp"

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <limits>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -51,7 +54,8 @@ void name_jobs(const apps::Workload& workload, sim::RunMetrics& metrics) {
 StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
                          double rid_u, core::RipsConfig config,
                          const obs::Obs& o, const sim::FaultPlan* fault_plan,
-                         const EngineTuning& tuning) {
+                         const EngineTuning& tuning,
+                         const core::TaskCosts* costs) {
   const topo::MeshShape shape = topo::paper_mesh_shape(nodes);
   topo::Mesh mesh(shape.rows, shape.cols);
 
@@ -70,9 +74,10 @@ StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
     engine.set_fault_plan(fault_plan);
     engine.set_phase_snapshots(tuning.phase_snapshots);
     engine.set_job_map(job_of, num_jobs);
-    out.metrics = engine.run(workload.trace);
+    out.metrics = engine.run(workload.trace, costs);
     out.phases = engine.phases();
     out.registry = engine.metrics_registry();
+    out.costs_built = engine.costs_built();
     name_jobs(workload, out.metrics);
     return out;
   }
@@ -116,10 +121,45 @@ std::vector<Kind> table1_kinds() {
 
 namespace {
 
+/// The drain-cost table of a (workload, local policy) key that two or more
+/// RIPS rows of a sweep replay. The first row to start builds it under the
+/// lock (a concurrent row of the key waits for it), every row reads it, and
+/// the last row to finish frees it.
+class SharedCosts {
+ public:
+  explicit SharedCosts(size_t rows) : rows_(rows) {}
+
+  /// The key's table, built for `d` on first use; `*built` receives the
+  /// tasks this call filled.
+  const core::TaskCosts& acquire(const RunDescriptor& d, u64* built) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (table_ == nullptr) {
+      auto table = std::make_unique<core::TaskCosts>();
+      table->reset(d.workload->trace, d.workload->cost, d.config.local);
+      table->extend();
+      *built = table->drain.size();
+      table_ = std::move(table);
+    }
+    return *table_;
+  }
+
+  /// One row of the key finished (or failed); the last frees the table.
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--rows_ == 0) table_.reset();
+  }
+
+ private:
+  std::mutex mu_;
+  std::unique_ptr<core::TaskCosts> table_;
+  size_t rows_;  // rows of the key that have not finished
+};
+
 /// The body of one sweep slot: everything the run touches — session,
 /// monitor, scheduler, engine, registry copy — is local to this call, so
-/// concurrent slots share only the read-only workloads.
-RunResult run_one(const RunDescriptor& d) {
+/// concurrent slots share only the read-only workloads and, for a RIPS row
+/// whose key repeats, the key's cost table.
+RunResult run_one(const RunDescriptor& d, SharedCosts* shared) {
   const auto wall_start = std::chrono::steady_clock::now();
   RunResult result;
   std::shared_ptr<obs::TraceSession> trace;
@@ -147,8 +187,12 @@ RunResult run_one(const RunDescriptor& d) {
     }
     if (d.live != nullptr) bus.subscribe(d.live);
     if (!bus.empty()) o.bus = &bus;
+    u64 built = 0;
+    const core::TaskCosts* costs =
+        shared != nullptr ? &shared->acquire(d, &built) : nullptr;
     result.run = run_strategy(*d.workload, d.nodes, d.kind, d.rid_u, d.config,
-                              o, d.fault_plan, d.tuning);
+                              o, d.fault_plan, d.tuning, costs);
+    result.run.costs_built += built;
     result.ok = true;
   } catch (const std::exception& e) {
     result.error = e.what();
@@ -173,18 +217,56 @@ RunResult run_one(const RunDescriptor& d) {
 
 std::vector<RunResult> run_sweep(const std::vector<RunDescriptor>& descriptors,
                                  i32 jobs) {
-  // Longest-first start order (stable on ties => deterministic schedule);
-  // slot i of `results` is always descriptor i, whatever the start order.
-  std::vector<size_t> order(descriptors.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Group the RIPS rows by (workload, local policy): a key that two or
+  // more rows replay gets one shared cost table. group[i] is the first row
+  // of i's key (i itself for any other row).
+  const size_t count = descriptors.size();
+  std::vector<size_t> group(count);
+  std::map<std::pair<const apps::Workload*, core::LocalPolicy>, size_t> first;
+  std::vector<size_t> rows(count, 0);
+  for (size_t i = 0; i < count; ++i) {
+    const RunDescriptor& d = descriptors[i];
+    group[i] = i;
+    if (d.kind == Kind::kRips && d.workload != nullptr) {
+      group[i] = first.try_emplace({d.workload, d.config.local}, i)
+                     .first->second;
+    }
+    rows[group[i]] += 1;
+  }
+  std::vector<std::unique_ptr<SharedCosts>> shared(count);
+  for (size_t g = 0; g < count; ++g) {
+    if (rows[g] >= 2) shared[g] = std::make_unique<SharedCosts>(rows[g]);
+  }
+
+  // Longest-first start order (stable on ties => deterministic schedule),
+  // except that the rows of a key start one after another, at its longest
+  // row's place: a table lives from its first row to its last, so the
+  // tables alive at once stay bounded by the thread count. Slot i of
+  // `results` is always descriptor i, whatever the start order.
+  std::vector<double> group_hint(count,
+                                 std::numeric_limits<double>::lowest());
+  for (size_t i = 0; i < count; ++i) {
+    group_hint[group[i]] =
+        std::max(group_hint[group[i]], descriptors[i].cost_hint);
+  }
+  std::vector<size_t> order(count);
+  for (size_t i = 0; i < count; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (group[a] != group[b]) {
+      if (group_hint[group[a]] != group_hint[group[b]]) {
+        return group_hint[group[a]] > group_hint[group[b]];
+      }
+      return group[a] < group[b];
+    }
     return descriptors[a].cost_hint > descriptors[b].cost_hint;
   });
 
-  std::vector<RunResult> results(descriptors.size());
-  parallel_for(descriptors.size(), jobs, [&](size_t k) {
+  std::vector<RunResult> results(count);
+  parallel_for(count, jobs, [&](size_t k) {
     const size_t i = order[k];
-    results[i] = run_one(descriptors[i]);
+    SharedCosts* costs = shared[group[i]].get();
+    results[i] = run_one(descriptors[i], costs);
+    if (costs != nullptr) costs->release();
   });
   return results;
 }

@@ -5,9 +5,12 @@
 // observability sinks. run_sweep() executes them across --jobs OS threads,
 // each run with its own engine, scheduler, RNG and MetricsRegistry, and
 // commits results in DESCRIPTOR ORDER. Because every run is a pure
-// function of its descriptor and nothing is shared between runs, the
-// result vector — and therefore anything serialized from it, such as
-// `harness --json` — is byte-identical for any job count.
+// function of its descriptor, the result vector — and therefore anything
+// serialized from it, such as `harness --json` — is byte-identical for any
+// job count. Runs share only read-only inputs: the workloads, and one
+// drain-cost table (core::TaskCosts) per (workload, local policy) that two
+// or more RIPS runs replay, which the first of them builds and the last
+// frees.
 //
 // This header also owns the single-run building blocks the bench tools
 // share (Kind / run_strategy / StrategyRun).
@@ -40,6 +43,11 @@ struct StrategyRun {
   /// Copy of the engine's metrics registry (counters / histograms /
   /// per-phase snapshots) — what `harness --json` serializes.
   obs::MetricsRegistry registry;
+  /// RIPS: the tasks whose drain costs were computed for this run — its
+  /// engine's own table or, in a sweep, the shared table of its key when
+  /// this run built it (0 when it read a table another run built). Never
+  /// serialized; tests read it.
+  u64 costs_built = 0;
 };
 
 /// Strategy selector for run_strategy().
@@ -60,12 +68,16 @@ struct EngineTuning {
 /// policies (default ANY-Lazy). `o` attaches optional observability sinks
 /// (trace spans from all engines; the invariant monitor is RIPS-only).
 /// `fault_plan` attaches fault injection (RIPS-only; ignored otherwise).
+/// `costs` lends RIPS a drain-cost table built for this workload's trace
+/// and cost model under config.local (RipsEngine::run); without one the
+/// engine fills its own.
 StrategyRun run_strategy(const apps::Workload& workload, i32 nodes, Kind kind,
                          double rid_u = 0.4,
                          core::RipsConfig config = core::RipsConfig{},
                          const obs::Obs& o = obs::Obs{},
                          const sim::FaultPlan* fault_plan = nullptr,
-                         const EngineTuning& tuning = EngineTuning{});
+                         const EngineTuning& tuning = EngineTuning{},
+                         const core::TaskCosts* costs = nullptr);
 
 /// The dynamic strategy run_strategy runs for `kind` (any kind but
 /// kRips): Random seeded 0xC0FFEE, RID with load-update factor `rid_u`.
@@ -126,10 +138,13 @@ struct RunResult {
   double wall_ms = 0.0;
 };
 
-/// Executes every descriptor on up to `jobs` threads (<= 0: all hardware
-/// threads) and returns results in descriptor order. A run that throws a
-/// std::exception yields ok == false with the message captured — sibling
-/// runs are unaffected. Output is byte-for-byte independent of `jobs`.
+/// Executes every descriptor on up to `jobs` threads (<= 0: every CPU the
+/// process may use) and returns results in descriptor order. A run that
+/// throws a std::exception yields ok == false with the message captured —
+/// sibling runs are unaffected. Output is byte-for-byte independent of
+/// `jobs`. RIPS runs of the same workload and local policy share one
+/// drain-cost table; their start order keeps them together, so the tables
+/// alive at once are bounded by the thread count, not by the keys.
 std::vector<RunResult> run_sweep(const std::vector<RunDescriptor>& descriptors,
                                  i32 jobs);
 

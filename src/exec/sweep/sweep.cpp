@@ -6,14 +6,13 @@
 #include <thread>
 #include <vector>
 
+#include "util/cpus.hpp"
 #include "util/host_pool.hpp"
 
 namespace rips::sweep {
 
 i32 resolve_jobs(i32 jobs) {
-  if (jobs > 0) return jobs;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<i32>(hw);
+  return jobs > 0 ? jobs : static_cast<i32>(usable_cpus());
 }
 
 void parallel_for(size_t count, i32 jobs,

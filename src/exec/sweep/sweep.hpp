@@ -8,7 +8,8 @@
 //     running — after all indices finish, the exception of the LOWEST
 //     failing index is rethrown (deterministic: independent of which
 //     thread hit it first or how indices interleaved);
-//   - jobs <= 0 selects std::thread::hardware_concurrency();
+//   - jobs <= 0 selects every CPU the process may use (its affinity
+//     mask, util/cpus.hpp: `taskset -c 0` gives one thread);
 //   - an effective job count of 1 runs inline on the calling thread
 //     (no pool, no synchronization — bit-identical to a plain loop);
 //   - the threads of a wider sweep mark themselves as outer workers
@@ -22,8 +23,8 @@
 
 namespace rips::sweep {
 
-/// Resolves a --jobs value: <= 0 means "all hardware threads" (at least
-/// 1); positive values pass through.
+/// Resolves a --jobs value: <= 0 means "every CPU the process may use"
+/// (usable_cpus(), at least 1); positive values pass through.
 i32 resolve_jobs(i32 jobs);
 
 /// Runs fn(i) for i in [0, count) on up to `jobs` threads. Work is handed

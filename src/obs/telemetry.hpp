@@ -59,6 +59,8 @@ struct PhaseSample {
   i64 drain_ns = 0;   ///< drain estimate: predicted - actual drain slack
   u64 executed_total = 0;  ///< cumulative tasks executed so far
   i32 job = -1;       ///< job index of a TimeSeriesSampler per-job row, else -1
+
+  bool operator==(const PhaseSample&) const = default;
 };
 
 /// A notable incident, published out-of-band of the phase cadence. The

@@ -30,6 +30,14 @@ constexpr i32 kFaultMaxRetries = 3;
 // only, never on how many host threads run the blocks.
 constexpr size_t kBlockMinTasks = 16384;
 constexpr size_t kMaxBlocks = 16;
+
+// Weighted load of a queue: its tasks' summed TraceTask::work. Integer
+// sums are exact in any order, so every build gets the same bits.
+i64 work_sum(const apps::TaskTrace& trace, const TaskId* tasks, size_t n) {
+  u64 sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += trace.task(tasks[i]).work;
+  return static_cast<i64>(sum);
+}
 }  // namespace
 
 RipsEngine::RipsEngine(sched::ParallelScheduler& scheduler,
@@ -309,7 +317,7 @@ SimTime RipsEngine::system_phase(SimTime t) {
   // Counts (the paper's choice) or work totals (weighted mode: what
   // perfect grain estimation would let the scheduler balance). Loads are
   // indexed by logical rank; rank r is physical node live_[r]. Weighted
-  // loads are a flat gather over the per-task weight array. The same pass
+  // loads sum the trace's TraceTask::work over each queue. The same pass
   // lays each rank's replay floor for size_regions: its holdings, in
   // tasks (region capacity) and in load (hold_).
   load_.resize(static_cast<size_t>(n));
@@ -320,16 +328,12 @@ SimTime RipsEngine::system_phase(SimTime t) {
     for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
       const NodeRt& node = nodes_[static_cast<size_t>(live_[r])];
       const size_t tasks = node.rts.size() + node.rte_len;
-      load_[r] =
-          config_.weighted
-              ? simd::gather_sum_i64(task_weight_.data(), node.rts.data(),
-                                     node.rts.size()) +
-                    simd::gather_sum_i64(task_weight_.data(),
-                                         rte_.data() + node.rte_begin,
-                                         node.rte_len - node.rte_spawned) +
-                    simd::gather_sum_i64(task_weight_.data(), node.spawned,
-                                         node.rte_spawned)
-              : static_cast<i64>(tasks);
+      load_[r] = config_.weighted
+                     ? work_sum(*trace_, node.rts.data(), node.rts.size()) +
+                           work_sum(*trace_, rte_.data() + node.rte_begin,
+                                    node.rte_len - node.rte_spawned) +
+                           work_sum(*trace_, node.spawned, node.rte_spawned)
+                     : static_cast<i64>(tasks);
       hold_[r] = load_[r];
       regions_[r].cap = tasks;
       block.tasks += tasks;
@@ -469,28 +473,24 @@ SimTime RipsEngine::system_phase(SimTime t) {
   return t + duration;
 }
 
-void RipsEngine::size_regions(const sched::ScheduleResult& plan,
-                              const Lanes& lanes, size_t k) {
+void RipsEngine::size_regions(const sched::ScheduleResult& plan, size_t k) {
   // Count mode sizes every region to its rank's peak holdings, exactly, so
   // no region ever fills; following the holdings also checks the plan
   // before any task moves. Weighted mode knows a transfer's task count
   // only while it runs: its regions start at the peak work over the mean
-  // task weight and grow on demand (make_room). Lanes of a stage share no
-  // node, so each rank sees its transfers in plan order either way.
+  // task weight and grow on demand (make_room). One walk in plan order at
+  // about 2 ns per transfer: on the plan's lanes it gained nothing, as
+  // the pool dispatches took back what the threads saved.
   if (!config_.weighted) {
-    for (size_t s = 0; s < lanes.stages; ++s) {
-      for_each_lane_block(plan, lanes, s,
-                          [&](LaneBlock&, const sched::Transfer& tr) {
-        i64& from = hold_[static_cast<size_t>(tr.from)];
-        i64& to = hold_[static_cast<size_t>(tr.to)];
-        RIPS_CHECK_MSG(from >= tr.count,
-                       "scheduler transfer exceeds node holdings");
-        from -= tr.count;
-        to += tr.count;
-        size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
-        cap = std::max(cap, static_cast<size_t>(to));
-        return true;
-      });
+    for (const sched::Transfer& tr : plan.transfers) {
+      i64& from = hold_[static_cast<size_t>(tr.from)];
+      i64& to = hold_[static_cast<size_t>(tr.to)];
+      RIPS_CHECK_MSG(from >= tr.count,
+                     "scheduler transfer exceeds node holdings");
+      from -= tr.count;
+      to += tr.count;
+      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+      cap = std::max(cap, static_cast<size_t>(to));
     }
   } else {
     size_t tasks = 0;
@@ -499,17 +499,13 @@ void RipsEngine::size_regions(const sched::ScheduleResult& plan,
     const double tasks_per_work =
         work > 0 ? static_cast<double>(tasks) / static_cast<double>(work)
                  : 0.0;
-    for (size_t s = 0; s < lanes.stages; ++s) {
-      for_each_lane_block(plan, lanes, s,
-                          [&](LaneBlock&, const sched::Transfer& tr) {
-        hold_[static_cast<size_t>(tr.from)] -= tr.count;
-        const i64 to = hold_[static_cast<size_t>(tr.to)] += tr.count;
-        const double est = static_cast<double>(std::max<i64>(to, 0)) *
-                           tasks_per_work;
-        size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
-        cap = std::max(cap, static_cast<size_t>(est) + 1);
-        return true;
-      });
+    for (const sched::Transfer& tr : plan.transfers) {
+      hold_[static_cast<size_t>(tr.from)] -= tr.count;
+      const i64 to = hold_[static_cast<size_t>(tr.to)] += tr.count;
+      const double est =
+          static_cast<double>(std::max<i64>(to, 0)) * tasks_per_work;
+      size_t& cap = regions_[static_cast<size_t>(tr.to)].cap;
+      cap = std::max(cap, static_cast<size_t>(est) + 1);
     }
   }
   // The layout, then room for weighted growth above it: twice the layout
@@ -603,7 +599,7 @@ u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan, size_t k,
     lanes = {plan.stage_ends.data(), plan.stage_ends.size(),
              plan.lane_ends.data(), plan.lane_transfers.data()};
   }
-  size_regions(plan, lanes, k);
+  size_regions(plan, k);
 
   // Partition: RTS entries by origin; the leftover by position — its
   // span's local front and its spawned part go to the local stack, the
@@ -669,7 +665,7 @@ u64 RipsEngine::replay_plan(const sched::ScheduleResult& plan, size_t k,
           const TaskId task = take < src.foreign
                                   ? foreign_top[take]
                                   : *(local_top - 1 - (take - src.foreign));
-          const i64 w = task_weight_[static_cast<size_t>(task)];
+          const auto w = static_cast<i64>(trace_->task(task).work);
           const i64 undershoot = tr.count - sent_work;
           if (undershoot <= 0) break;
           if (take > 0 && sent_work + w - tr.count > undershoot) break;
@@ -922,13 +918,14 @@ SimTime RipsEngine::user_phase(SimTime t) {
   drain.assign(nodes_.size(), kNever);
   if (!full_measure_) {
     // Gather-sum kernel over each node's RTE span: the whole measuring
-    // pass is one linear read of drain_cost_ per node.
+    // pass is one linear read of the drain-cost table per node.
+    const SimTime* drain_cost = costs_->drain.data();
     for_each_block(k, [&](const Block& block) {
       for (u32 r = block.rank_begin; r < block.rank_end; ++r) {
         const NodeId phys = live_[r];
         const NodeRt& node = nodes_[static_cast<size_t>(phys)];
         drain[static_cast<size_t>(phys)] =
-            t + simd::gather_sum_i64(drain_cost_.data(),
+            t + simd::gather_sum_i64(drain_cost,
                                      rte_.data() + node.rte_begin,
                                      node.rte_len);
       }
@@ -1192,7 +1189,8 @@ SimTime RipsEngine::user_phase(SimTime t) {
   return phase_end;
 }
 
-void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
+void RipsEngine::init_run_state(const apps::TaskTrace& trace,
+                                const TaskCosts* shared) {
   trace_ = &trace;
   const i32 n = scheduler_.topology().size();
   nodes_.assign(static_cast<size_t>(n), NodeRt{});
@@ -1245,8 +1243,21 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   // spawn overhead — children land in RTS, not the queue). Fault plans
   // keep it too: crashes are admitted against the measured drains
   // afterwards and message drops only stretch the detection collectives,
-  // so neither changes the undisturbed drain times.
-  metrics_.sequential_ns = extend_task_costs(0);
+  // so neither changes the undisturbed drain times. A lent table must have
+  // been built for exactly this trace, cost model and local policy.
+  if (shared != nullptr) {
+    RIPS_CHECK_MSG(shared->built_for(trace, cost_, config_.local),
+                   "shared task costs were built for another trace, cost "
+                   "model or local policy");
+    costs_ = shared;
+    costs_built_ = 0;
+  } else {
+    own_costs_.reset(trace, cost_, config_.local);
+    own_costs_.extend();
+    costs_ = &own_costs_;
+    costs_built_ = trace.size();
+  }
+  metrics_.sequential_ns = costs_->sequential_ns;
   metrics_.used_fast_measure = !full_measure_;
   split_ok_ = job_of_ == nullptr && obs_.trace == nullptr &&
               !injector_.has_value() && !full_measure_;
@@ -1276,34 +1287,6 @@ void RipsEngine::init_run_state(const apps::TaskTrace& trace) {
   obs_.run_begin({"rips", n, trace.size()});
 }
 
-SimTime RipsEngine::extend_task_costs(size_t from) {
-  const size_t m = trace_->size();
-  const bool drain = !full_measure_;
-  const bool lazy = config_.local == LocalPolicy::kLazy;
-  if (drain) drain_cost_.resize(m);
-  if (config_.weighted) task_weight_.resize(m);
-  SimTime work_sum = 0;
-  // Backward, so that a task's children (larger ids) are done first.
-  for (size_t i = m; i-- > from;) {
-    const auto task = static_cast<TaskId>(i);
-    const apps::TraceTask& info = trace_->task(task);
-    const SimTime work = cost_.work_time(info.work);
-    work_sum += work;
-    if (config_.weighted) task_weight_[i] = static_cast<i64>(info.work);
-    if (drain) {
-      SimTime c =
-          work + static_cast<SimTime>(info.num_children) * cost_.spawn_ns;
-      if (lazy) {
-        c += simd::gather_sum_i64(drain_cost_.data(),
-                                  trace_->children_begin(task),
-                                  info.num_children);
-      }
-      drain_cost_[i] = c;
-    }
-  }
-  return work_sum;
-}
-
 bool RipsEngine::machine_empty() const {
   for (NodeId phys : live_) {
     const auto& node = nodes_[static_cast<size_t>(phys)];
@@ -1312,8 +1295,9 @@ bool RipsEngine::machine_empty() const {
   return true;
 }
 
-sim::RunMetrics RipsEngine::run(const apps::TaskTrace& trace) {
-  init_run_state(trace);
+sim::RunMetrics RipsEngine::run(const apps::TaskTrace& trace,
+                                const TaskCosts* shared) {
+  init_run_state(trace, shared);
   release_segment_roots(0);
   SimTime t = 0;
 
@@ -1335,7 +1319,7 @@ sim::RunMetrics RipsEngine::run_online(exec::TaskSource& source) {
   // would go stale the moment the trace grows.
   job_of_ = source.job_of();
   num_jobs_ = job_of_ == nullptr ? 0 : source.num_jobs();
-  init_run_state(source.trace());
+  init_run_state(source.trace(), nullptr);
   RIPS_CHECK_MSG(trace_->num_segments() == 1,
                  "online task sources must keep a single segment");
   // The segment barrier has no meaning when jobs arrive continuously; mark
@@ -1407,7 +1391,8 @@ void RipsEngine::grow_online_state(const exec::TaskSource& source) {
                  "online task sources must keep a single segment");
   origin_.resize(m, kInvalidNode);
   exec_node_.resize(m, kInvalidNode);
-  metrics_.sequential_ns += extend_task_costs(online_synced_);
+  metrics_.sequential_ns += own_costs_.extend();
+  costs_built_ += m - online_synced_;
   online_synced_ = m;
 
   // Late-arriving tenants: the job map and the per-job accumulators grow
@@ -1461,8 +1446,7 @@ void RipsEngine::retire_online(exec::TaskSource& source) {
   // so far grows these arrays without allocating.
   origin_.clear();
   exec_node_.clear();
-  task_weight_.clear();
-  drain_cost_.clear();
+  own_costs_.reset(*trace_, cost_, config_.local);
   start_rank_.clear();
 }
 

@@ -47,6 +47,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "rips/config.hpp"
+#include "rips/task_costs.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/fault.hpp"
@@ -65,8 +66,14 @@ class RipsEngine {
   RipsEngine(sched::ParallelScheduler& scheduler, const sim::CostModel& cost,
              RipsConfig config);
 
-  /// Executes the whole trace; returns Table-I style metrics.
-  sim::RunMetrics run(const apps::TaskTrace& trace);
+  /// Executes the whole trace; returns Table-I style metrics. The run
+  /// fills its own drain-cost table unless `shared` lends one (a sweep's
+  /// table for rows that replay the same trace under the same local
+  /// policy): it is read, never written, and must outlive the run. A table
+  /// built for another trace, trace size, ns_per_work, spawn_ns or local
+  /// policy aborts the run (RIPS_CHECK).
+  sim::RunMetrics run(const apps::TaskTrace& trace,
+                      const TaskCosts* shared = nullptr);
 
   /// Online serving mode (docs/SERVING.md): instead of replaying a finite
   /// trace known up front, pulls work from a TaskSource between phases —
@@ -77,7 +84,8 @@ class RipsEngine {
   /// next system phase. Returns when the source reports kDrained and
   /// everything injected has executed, with the same Table-I metrics as
   /// run(). Fault plans are not supported in online mode, and the source's
-  /// job map (if any) replaces a set_job_map() binding for the run.
+  /// job map (if any) replaces a set_job_map() binding for the run. The
+  /// engine extends its own drain-cost table as the trace grows.
   ///
   /// Idle points bound the engine's state by live work: whenever a system
   /// phase leaves the machine empty before an idle poll, the engine counts
@@ -149,14 +157,19 @@ class RipsEngine {
   /// moved a full region to the arena's end (always 0 in count mode).
   u64 grown_regions() const { return grown_regions_; }
 
+  /// Test introspection: the tasks whose drain costs the last run computed
+  /// itself (every task it saw when it filled its own table, 0 when it read
+  /// a shared one).
+  u64 costs_built() const { return costs_built_; }
+
   /// Test introspection: the most blocks any pass of the last run split
   /// its live ranks into (1 when every pass ran as one block). The count
   /// depends on the phases only, never on the host's CPUs.
   size_t max_blocks() const { return max_blocks_; }
 
   /// Test introspection: the most blocks of lanes any stage of the last
-  /// run's region sizing and replay ran (1 when every system phase
-  /// replayed its plan in order as one lane).
+  /// run's transfer replay ran (1 when every system phase replayed its
+  /// plan in order as one lane).
   size_t max_lane_blocks() const { return max_lane_blocks_; }
 
   /// Test hook: weighted replays reserve no room for region growth, so
@@ -235,11 +248,10 @@ class RipsEngine {
     size_t offset = 0;        // where its ranks' output starts (rank order)
   };
 
-  /// One block of a lane pass (region sizing, transfer replay): the
-  /// entries of a contiguous range of one stage's lanes. Lanes of a stage
-  /// share no node, so blocks touch disjoint regions, holdings and
-  /// migration times. Cache-line aligned like Block: its cursor moves per
-  /// transfer.
+  /// One block of the lane pass (the transfer replay): the entries of a
+  /// contiguous range of one stage's lanes. Lanes of a stage share no
+  /// node, so blocks touch disjoint regions and migration times.
+  /// Cache-line aligned like Block: its cursor moves per transfer.
   struct alignas(64) LaneBlock {
     size_t next = 0;     // the next entry to replay
     size_t end = 0;      // one past the block's last entry
@@ -248,9 +260,9 @@ class RipsEngine {
     size_t stalled = 0;  // room the growth it stopped before asked for
   };
 
-  /// The stages and lanes a system phase sizes and replays: the plan's
-  /// lanes when the phase splits, else the whole plan as one stage of one
-  /// lane (ScheduleResult's layout).
+  /// The stages and lanes a system phase replays: the plan's lanes when
+  /// the phase splits, else the whole plan as one stage of one lane
+  /// (ScheduleResult's layout).
   struct Lanes {
     const u32* stage_ends = nullptr;
     size_t stages = 0;
@@ -307,11 +319,11 @@ class RipsEngine {
   /// `step_time` plus its migration time. Returns the number of task moves.
   u64 replay_plan(const sched::ScheduleResult& plan, size_t k,
                   SimTime step_time);
-  /// Sizes one arena region per rank from the plan (count mode: each
-  /// rank's peak holdings, exactly; weighted mode: its peak work at the
-  /// phase's mean task weight), from the floors the load collection set.
-  void size_regions(const sched::ScheduleResult& plan, const Lanes& lanes,
-                    size_t k);
+  /// Sizes one arena region per rank from the plan, walked once in plan
+  /// order (count mode: each rank's peak holdings, exactly; weighted mode:
+  /// its peak work at the phase's mean task weight), from the floors the
+  /// load collection set.
+  void size_regions(const sched::ScheduleResult& plan, size_t k);
   /// Moves the top `count` tasks of src (foreign stack first, then local)
   /// onto dst's stacks by origin. dst must have room for them.
   void move_tasks(Region& src, Region& dst, NodeId to_phys, size_t count);
@@ -327,24 +339,18 @@ class RipsEngine {
   SimTime system_phase(SimTime t);
   SimTime user_phase(SimTime t);
 
-  /// Shared bracket of run() and run_online(): per-run state reset /
+  /// Shared bracket of run() and run_online(): per-run state reset (the
+  /// run reads `shared` when given, else fills its own table) /
   /// derivation of the final RunMetrics once the phase loop terminated.
-  void init_run_state(const apps::TaskTrace& trace);
+  void init_run_state(const apps::TaskTrace& trace, const TaskCosts* shared);
   sim::RunMetrics finalize_run(SimTime t);
-  /// Extends the per-task state over tasks [from, trace size) — the
-  /// drain-cost fast path (unless full_measure_) and task_weight_
-  /// (weighted mode) — and returns their summed work time, for
-  /// RunMetrics::sequential_ns. One backward sweep, valid incrementally
-  /// because children always carry larger ids than their parent (so a new
-  /// task's subtree is entirely inside the new range or already computed).
-  SimTime extend_task_costs(size_t from);
   bool machine_empty() const;
 
   /// One TaskSource poll (online mode): advances the clock by the source's
   /// reported idle wait, syncs engine state over newly appended tasks and
   /// injects the new roots. Returns true once the source is drained.
   bool online_poll(exec::TaskSource& source, SimTime* t, bool idle);
-  /// Grows origin_/exec_node_/sequential_ns/drain_cost_/job arrays over
+  /// Grows origin_/exec_node_/sequential_ns/the cost table/job arrays over
   /// tasks the source appended since the last sync.
   void grow_online_state(const exec::TaskSource& source);
   /// Idle point of run_online: folds the trace's non-local executions into
@@ -475,23 +481,19 @@ class RipsEngine {
   // hashing (replaces the per-phase unordered_map).
   std::vector<i32> start_rank_;
 
-  // --- weighted mode ------------------------------------------------------
-  // Weighted load collection is a gather-sum over this flat per-task array
-  // (util/simd.hpp), and the weighted replay reads it per moved task.
-  // Filled by extend_task_costs. Work times are not stored: the commit
-  // loop reads the trace's TraceTask anyway and calls cost_.work_time.
-  std::vector<i64> task_weight_;   // task.work per task (weighted mode)
-
   // --- drain-cost fast path ----------------------------------------------
-  // drain_cost_[t]: the simulated time a node spends on task t during a
-  // full RTE drain — work + spawn overhead, plus (lazy policy) the cost of
-  // every descendant, which execute in the same phase. Children always
-  // have larger ids than their parent, so one backward sweep fills it.
-  // The measuring pass then reduces to summing queue entries: exact i64
-  // arithmetic and order independence make it bit-identical to the full
-  // simulation. Crashes and message drops never touch the undisturbed
-  // drain times, so fault runs use it too.
-  std::vector<SimTime> drain_cost_;
+  // The measuring pass sums each queue's drain costs (TaskCosts): exact
+  // i64 arithmetic and order independence make it bit-identical to the
+  // full simulation. Crashes and message drops never touch the undisturbed
+  // drain times, so fault runs use it too. A run reads costs_: a table
+  // lent to run() or own_costs_, which the engine fills (and, online,
+  // extends and empties at retirement) with TaskCosts' backward sweep.
+  // Nothing else is stored per task: weighted loads and the weighted
+  // replay read TraceTask::work, and the commit loop reads the TraceTask
+  // anyway and calls cost_.work_time.
+  const TaskCosts* costs_ = nullptr;
+  TaskCosts own_costs_;
+  u64 costs_built_ = 0;  // tasks the last run filled own_costs_ with
   bool full_measure_ = false;
   bool phase_snapshots_ = true;
   PhaseProbe phase_probe_ = nullptr;

@@ -1,7 +1,5 @@
 #include "util/host_pool.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/cpus.hpp"
 
 namespace rips::host_pool {
 namespace {
@@ -22,16 +21,6 @@ thread_local bool t_inline = false;
 
 void run_inline(std::size_t count, Body body, void* ctx) {
   for (std::size_t i = 0; i < count; ++i) body(ctx, i);
-}
-
-std::size_t affinity_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
-    return static_cast<std::size_t>(CPU_COUNT(&set));
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 class Pool {
@@ -102,7 +91,7 @@ class Pool {
   // Called by the busy_ holder only.
   void start() {
     started_ = true;
-    const std::size_t cpus = affinity_cpus();
+    const std::size_t cpus = usable_cpus();
     try {
       threads_.reserve(cpus - 1);
       for (std::size_t i = 1; i < cpus; ++i) {

@@ -167,14 +167,17 @@ class NullSubscriber final : public obs::TelemetrySubscriber {};
 // phase + following system phase) of a repeat run. The first and last
 // windows are excluded: the first includes segment-root release, the last
 // includes end-of-run accounting. `with_bus_and_jobs` attaches a no-op
-// subscriber's bus and a 3-job map. `grown_regions`, `max_blocks` and
-// `max_lane_blocks` receive the measured run's introspection.
+// subscriber's bus and a 3-job map; `lend_costs` runs both runs on a
+// drain-cost table built beforehand, the way a sweep lends one.
+// `grown_regions`, `max_blocks` and `max_lane_blocks` receive the measured
+// run's introspection.
 void expect_steady_state_allocates_nothing(const RipsConfig& config,
                                            bool with_bus_and_jobs,
                                            u64* grown_regions = nullptr,
                                            u64 target_tasks = 20000,
                                            size_t* max_blocks = nullptr,
-                                           size_t* max_lane_blocks = nullptr) {
+                                           size_t* max_lane_blocks = nullptr,
+                                           bool lend_costs = false) {
   // Many nodes relative to the trace: frequent drains mean frequent
   // system phases, which is what gives the test its windows (~19 with
   // this trace/mesh pairing).
@@ -198,21 +201,29 @@ void expect_steady_state_allocates_nothing(const RipsConfig& config,
     engine.set_job_map(&job_of, 3);
   }
 
+  TaskCosts costs;
+  if (lend_costs) {
+    costs.reset(trace, test_cost(), config.local);
+    costs.extend();
+  }
+  const TaskCosts* lent = lend_costs ? &costs : nullptr;
+
   PhaseMarks probe;
   probe.marks.reserve(1 << 16);
   engine.set_phase_probe(&PhaseMarks::record, &probe);
 
   // Run 1 grows every arena to its high-water mark.
-  const sim::RunMetrics warm = engine.run(trace);
+  const sim::RunMetrics warm = engine.run(trace, lent);
   ASSERT_EQ(warm.num_tasks, trace.size());
   const size_t phases = probe.marks.size();
   ASSERT_GE(phases, 4u) << "trace too small to expose steady-state windows";
 
   // Run 2 is the measured run.
   probe.marks.clear();
-  const sim::RunMetrics metrics = engine.run(trace);
+  const sim::RunMetrics metrics = engine.run(trace, lent);
   ASSERT_EQ(metrics.num_tasks, trace.size());
   ASSERT_EQ(probe.marks.size(), phases) << "repeat run must be deterministic";
+  EXPECT_EQ(engine.costs_built(), lend_costs ? 0u : trace.size());
 
   for (size_t i = 1; i + 1 < phases; ++i) {
     EXPECT_EQ(probe.marks[i] - probe.marks[i - 1], 0u)
@@ -284,6 +295,21 @@ TEST(AllocFree, WeightedBlockedPhasesAllocateNothing) {
       << "no replay ran on lanes: the test no longer covers them";
   EXPECT_GT(grown, 0u)
       << "no region grew: the test no longer covers the growth room";
+}
+
+// A sweep lends the RIPS rows of one trace and local policy one
+// drain-cost table: a warm run that reads it allocates nothing in steady
+// state, in count and weighted mode (weighted loads read the trace's work,
+// no per-task weight array).
+TEST(AllocFree, LentCostTableKeepsSteadyStatePhasesAllocationFree) {
+  for (const bool weighted : {false, true}) {
+    RipsConfig config;
+    config.weighted = weighted;
+    expect_steady_state_allocates_nothing(
+        config, /*with_bus_and_jobs=*/false, /*grown_regions=*/nullptr,
+        /*target_tasks=*/20000, /*max_blocks=*/nullptr,
+        /*max_lane_blocks=*/nullptr, /*lend_costs=*/true);
+  }
 }
 
 // Monitor `before` snapshots are the one per-phase structure the engine

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "apps/nqueens.hpp"
+#include "apps/online_source.hpp"
 #include "apps/synthetic.hpp"
 #include "rips/rips_engine.hpp"
+#include "rips/task_costs.hpp"
 #include "sched/mwa.hpp"
 #include "sched/twa.hpp"
 #include "topo/topology.hpp"
@@ -264,6 +266,119 @@ TEST(RipsEngine, EmptyTrace) {
   EXPECT_EQ(metrics.num_tasks, 0u);
   // Termination detection is still one (empty) system phase.
   EXPECT_EQ(metrics.system_phases, 1u);
+}
+
+// ------------------------------------------------------------ TaskCosts
+
+/// Drain cost of `task` by recursion over its subtree: work plus spawn
+/// overhead, plus (Lazy) every child's drain cost.
+SimTime reference_drain(const apps::TaskTrace& trace, TaskId task,
+                        const sim::CostModel& cost, LocalPolicy local) {
+  const apps::TraceTask& info = trace.task(task);
+  SimTime c = cost.work_time(info.work) +
+              static_cast<SimTime>(info.num_children) * cost.spawn_ns;
+  if (local == LocalPolicy::kLazy) {
+    for (u32 k = 0; k < info.num_children; ++k) {
+      c += reference_drain(trace, trace.children_begin(task)[k], cost, local);
+    }
+  }
+  return c;
+}
+
+// A table filled as its trace grows, one piece per appended job (how an
+// online engine extends its own), equals one built over the whole trace at
+// once, and both equal the recursive definition.
+TEST(TaskCosts, ExtendedInPiecesEqualsBuiltAtOnce) {
+  for (const LocalPolicy local : {LocalPolicy::kLazy, LocalPolicy::kEager}) {
+    apps::OnlineJobs jobs;
+    TaskCosts pieces;
+    pieces.reset(jobs.trace(), test_cost(), local);
+    SimTime work = 0;
+    for (u64 seed = 1; seed <= 4; ++seed) {
+      apps::SyntheticConfig config;
+      config.num_roots = static_cast<i32>(10 * seed);
+      jobs.append_job("job", apps::build_synthetic_trace(config, seed),
+                      nullptr);
+      work += pieces.extend();
+      ASSERT_TRUE(pieces.built_for(jobs.trace(), test_cost(), local));
+    }
+    TaskCosts whole;
+    whole.reset(jobs.trace(), test_cost(), local);
+    EXPECT_EQ(whole.extend(), work);
+    EXPECT_EQ(pieces.sequential_ns, work);
+    EXPECT_EQ(whole.sequential_ns, work);
+    EXPECT_EQ(pieces.drain, whole.drain);
+    const apps::TaskTrace& trace = jobs.trace();
+    for (size_t t = 0; t < trace.size(); ++t) {
+      ASSERT_EQ(whole.drain[t], reference_drain(trace, static_cast<TaskId>(t),
+                                                test_cost(), local))
+          << t;
+    }
+  }
+}
+
+// A lent table gives the run the engine's own table gives, in count and
+// weighted mode under every policy, and the engine computes no costs.
+TEST(TaskCosts, ALentTableRunsLikeTheEnginesOwn) {
+  const auto trace = queens_trace();
+  topo::Mesh mesh(4, 4);
+  for (RipsConfig config : all_policies()) {
+    for (const bool weighted : {false, true}) {
+      config.weighted = weighted;
+      const std::string what = config.name() + (weighted ? " weighted" : "");
+      TaskCosts table;
+      table.reset(trace, test_cost(), config.local);
+      table.extend();
+      sched::Mwa mwa(mesh);
+      RipsEngine engine(mwa, test_cost(), config);
+      const auto own = engine.run(trace);
+      const std::string own_registry = engine.metrics_registry().to_json();
+      EXPECT_EQ(engine.costs_built(), trace.size()) << what;
+      const auto lent = engine.run(trace, &table);
+      EXPECT_EQ(engine.costs_built(), 0u) << what;
+      EXPECT_EQ(own, lent) << what;
+      EXPECT_EQ(own_registry, engine.metrics_registry().to_json()) << what;
+    }
+  }
+}
+
+TaskCosts table_for(const apps::TaskTrace& trace, const sim::CostModel& cost,
+                    LocalPolicy local) {
+  TaskCosts table;
+  table.reset(trace, cost, local);
+  table.extend();
+  return table;
+}
+
+// A table built for another local policy, cost model, trace object or
+// trace size aborts the run.
+TEST(TaskCostsDeathTest, ATableForAnotherKeyAbortsTheRun) {
+  const apps::TaskTrace trace = queens_trace();
+  const apps::TaskTrace copy = trace;  // equal contents, another object
+  apps::TaskTrace grown = trace;
+  const TaskCosts before_growth = table_for(grown, test_cost(),
+                                            LocalPolicy::kLazy);
+  grown.add_root(1);
+  sim::CostModel slower = test_cost();
+  slower.ns_per_work *= 2;
+  sim::CostModel costlier_spawn = test_cost();
+  costlier_spawn.spawn_ns += 1;
+  topo::Mesh mesh(2, 2);
+  sched::Mwa mwa(mesh);
+  RipsEngine engine(mwa, test_cost(), RipsConfig{});  // ANY-Lazy
+  const char* msg = "shared task costs were built for another";
+  const TaskCosts eager = table_for(trace, test_cost(), LocalPolicy::kEager);
+  EXPECT_DEATH(engine.run(trace, &eager), msg);
+  const TaskCosts slow = table_for(trace, slower, LocalPolicy::kLazy);
+  EXPECT_DEATH(engine.run(trace, &slow), msg);
+  const TaskCosts spawn = table_for(trace, costlier_spawn, LocalPolicy::kLazy);
+  EXPECT_DEATH(engine.run(trace, &spawn), msg);
+  const TaskCosts other = table_for(copy, test_cost(), LocalPolicy::kLazy);
+  EXPECT_DEATH(engine.run(trace, &other), msg);
+  EXPECT_DEATH(engine.run(grown, &before_growth), msg);
+  // The matching table runs.
+  const TaskCosts right = table_for(trace, test_cost(), LocalPolicy::kLazy);
+  EXPECT_EQ(engine.run(trace, &right).num_tasks, trace.size());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include "apps/synthetic.hpp"
 #include "exec/sweep/runner.hpp"
@@ -89,6 +91,24 @@ TEST(ParallelFor, ResolveJobs) {
   EXPECT_EQ(resolve_jobs(3), 3);
   EXPECT_GE(resolve_jobs(0), 1);
   EXPECT_GE(resolve_jobs(-1), 1);
+}
+
+// --jobs=0 counts the CPUs the process may use, not the host's: a thread
+// narrowed to one CPU (as under `taskset -c 0`) resolves it to one job.
+TEST(ParallelFor, ResolveJobsZeroCountsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const i32 narrowed = resolve_jobs(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(narrowed, 1);
+  EXPECT_EQ(resolve_jobs(0), CPU_COUNT(&saved));
 }
 
 // ----------------------------------------------------------- run_sweep
@@ -243,6 +263,126 @@ TEST(RunSweep, MatchesDirectRunStrategy) {
   const StrategyRun direct = run_strategy(a, 16, Kind::kRips);
   EXPECT_EQ(direct.metrics.makespan_ns, results[0].run.metrics.makespan_ns);
   EXPECT_EQ(direct.registry.to_json(), results[0].run.registry.to_json());
+}
+
+// ------------------------------------------------- shared cost tables
+
+/// A RIPS row run alone through run_strategy, with its own cost table and
+/// the sinks run_one gives a monitored, sampled row.
+struct AloneRun {
+  StrategyRun run;
+  std::string timeseries;
+  bool monitors_ok = false;
+};
+
+AloneRun run_alone(const RunDescriptor& d) {
+  obs::InvariantMonitor monitor;
+  obs::TimeSeriesSampler sampler;
+  sampler.set_label(d.workload->name + "/" + kind_name(d.kind) + "/n" +
+                    std::to_string(d.nodes));
+  obs::TelemetryBus bus;
+  bus.subscribe(&sampler);
+  obs::Obs o;
+  o.monitor = &monitor;
+  o.bus = &bus;
+  AloneRun out;
+  out.run = run_strategy(*d.workload, d.nodes, d.kind, d.rid_u, d.config, o,
+                         d.fault_plan, d.tuning);
+  out.timeseries = sampler.to_json();
+  out.monitors_ok = monitor.ok();
+  return out;
+}
+
+// RIPS rows that replay one workload under one local policy share one
+// drain-cost table: the first row of the key to start builds it, every row
+// reads it, the last frees it. {ANY, ALL} x {Lazy, Eager} x {count,
+// weighted} at two machine sizes over two workloads (a fault plan on one
+// row, which shares too), plus a key with one RIPS row and a dynamic row.
+// At --jobs=1 and --jobs=3 every row equals the same row run alone with
+// its own table — metrics, registry JSON, system-phase samples and the
+// whole time series — and each key's table is built exactly once.
+TEST(RunSweep, SharedCostTablesMatchRowsRunAlone) {
+  const apps::Workload a = small_workload(21);
+  const apps::Workload b = small_workload(22);
+  const apps::Workload c = small_workload(23);
+  sim::FaultPlan crash;
+  crash.crashes.push_back({/*node=*/5, /*time_ns=*/2'000'000});
+  std::vector<RunDescriptor> descriptors;
+  for (const apps::Workload* w : {&a, &b}) {
+    for (const auto global :
+         {core::GlobalPolicy::kAny, core::GlobalPolicy::kAll}) {
+      for (const auto local :
+           {core::LocalPolicy::kLazy, core::LocalPolicy::kEager}) {
+        for (const bool weighted : {false, true}) {
+          for (const i32 nodes : {16, 64}) {
+            RunDescriptor d;
+            d.workload = w;
+            d.nodes = nodes;
+            d.config.global = global;
+            d.config.local = local;
+            d.config.weighted = weighted;
+            d.monitor = true;
+            d.collect_timeseries = true;
+            d.cost_hint = static_cast<double>(nodes);
+            descriptors.push_back(d);
+          }
+        }
+      }
+    }
+  }
+  descriptors.front().fault_plan = &crash;
+  RunDescriptor single;
+  single.workload = &c;
+  single.nodes = 16;
+  single.monitor = true;
+  single.collect_timeseries = true;
+  descriptors.push_back(single);
+  RunDescriptor dynamic = single;
+  dynamic.workload = &a;
+  dynamic.kind = Kind::kRid;
+  descriptors.push_back(dynamic);
+
+  std::vector<AloneRun> alone;
+  for (const RunDescriptor& d : descriptors) alone.push_back(run_alone(d));
+  ASSERT_EQ(alone.front().run.metrics.crashes, 1u);
+
+  for (const i32 jobs : {1, 3}) {
+    const auto results = run_sweep(descriptors, jobs);
+    ASSERT_EQ(results.size(), descriptors.size());
+    // Tasks whose costs were computed, per (workload, local policy) key.
+    std::map<std::pair<const apps::Workload*, core::LocalPolicy>, u64> built;
+    for (size_t i = 0; i < results.size(); ++i) {
+      const RunDescriptor& d = descriptors[i];
+      const std::string what = "jobs=" + std::to_string(jobs) + " row " +
+                               std::to_string(i) + " " + d.config.name() +
+                               (d.config.weighted ? " weighted" : "") + " n" +
+                               std::to_string(d.nodes);
+      ASSERT_TRUE(results[i].ok) << what << ": " << results[i].error;
+      const StrategyRun& shared = results[i].run;
+      const StrategyRun& own = alone[i].run;
+      EXPECT_EQ(shared.metrics, own.metrics) << what;
+      EXPECT_EQ(shared.registry.to_json(), own.registry.to_json()) << what;
+      EXPECT_EQ(shared.phases, own.phases) << what;
+      ASSERT_TRUE(results[i].timeseries != nullptr) << what;
+      EXPECT_EQ(results[i].timeseries->to_json(), alone[i].timeseries) << what;
+      EXPECT_TRUE(results[i].monitors_ok) << results[i].monitor_report;
+      EXPECT_TRUE(alone[i].monitors_ok) << what;
+      if (d.kind == Kind::kRips) {
+        EXPECT_EQ(own.costs_built, d.workload->trace.size()) << what;
+        built[{d.workload, d.config.local}] += shared.costs_built;
+      } else {
+        EXPECT_EQ(shared.costs_built, 0u) << what;
+      }
+    }
+    // One table per key: eight rows each for a and b under each local
+    // policy, and c's single row with its engine's own table.
+    ASSERT_EQ(built.size(), 5u);
+    for (const auto& [key, tasks] : built) {
+      EXPECT_EQ(tasks, key.first->trace.size())
+          << "jobs=" << jobs << " " << key.first->name << ": a key's "
+          << "drain costs were computed more than once";
+    }
+  }
 }
 
 // ------------------------------------------------------ build_workloads
