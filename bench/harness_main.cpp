@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,15 +50,17 @@ namespace {
 
 using namespace rips;
 
+/// The strategies a --strategy value names: the four Table-I ones for
+/// "all", else the one it names.
 std::vector<sweep::Kind> parse_strategies(const std::string& s) {
   if (s == "all") return sweep::table1_kinds();
-  if (s == "rips") return {sweep::Kind::kRips};
-  if (s == "random") return {sweep::Kind::kRandom};
-  if (s == "gradient") return {sweep::Kind::kGradient};
-  if (s == "rid") return {sweep::Kind::kRid};
-  if (s == "sid") return {sweep::Kind::kSid};
-  RIPS_CHECK_MSG(false, "--strategy must be rips|random|gradient|rid|sid|all");
-  return {};
+  const std::optional<sweep::Kind> kind = sweep::parse_kind(s);
+  if (!kind.has_value()) {
+    throw std::invalid_argument(
+        "--strategy must be rips|random|gradient|rid|sid|all, not '" + s +
+        "'");
+  }
+  return {*kind};
 }
 
 /// One row of a suite.
@@ -103,7 +106,10 @@ Suite paper_suite(const std::string& suite, const std::string& app_filter,
     }
     s.specs.push_back(spec);
   }
-  RIPS_CHECK_MSG(!s.specs.empty(), "no workload matches the selection");
+  if (s.specs.empty()) {
+    throw std::invalid_argument("--app=" + app_filter +
+                                " matches no workload");
+  }
   return s;
 }
 
@@ -162,10 +168,7 @@ Suite scale_suite(bool quick) {
   return s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args(argc, argv);
+int run_harness(const Args& args) {
   if (args.has("help")) {
     std::printf(
         "usage: harness [--suite=core|full|scale] [--app=<name substring>]\n"
@@ -211,26 +214,37 @@ int main(int argc, char** argv) {
   const std::string policy_name = args.get("policy", "any-lazy");
   const std::optional<core::RipsConfig> config =
       core::parse_policy(policy_name);
-  RIPS_CHECK_MSG(config.has_value(),
-                 "--policy must be {any,all}-{lazy,eager}");
+  if (!config.has_value()) {
+    throw std::invalid_argument(
+        "--policy must be {any,all}-{lazy,eager}, not '" + policy_name + "'");
+  }
   const double rid_u = args.get_double("rid-u", 0.4);
   const bool monitors = args.get_bool("monitors", true);
   const std::vector<sweep::Kind> kinds =
       parse_strategies(args.get("strategy", "rips"));
   const bool scale = suite == "scale";
   const bool inject_faults = args.has("fault-seed");
-  RIPS_CHECK_MSG(suite == "core" || suite == "full" || scale,
-                 "--suite must be core|full|scale");
+  if (suite != "core" && suite != "full" && !scale) {
+    throw std::invalid_argument("--suite must be core|full|scale, not '" +
+                                suite + "'");
+  }
   if (scale) {
-    RIPS_CHECK_MSG(!args.has("app") && !args.has("nodes"),
-                   "--suite=scale sets its own workloads and machine sizes; "
-                   "drop --app and --nodes");
-    RIPS_CHECK_MSG(kinds.size() == 1 && kinds[0] == sweep::Kind::kRips,
-                   "--suite=scale runs RIPS only; drop --strategy");
+    if (args.has("app") || args.has("nodes")) {
+      throw std::invalid_argument(
+          "--suite=scale sets its own workloads and machine sizes; drop "
+          "--app and --nodes");
+    }
+    if (kinds.size() != 1 || kinds[0] != sweep::Kind::kRips) {
+      throw std::invalid_argument(
+          "--suite=scale runs RIPS only; drop --strategy");
+    }
   } else {
     for (const char* flag : {"fault-seed", "crash-mtbf-ms", "drop-prob",
                              "fault-horizon-ms"}) {
-      RIPS_CHECK_MSG(!args.has(flag), "the --fault-* flags need --suite=scale");
+      if (args.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " needs --suite=scale");
+      }
     }
   }
 
@@ -395,4 +409,16 @@ int main(int argc, char** argv) {
                sweep_s > 0.0 ? static_cast<double>(total_tasks) / sweep_s
                              : 0.0);
   return all_monitors_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Unknown flags and bad flag values exit 2 with one line naming the flag.
+  try {
+    return run_harness(Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "harness: %s\n", e.what());
+    return 2;
+  }
 }

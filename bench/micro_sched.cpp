@@ -18,7 +18,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/task_queue.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -279,68 +278,6 @@ void BM_TelemetryPublishEnabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TelemetryPublishEnabled);
-
-// Data-level kernel layer (util/simd.hpp): dispatch kernel vs its scalar
-// reference on the two shapes that dominate the engine hot paths — the
-// linear drain/monitor reduction and the queue-order gather. CI's
-// bench-smoke job runs this pair and asserts the dispatch kernel is no
-// slower than the reference (docs/PERFORMANCE.md "Data-level kernels").
-void BM_KernelSumScalar(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto v = random_load(static_cast<i32>(n), 1000, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::scalar::sum_i64(v.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * n *
-                                           sizeof(i64)));
-}
-BENCHMARK(BM_KernelSumScalar)->RangeMultiplier(8)->Range(1 << 10, 1 << 19);
-
-void BM_KernelSum(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto v = random_load(static_cast<i32>(n), 1000, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::sum_i64(v.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * n *
-                                           sizeof(i64)));
-}
-BENCHMARK(BM_KernelSum)->RangeMultiplier(8)->Range(1 << 10, 1 << 19);
-
-std::vector<TaskId> random_idx(size_t n, size_t table, u64 seed) {
-  Rng rng(seed);
-  std::vector<TaskId> idx(n);
-  for (auto& i : idx) i = static_cast<TaskId>(rng.next_below(table));
-  return idx;
-}
-
-void BM_KernelGatherSumScalar(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto values = random_load(static_cast<i32>(n), 1000, 8);
-  const auto idx = random_idx(n, n, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::scalar::gather_sum_i64(values.data(), idx.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * n *
-                                           sizeof(i64)));
-}
-BENCHMARK(BM_KernelGatherSumScalar)
-    ->RangeMultiplier(8)
-    ->Range(1 << 10, 1 << 19);
-
-void BM_KernelGatherSum(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  const auto values = random_load(static_cast<i32>(n), 1000, 8);
-  const auto idx = random_idx(n, n, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::gather_sum_i64(values.data(), idx.data(), n));
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations() * n *
-                                           sizeof(i64)));
-}
-BENCHMARK(BM_KernelGatherSum)->RangeMultiplier(8)->Range(1 << 10, 1 << 19);
 
 }  // namespace
 

@@ -16,6 +16,7 @@
 // fairness index over tenant progress rates.
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -87,10 +88,7 @@ sim::BenchRow run_soak(i32 nodes, i32 jobs_total, i32 tenants,
   return row;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args(argc, argv);
+int run_soak_cli(const Args& args) {
   if (args.has("help")) {
     std::printf(
         "usage: serve_soak [--nodes=64] [--jobs-total=24] [--tenants=4]\n"
@@ -111,8 +109,10 @@ int main(int argc, char** argv) {
       args.get_int("interarrival-ms", 20) * 1'000'000;
   const u64 seed = static_cast<u64>(args.get_int("seed", 7));
   const bool monitors = args.get_bool("monitors", true);
-  RIPS_CHECK_MSG(jobs_total >= 2 && tenants >= 1 && tenants <= jobs_total,
-                 "need --jobs-total >= 2 and 1 <= --tenants <= --jobs-total");
+  if (jobs_total < 2 || tenants < 1 || tenants > jobs_total) {
+    throw std::invalid_argument(
+        "need --jobs-total >= 2 and 1 <= --tenants <= --jobs-total");
+  }
 
   const sim::BenchRow row =
       run_soak(nodes, jobs_total, tenants, interarrival_ns, seed, monitors);
@@ -139,4 +139,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "serve_soak: wrote %s\n", path.c_str());
   }
   return row.monitors_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Unknown flags and bad flag values exit 2 with one line naming the flag.
+  try {
+    return run_soak_cli(Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "serve_soak: %s\n", e.what());
+    return 2;
+  }
 }

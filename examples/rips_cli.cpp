@@ -44,16 +44,14 @@ namespace {
 
 using namespace rips;
 
-apps::TaskTrace build_app(const Args& args, double& ns_per_work) {
+apps::TaskTrace build_app(const Args& args) {
   const std::string app = args.get("app", "queens");
   if (app == "queens") {
-    ns_per_work = 2000.0;
     return apps::build_nqueens_trace(
         static_cast<i32>(args.get_int("n", 13)),
         static_cast<i32>(args.get_int("split", 4)));
   }
   if (app == "ida") {
-    ns_per_work = 9600.0;
     const i32 index = static_cast<i32>(args.get_int("config", 1));
     if (index < 1 || index > 3) {
       throw std::invalid_argument("--config must be 1..3");
@@ -62,21 +60,18 @@ apps::TaskTrace build_app(const Args& args, double& ns_per_work) {
         apps::paper_puzzle_configs()[static_cast<size_t>(index - 1)]);
   }
   if (app == "gromos") {
-    ns_per_work = 13000.0;
     apps::GromosConfig config;
     config.cutoff_angstrom = args.get_double("cutoff", 12.0);
     config.num_steps = static_cast<i32>(args.get_int("steps", 5));
     return apps::build_gromos_trace(config);
   }
   if (app == "gauss") {
-    ns_per_work = 10.0;
     apps::GaussConfig config;
     config.matrix_n = static_cast<i32>(args.get_int("matrix", 4096));
     config.block = static_cast<i32>(args.get_int("block", 256));
     return apps::build_gauss_trace(config);
   }
   if (app == "synthetic") {
-    ns_per_work = 2000.0;
     apps::SyntheticConfig config;
     config.num_roots = static_cast<i32>(args.get_int("roots", 1000));
     config.spawn_prob = args.get_double("spawn", 0.5);
@@ -91,7 +86,7 @@ apps::TaskTrace build_app(const Args& args, double& ns_per_work) {
       "--app must be queens|ida|gromos|gauss|synthetic, not '" + app + "'");
 }
 
-/// Work-unit calibration per app, duplicated from build_app so a
+/// Work-unit calibration per app. Kept apart from build_app so a
 /// trace-cache hit (which skips build_app entirely) still calibrates.
 double default_ns_per_work(const std::string& app) {
   if (app == "ida") return 9600.0;
@@ -130,16 +125,6 @@ core::RipsConfig parse_policy(const Args& args) {
   return config;
 }
 
-/// The strategy a --strategy name selects; nullopt for an unknown name.
-std::optional<sweep::Kind> parse_kind(const std::string& name) {
-  if (name == "rips") return sweep::Kind::kRips;
-  if (name == "random") return sweep::Kind::kRandom;
-  if (name == "gradient") return sweep::Kind::kGradient;
-  if (name == "rid") return sweep::Kind::kRid;
-  if (name == "sid") return sweep::Kind::kSid;
-  return std::nullopt;
-}
-
 /// The strategies a --strategy value names: every one for "all", else each
 /// entry of the comma list (a single run names one).
 std::vector<sweep::Kind> parse_strategies(const std::string& value) {
@@ -154,7 +139,7 @@ std::vector<sweep::Kind> parse_strategies(const std::string& value) {
     const size_t comma = rest.find(',');
     const std::string name = rest.substr(0, comma);
     rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-    const std::optional<sweep::Kind> kind = parse_kind(name);
+    const std::optional<sweep::Kind> kind = sweep::parse_kind(name);
     if (!kind.has_value()) {
       throw std::invalid_argument(
           "--strategy entries must be rips|random|gradient|rid|sid, not '" +
@@ -262,11 +247,11 @@ int run_cli(const Args& args) {
   if (args.has("trace-cache")) {
     apps::set_trace_cache_dir(args.get("trace-cache", ""));
   }
-  double ns_per_work = default_ns_per_work(args.get("app", "queens"));
   const apps::TaskTrace trace = apps::cached_trace(
-      trace_cache_key(args), [&] { return build_app(args, ns_per_work); });
+      trace_cache_key(args), [&] { return build_app(args); });
   sim::CostModel cost;
-  cost.ns_per_work = args.get_double("ns-per-work", ns_per_work);
+  cost.ns_per_work = args.get_double(
+      "ns-per-work", default_ns_per_work(args.get("app", "queens")));
   const i32 nodes = static_cast<i32>(args.get_int("nodes", 32));
 
   std::printf("app: %s\n", trace.summary().c_str());

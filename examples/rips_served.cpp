@@ -18,15 +18,18 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "serve/job_server.hpp"
 #include "serve/socket_server.hpp"
 #include "util/args.hpp"
 #include "util/check.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rips;
-  const Args args(argc, argv);
+namespace {
+
+using namespace rips;
+
+int run_served(const Args& args) {
   if (args.has("help")) {
     std::printf(
         "usage: rips_served --socket=PATH [--nodes=64]\n"
@@ -45,8 +48,7 @@ int main(int argc, char** argv) {
 
   const std::string socket_path = args.get("socket", "");
   if (socket_path.empty()) {
-    std::fprintf(stderr, "rips_served: --socket=PATH is required\n");
-    return 2;
+    throw std::invalid_argument("--socket=PATH is required");
   }
 
   serve::ServeOptions options;
@@ -54,9 +56,8 @@ int main(int argc, char** argv) {
   const std::string policy = args.get("policy", "any-lazy");
   const std::optional<core::RipsConfig> config = core::parse_policy(policy);
   if (!config.has_value()) {
-    std::fprintf(stderr,
-                 "rips_served: --policy must be {any,all}-{lazy,eager}\n");
-    return 2;
+    throw std::invalid_argument(
+        "--policy must be {any,all}-{lazy,eager}, not '" + policy + "'");
   }
   options.config = *config;
   options.admission.max_pending =
@@ -99,4 +100,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rips_served: wrote %s\n", bench_out.c_str());
   }
   return server.monitors_ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Unknown flags and bad flag values exit 2 with one line naming the flag.
+  try {
+    return run_served(Args(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "rips_served: %s\n", e.what());
+    return 2;
+  }
 }

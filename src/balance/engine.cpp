@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace rips::balance {
 
@@ -321,11 +322,8 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
   RIPS_CHECK_MSG(c_tasks_executed_->value() == trace.size(),
                  "engine finished with unexecuted tasks");
 
-  u64 nonlocal = 0;
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (exec_node_[i] != origin_[i]) nonlocal += 1;
-  }
-  c_tasks_nonlocal_->add(nonlocal);
+  c_tasks_nonlocal_->add(static_cast<u64>(
+      simd::count_ne_i32(exec_node_.data(), origin_.data(), trace.size())));
   if (job_accounting_) {
     metrics_.jobs.resize(static_cast<size_t>(num_jobs_));
     for (size_t i = 0; i < trace.size(); ++i) {
@@ -338,14 +336,8 @@ sim::RunMetrics DynamicEngine::run(const apps::TaskTrace& trace) {
       jm.tasks = job_tasks_[j];
       jm.work_ns = job_work_ns_[j];
       jm.completion_ns = job_done_ns_[j];
-      const std::string prefix = "job." + std::to_string(j) + ".";
-      registry_.counter(prefix + "tasks_executed").add(jm.tasks);
-      registry_.counter(prefix + "tasks_nonlocal").add(jm.nonlocal_tasks);
-      registry_.counter(prefix + "tasks_migrated").add(jm.tasks_migrated);
-      registry_.counter(prefix + "work_ns").add(static_cast<u64>(jm.work_ns));
-      registry_.counter(prefix + "completion_ns")
-          .add(static_cast<u64>(jm.completion_ns));
     }
+    metrics_.store_job_counters(registry_);
   }
   SimTime makespan = 0;
   for (const NodeRt& node : nodes_) makespan = std::max(makespan, node.free_at);

@@ -37,6 +37,15 @@ std::string kind_name(Kind kind) {
   return "?";
 }
 
+std::optional<Kind> parse_kind(const std::string& name) {
+  if (name == "rips") return Kind::kRips;
+  if (name == "random") return Kind::kRandom;
+  if (name == "gradient") return Kind::kGradient;
+  if (name == "rid") return Kind::kRid;
+  if (name == "sid") return Kind::kSid;
+  return std::nullopt;
+}
+
 namespace {
 
 /// Stamps the workload's job names onto the per-job metric rows (the

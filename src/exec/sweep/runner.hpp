@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,10 @@ struct StrategyRun {
 enum class Kind { kRandom, kGradient, kRid, kRips, kSid };
 
 std::string kind_name(Kind kind);
+
+/// The strategy a lower-case CLI name selects (rips|random|gradient|rid|
+/// sid); nullopt for any other name.
+std::optional<Kind> parse_kind(const std::string& name);
 
 /// RIPS engine knobs that change cost but never results (ignored by the
 /// dynamic strategies). `harness --suite=scale` turns snapshots off to keep

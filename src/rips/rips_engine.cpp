@@ -1479,16 +1479,8 @@ sim::RunMetrics RipsEngine::finalize_run(SimTime t) {
       jm.work_ns = job_work_ns_[static_cast<size_t>(j)];
       jm.completion_ns = job_done_ns_[static_cast<size_t>(j)];
       jm.tasks_migrated = job_migrated_[static_cast<size_t>(j)];
-      // The per-tenant slice in the registry, next to the machine-wide
-      // counters the bench JSON already embeds.
-      const std::string prefix = "job." + std::to_string(j) + ".";
-      registry_.counter(prefix + "tasks_executed").add(jm.tasks);
-      registry_.counter(prefix + "tasks_nonlocal").add(jm.nonlocal_tasks);
-      registry_.counter(prefix + "tasks_migrated").add(jm.tasks_migrated);
-      registry_.counter(prefix + "work_ns").add(static_cast<u64>(jm.work_ns));
-      registry_.counter(prefix + "completion_ns")
-          .add(static_cast<u64>(jm.completion_ns));
     }
+    metrics_.store_job_counters(registry_);
   }
   // The registry is the source of truth for every counter column; the
   // Table-I view is derived from it once, here.

@@ -28,6 +28,19 @@ void RunMetrics::load_counters(const obs::MetricsRegistry& registry) {
   recovery_time_ns = static_cast<SimTime>(value("fault.recovery_time_ns"));
 }
 
+void RunMetrics::store_job_counters(obs::MetricsRegistry& registry) const {
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const JobMetrics& jm = jobs[j];
+    const std::string prefix = "job." + std::to_string(j) + ".";
+    registry.counter(prefix + "tasks_executed").add(jm.tasks);
+    registry.counter(prefix + "tasks_nonlocal").add(jm.nonlocal_tasks);
+    registry.counter(prefix + "tasks_migrated").add(jm.tasks_migrated);
+    registry.counter(prefix + "work_ns").add(static_cast<u64>(jm.work_ns));
+    registry.counter(prefix + "completion_ns")
+        .add(static_cast<u64>(jm.completion_ns));
+  }
+}
+
 double RunMetrics::job_fairness() const {
   if (jobs.size() < 2) return 1.0;
   double sum = 0.0;

@@ -93,6 +93,12 @@ struct RunMetrics {
   /// Counter names are documented in docs/OBSERVABILITY.md.
   void load_counters(const obs::MetricsRegistry& registry);
 
+  /// Adds each row of `jobs` to `registry` as the per-tenant counters
+  /// job.<i>.{tasks_executed,tasks_nonlocal,tasks_migrated,work_ns,
+  /// completion_ns}, next to the machine-wide counters the bench JSON
+  /// already embeds. Both engines call it when a multi-job run ends.
+  void store_job_counters(obs::MetricsRegistry& registry) const;
+
   // --- Table I derived columns ------------------------------------------
 
   /// Overhead time Th: per-node average system overhead, seconds.

@@ -8,31 +8,19 @@
 //     AoS. Call sites are responsible for keeping state in flat arrays
 //     (structure-of-arrays) so a kernel is a single linear or gather pass.
 //   * All arithmetic is integer (i64/i32). Integer addition is associative,
-//     so any vector reordering is bit-identical to the scalar reference —
-//     which is what keeps the BENCH_* JSON byte-stable across backends.
-//   * Every kernel has a scalar reference implementation in
-//     rips::simd::scalar. The dispatching wrapper must be value-identical;
-//     tests/test_simd.cpp property-tests this for randomized sizes.
-//
-// Backend selection:
-//   * -DRIPS_DISABLE_SIMD (CMake option RIPS_DISABLE_SIMD=ON) forces every
-//     wrapper to call the scalar reference — the CI scalar lane builds this
-//     way and must produce byte-identical bench JSON.
-//   * Otherwise explicit intrinsic paths are compiled in when the ISA
-//     macros say they exist (AVX2 today; SSE2/NEON fall through to the
-//     unrolled auto-vectorization-friendly loops, which GCC/Clang turn
-//     into paddq/addp at -O2). The unrolled loops use four independent
-//     accumulators so the add chain is not serialized.
+//     so any order of summation, the vectorizer's included, gives the same
+//     bits — which is what keeps the drain-sum pass and the BENCH_* JSON
+//     bit-identical.
+//   * Each kernel is one plain loop. The build's -ftree-vectorize and
+//     -fvect-cost-model=dynamic flags (CMakeLists.txt) let the compiler
+//     vectorize them at -O2: g++ 12 on the default x86-64 target
+//     vectorizes sum, gather, sub and count_ne; minmax and sum_pos_diff
+//     need a 64-bit compare that SSE2 lacks and stay scalar.
 #pragma once
 
 #include <cstddef>
 
 #include "util/types.hpp"
-
-#if !defined(RIPS_DISABLE_SIMD) && defined(__AVX2__)
-#define RIPS_SIMD_AVX2 1
-#include <immintrin.h>
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define RIPS_RESTRICT __restrict__
@@ -42,32 +30,10 @@
 
 namespace rips::simd {
 
-/// Human-readable name of the active kernel backend (for bench labels and
-/// the CMake configure log — not part of any deterministic output).
-constexpr const char* backend() {
-#if defined(RIPS_DISABLE_SIMD)
-  return "scalar";
-#elif defined(RIPS_SIMD_AVX2)
-  return "avx2";
-#elif defined(__ARM_NEON)
-  return "neon-autovec";
-#elif defined(__SSE2__) || defined(__x86_64__)
-  return "sse2-autovec";
-#else
-  return "autovec";
-#endif
-}
-
 struct MinMax {
   i64 min;
   i64 max;
 };
-
-// ------------------------------------------------------------------ scalar
-// Reference implementations: the semantics contract. Plain single-
-// accumulator loops, kept deliberately simple — these are what the
-// property tests compare against and what RIPS_DISABLE_SIMD ships.
-namespace scalar {
 
 inline i64 sum_i64(const i64* RIPS_RESTRICT v, size_t n) {
   i64 s = 0;
@@ -122,139 +88,5 @@ inline i64 count_ne_i32(const i32* RIPS_RESTRICT a, const i32* RIPS_RESTRICT b,
   for (size_t i = 0; i < n; ++i) c += a[i] != b[i] ? 1 : 0;
   return c;
 }
-
-}  // namespace scalar
-
-// ---------------------------------------------------------------- kernels
-// Dispatching wrappers. Under RIPS_DISABLE_SIMD these are the scalar
-// references verbatim; otherwise they are 4-way unrolled with independent
-// accumulators (auto-vectorizable, and the dependence chain is broken even
-// when the compiler stays scalar), with explicit AVX2 where it pays.
-
-#if defined(RIPS_DISABLE_SIMD)
-
-using scalar::count_ne_i32;
-using scalar::gather_sum_i64;
-using scalar::minmax_i64;
-using scalar::sub_i64;
-using scalar::sum_i64;
-using scalar::sum_pos_diff_i64;
-
-#else  // !RIPS_DISABLE_SIMD
-
-inline i64 sum_i64(const i64* RIPS_RESTRICT v, size_t n) {
-#if defined(RIPS_SIMD_AVX2)
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i)));
-  }
-  alignas(32) i64 lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  i64 s = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < n; ++i) s += v[i];
-  return s;
-#else
-  i64 s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += v[i];
-    s1 += v[i + 1];
-    s2 += v[i + 2];
-    s3 += v[i + 3];
-  }
-  i64 s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += v[i];
-  return s;
-#endif
-}
-
-inline i64 gather_sum_i64(const i64* RIPS_RESTRICT values,
-                          const TaskId* RIPS_RESTRICT idx, size_t n) {
-  // Deliberately the plain loop: the auto-vectorizer emulates the gather
-  // (vector index load + scalar element loads + vector add) and measures
-  // ~1.5x faster than a manual 4-accumulator unroll, which blocks that
-  // transform (bench/micro_sched.cpp BM_KernelGatherSum*). Summation
-  // order matches the scalar reference exactly.
-  i64 s = 0;
-  for (size_t i = 0; i < n; ++i) s += values[idx[i]];
-  return s;
-}
-
-inline void sub_i64(const i64* RIPS_RESTRICT a, const i64* RIPS_RESTRICT b,
-                    i64* RIPS_RESTRICT out, size_t n) {
-#if defined(RIPS_SIMD_AVX2)
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_sub_epi64(va, vb));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-#else
-  // restrict-qualified elementwise op: vectorizes cleanly as-is.
-  for (size_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-#endif
-}
-
-inline MinMax minmax_i64(const i64* RIPS_RESTRICT v, size_t n) {
-  if (n == 0) return {0, 0};
-  i64 lo0 = v[0], lo1 = v[0], hi0 = v[0], hi1 = v[0];
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    lo0 = v[i] < lo0 ? v[i] : lo0;
-    hi0 = v[i] > hi0 ? v[i] : hi0;
-    lo1 = v[i + 1] < lo1 ? v[i + 1] : lo1;
-    hi1 = v[i + 1] > hi1 ? v[i + 1] : hi1;
-  }
-  i64 lo = lo0 < lo1 ? lo0 : lo1;
-  i64 hi = hi0 > hi1 ? hi0 : hi1;
-  for (; i < n; ++i) {
-    lo = v[i] < lo ? v[i] : lo;
-    hi = v[i] > hi ? v[i] : hi;
-  }
-  return {lo, hi};
-}
-
-inline i64 sum_pos_diff_i64(const i64* RIPS_RESTRICT a,
-                            const i64* RIPS_RESTRICT b, size_t n) {
-  // max(0, a-b) as a branchless select so the loop vectorizes.
-  i64 s0 = 0, s1 = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const i64 d0 = a[i] - b[i];
-    const i64 d1 = a[i + 1] - b[i + 1];
-    s0 += d0 > 0 ? d0 : 0;
-    s1 += d1 > 0 ? d1 : 0;
-  }
-  i64 s = s0 + s1;
-  for (; i < n; ++i) {
-    const i64 d = a[i] - b[i];
-    s += d > 0 ? d : 0;
-  }
-  return s;
-}
-
-inline i64 count_ne_i32(const i32* RIPS_RESTRICT a, const i32* RIPS_RESTRICT b,
-                        size_t n) {
-  // Accumulate 0/1 in i64 lanes; branchless, vectorizes to compare+sub.
-  i64 c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += a[i] != b[i] ? 1 : 0;
-    c1 += a[i + 1] != b[i + 1] ? 1 : 0;
-    c2 += a[i + 2] != b[i + 2] ? 1 : 0;
-    c3 += a[i + 3] != b[i + 3] ? 1 : 0;
-  }
-  i64 c = (c0 + c1) + (c2 + c3);
-  for (; i < n; ++i) c += a[i] != b[i] ? 1 : 0;
-  return c;
-}
-
-#endif  // RIPS_DISABLE_SIMD
 
 }  // namespace rips::simd
